@@ -10,13 +10,13 @@ type PingReq struct {
 }
 
 type PingResp struct {
-	Seq    uint64
+	Seq     uint64
 	Healthy bool
 }
 
 type BatchReq struct {
-	IDs    []string
-	Loads  [3]float64
+	IDs   []string
+	Loads [3]float64
 }
 
 // encodeLoads is an encode helper; wirefrozen inlines it anonymously, so

@@ -93,7 +93,7 @@ func runCrossCheck(w io.Writer, quick bool) error {
 	fmt.Fprintln(w, "Same workload (ME-Inception v3, Raspberry Pi, rate 3, LEIME policy), two systems:")
 	fmt.Fprint(w, tbl.String())
 	fmt.Fprintf(w, "\nmean TCT ratio: %.2fx (testbed/simulator)\n", tb.TCT.Mean()/simRes.TCT.Mean())
-	fmt.Fprintln(w, "The residual gap is wall-clock overhead (sleep granularity, gob encoding,")
+	fmt.Fprintln(w, "The residual gap is wall-clock overhead (sleep granularity, loopback hops,")
 	fmt.Fprintln(w, "scheduler jitter) inflated by the 5x time compression; it shrinks toward 1x")
 	fmt.Fprintln(w, "as -scale approaches real time. Orderings and exit mixes agree.")
 	fmt.Fprintf(w, "testbed telemetry: %d spans across %d traces, %d dropped\n",

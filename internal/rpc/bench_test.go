@@ -182,17 +182,22 @@ func BenchmarkCallConcurrentGob(b *testing.B) {
 	runConcurrent(b, c, 16, b.N)
 }
 
-// BenchmarkLargePayload measures a 64 KiB intermediate-tensor-sized message.
-func BenchmarkLargePayload(b *testing.B) {
+// benchLarge round-trips one Bytes body of the given size per iteration
+// against handler, reporting payload bytes moved per call.
+func benchLarge(b *testing.B, size int, handler Handler) {
 	registerBenchCodecs()
-	s := benchServer(b)
+	s, err := Serve("127.0.0.1:0", handler)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
 	c, err := Dial(s.Addr(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	req := echoReq{Text: string(make([]byte, 64<<10))}
-	b.SetBytes(64 << 10)
+	req := benchTaskReq{DeviceID: "device-42", TaskID: 99, Payload: make([]byte, size), Exit: 3}
+	b.SetBytes(int64(size))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -202,11 +207,29 @@ func BenchmarkLargePayload(b *testing.B) {
 	}
 }
 
+// BenchmarkLargePayload echoes a 64 KiB intermediate-tensor-sized Bytes
+// body: the frame crosses the wire both ways, and the client's reply frame
+// is its one exact-size allocation per call.
+func BenchmarkLargePayload(b *testing.B) {
+	benchLarge(b, 64<<10, func(_ context.Context, body any) (any, error) { return body, nil })
+}
+
+// BenchmarkCallLarge is the edge-to-cloud hop of an exit-3 task: a 192 KiB
+// third-block tensor one way, a few bytes of reply back. Every large
+// buffer on this path is pooled, so steady-state B/op stays in the
+// kilobytes; CI holds it there (BENCH_13.json ci_budgets).
+func BenchmarkCallLarge(b *testing.B) {
+	benchLarge(b, 192<<10, func(_ context.Context, body any) (any, error) {
+		return echoResp{N: len(body.(benchTaskReq).Payload)}, nil
+	})
+}
+
 // BenchmarkCodecTaskRoundTrip measures the steady-state codec cost of one
 // task message — encode a frame, decode it back — isolated from the
-// network. This is the ≤2 allocs/op budget the wire format is built
+// network. This is the ≤3 allocs/op budget the wire format is built
 // around: the pooled encode path allocates nothing; decode allocates the
-// envelope block and the body's interface box.
+// envelope block, the body's interface box and the device-ID string (a
+// copy, so it may outlive the frame).
 func BenchmarkCodecTaskRoundTrip(b *testing.B) {
 	registerBenchCodecs()
 	env := &envelope{

@@ -15,22 +15,28 @@
 // envelope, tagged per frame, so the two codecs negotiate per message and
 // unregistered (test-only, experimental) types keep working unchanged.
 //
-// Allocation discipline: encoding borrows a pooled buffer and emits the
-// frame with a single Write (the one-message-per-Write invariant netem
-// shaping relies on), so the steady-state encode path allocates nothing.
-// Decoding allocates the frame buffer and the body box only; byte-slice
-// and string fields alias the frame buffer instead of copying — the buffer
-// is never pooled or reused, so the aliases stay valid for the life of the
-// decoded message.
+// Allocation discipline: every frame buffer has one owner and one release
+// point. Encoding borrows a buffer from the size-classed frame pool
+// (framepool.go), grows through the pool's classes, emits the frame with a
+// single Write (the one-message-per-Write invariant netem shaping relies
+// on) and returns the buffer, so the steady-state encode path allocates
+// nothing at any frame size. A server reads each request into a pooled
+// buffer and releases it after the reply frame is written; a client reads
+// each reply into an exact-size buffer the garbage collector owns, because
+// the reply is handed to the caller and has no release point. Decoded
+// byte-slice fields alias the frame buffer (a request body's []byte fields
+// are valid until its reply is written, a reply's for as long as the
+// caller holds them); decoded strings are copies, because strings are what
+// handlers keep — map keys, installed routes, span labels.
 package rpc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 )
 
 // Wire format constants. bumping wireVersion breaks older peers loudly (a
@@ -145,38 +151,57 @@ func lookupCodec(body any) *codecEntry {
 }
 
 // Encoder is an append-only byte builder for the binary codec. Encode
-// methods never fail: the buffer grows as needed and the frame writer
-// enforces MaxMessageBytes once, after encoding.
+// methods never fail: the buffer grows through the frame pool's size
+// classes as needed and the frame writer enforces MaxMessageBytes once,
+// after encoding.
 type Encoder struct {
 	buf []byte
+}
+
+// reserve makes room for n more bytes, so the appends that follow it never
+// reallocate outside the frame pool.
+func (e *Encoder) reserve(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		e.grow(n)
+	}
+}
+
+// grow moves the encoded bytes into a buffer of the pool class that fits n
+// more and returns the outgrown one to its class.
+func (e *Encoder) grow(n int) {
+	next := getFrameBuf(len(e.buf) + n)[:len(e.buf)]
+	copy(next, e.buf)
+	putFrameBuf(e.buf)
+	e.buf = next
 }
 
 // Write appends p, satisfying io.Writer so the gob fallback streams into
 // the same pooled buffer as the binary path.
 func (e *Encoder) Write(p []byte) (int, error) {
+	e.reserve(len(p))
 	e.buf = append(e.buf, p...)
 	return len(p), nil
 }
 
 // Byte appends one raw byte.
-func (e *Encoder) Byte(b byte) { e.buf = append(e.buf, b) }
+func (e *Encoder) Byte(b byte) {
+	e.reserve(1)
+	e.buf = append(e.buf, b)
+}
 
 // Bool appends a bool as one byte.
 func (e *Encoder) Bool(b bool) {
 	if b {
-		e.buf = append(e.buf, 1)
+		e.Byte(1)
 	} else {
-		e.buf = append(e.buf, 0)
+		e.Byte(0)
 	}
 }
 
 // Uvarint appends an unsigned varint (LEB128, like encoding/binary).
 func (e *Encoder) Uvarint(v uint64) {
-	for v >= 0x80 {
-		e.buf = append(e.buf, byte(v)|0x80)
-		v >>= 7
-	}
-	e.buf = append(e.buf, byte(v))
+	e.reserve(binary.MaxVarintLen64)
+	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
 // Varint appends a signed varint (zigzag).
@@ -190,25 +215,23 @@ func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
 // Float64 appends the IEEE-754 bits as 8 fixed little-endian bytes —
 // floats are profile constants and shares, where varint buys nothing.
 func (e *Encoder) Float64(f float64) {
-	bits := math.Float64bits(f)
-	e.buf = append(e.buf,
-		byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
-		byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
+	e.reserve(8)
+	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
 }
 
 // String appends a length-prefixed string.
 func (e *Encoder) String(s string) {
 	e.Uvarint(uint64(len(s)))
+	e.reserve(len(s))
 	e.buf = append(e.buf, s...)
 }
 
 // Bytes appends a length-prefixed byte slice.
 func (e *Encoder) Bytes(p []byte) {
 	e.Uvarint(uint64(len(p)))
+	e.reserve(len(p))
 	e.buf = append(e.buf, p...)
 }
-
-func (e *Encoder) reset() { e.buf = e.buf[:0] }
 
 // Decoder consumes the binary form produced by an Encoder. Errors are
 // sticky: after the first malformed field every subsequent read returns a
@@ -220,8 +243,8 @@ type Decoder struct {
 	err  error
 }
 
-// NewDecoder wraps data for decoding. The decoder and every Bytes/String
-// value it returns alias data; callers must not mutate it afterwards.
+// NewDecoder wraps data for decoding. The decoder and every Bytes value it
+// returns alias data; callers must not mutate it afterwards.
 func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
 
 // Err returns the first decode failure, nil if none so far.
@@ -323,7 +346,9 @@ func (d *Decoder) Float64() float64 {
 }
 
 // Bytes consumes a length-prefixed byte slice. The result aliases the
-// frame buffer (zero copy); nil for the empty slice.
+// frame buffer (zero copy) and is valid only as long as the frame's owner
+// holds the buffer: for a request body, until its reply is written. Nil for
+// the empty slice.
 func (d *Decoder) Bytes() []byte {
 	n := d.Uvarint()
 	if d.err != nil {
@@ -341,34 +366,26 @@ func (d *Decoder) Bytes() []byte {
 	return b
 }
 
-// String consumes a length-prefixed string. Like Bytes it aliases the
-// frame buffer — safe because frame buffers are single-use — so decoding a
-// message costs no per-string copies.
-func (d *Decoder) String() string {
-	b := d.Bytes()
-	if len(b) == 0 {
-		return ""
-	}
-	return unsafe.String(&b[0], len(b))
-}
+// String consumes a length-prefixed string. Unlike Bytes it copies: decoded
+// strings are what handlers keep past the reply (tenant keys, installed
+// pipeline IDs and next-hop addresses, span labels), and a string aliasing
+// a recycled frame would change under its holder.
+func (d *Decoder) String() string { return string(d.Bytes()) }
 
-// encPool recycles encode buffers; oversized ones (a large payload passed
-// through) are dropped rather than pinned in the pool.
-var encPool = sync.Pool{New: func() any { return &Encoder{buf: make([]byte, 0, 4096)} }}
-
-// maxPooledBuf bounds the capacity the encode pool retains.
-const maxPooledBuf = 64 << 10
+// encPool recycles the Encoder structs (they escape through the codec
+// function pointers); their buffers belong to the frame pool.
+var encPool = sync.Pool{New: func() any { return new(Encoder) }}
 
 func getEncoder() *Encoder {
 	e := encPool.Get().(*Encoder)
-	e.reset()
+	e.buf = getFrameBuf(minFrameClass)[:0]
 	return e
 }
 
 func putEncoder(e *Encoder) {
-	if cap(e.buf) <= maxPooledBuf {
-		encPool.Put(e)
-	}
+	putFrameBuf(e.buf)
+	e.buf = nil
+	encPool.Put(e)
 }
 
 // CodecStats is a snapshot of the wire codec counters: how many frames and

@@ -150,7 +150,8 @@ func FuzzDifferentialCodec(f *testing.F) {
 
 // FuzzCorruptBinaryFrame seeds the mutator with valid binary frames of
 // every protocol message and requires that arbitrary mutations decode
-// cleanly or error — never panic.
+// cleanly or error — never panic — and that the server's pooled read, out
+// of a dirty recycled buffer, decodes them to the same thing.
 func FuzzCorruptBinaryFrame(f *testing.F) {
 	runtime.RegisterMessages()
 	for _, body := range protocolMessages("dev-1", 42, []byte{1, 2, 3, 255}, 2, 8e13, 3.5, 0.25, 4) {
@@ -164,6 +165,19 @@ func FuzzCorruptBinaryFrame(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := rpc.UnmarshalFrame(data)
+		rpc.UnmarshalRecycledFrame(data, func(pooled rpc.TestEnvelope, pooledErr error) {
+			if (err == nil) != (pooledErr == nil) {
+				t.Fatalf("fresh decode error %v, pooled decode error %v", err, pooledErr)
+			}
+			if err != nil {
+				return
+			}
+			want, _ := rpc.MarshalFrame(env)
+			got, _ := rpc.MarshalFrame(pooled)
+			if !bytes.Equal(want, got) {
+				t.Errorf("recycled buffer changed the decode:\nfresh  %#v\npooled %#v", env, pooled)
+			}
+		})
 		if err != nil {
 			return
 		}

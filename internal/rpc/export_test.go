@@ -3,6 +3,7 @@ package rpc
 import (
 	"bytes"
 	"io"
+	"unsafe"
 )
 
 // Test-only exports: external test packages (which may import the runtime
@@ -37,11 +38,54 @@ func UnmarshalFrame(data []byte) (TestEnvelope, error) {
 	if err != nil {
 		return TestEnvelope{}, err
 	}
+	return testEnvelope(env), nil
+}
+
+func testEnvelope(env *envelope) TestEnvelope {
 	return TestEnvelope{
 		ID: env.ID, IsReply: env.IsReply,
 		Err: env.Err, Code: env.Code,
 		Meta: env.Meta, Body: env.Body,
-	}, nil
+	}
+}
+
+// dirtyFrameClass leaves a 0xFF-filled buffer in the pool class that serves
+// an n-byte frame, as a longer frame released just before would, and
+// returns its address so a test can tell whether it was the one reused
+// (sync.Pool may drop it, and does so at random under -race).
+func dirtyFrameClass(n int) *byte {
+	b := getFrameBuf(n)
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = 0xff
+	}
+	putFrameBuf(b)
+	return unsafe.SliceData(b)
+}
+
+// readRecycledFrame decodes one frame from data the way a server does, out
+// of a frame-pool buffer that held a longer, 0xFF-filled frame before. The
+// caller owns frame (nil on error) and releases it with putFrameBuf; dirty
+// is the address of the buffer that was left for the read to find.
+func readRecycledFrame(data []byte) (env *envelope, frame []byte, dirty *byte, err error) {
+	if n, lenErr := readFrameLen(bytes.NewReader(data)); lenErr == nil {
+		dirty = dirtyFrameClass(n)
+	}
+	env, frame, err = readPooledFrame(bytes.NewReader(data))
+	return env, frame, dirty, err
+}
+
+// UnmarshalRecycledFrame is UnmarshalFrame through readRecycledFrame. check
+// runs while the buffer is still owned, so it may use the envelope's
+// aliasing fields; the buffer is released when it returns.
+func UnmarshalRecycledFrame(data []byte, check func(TestEnvelope, error)) {
+	env, frame, _, err := readRecycledFrame(data)
+	if err != nil {
+		check(TestEnvelope{}, err)
+		return
+	}
+	check(testEnvelope(env), nil)
+	putFrameBuf(frame)
 }
 
 // ReadFrameForTest decodes one frame from a reader, returning only the

@@ -7,7 +7,9 @@ import (
 )
 
 // FuzzReadFrame feeds arbitrary bytes to the frame reader: it must never
-// panic and never return an envelope from malformed input without an error.
+// panic and never return an envelope from malformed input without an error,
+// and the server's pooled read must agree with it out of a dirty recycled
+// buffer.
 func FuzzReadFrame(f *testing.F) {
 	// Seed with a valid frame.
 	var buf bytes.Buffer
@@ -29,6 +31,7 @@ func FuzzReadFrame(f *testing.F) {
 		if err == nil && env == nil {
 			t.Fatal("nil envelope without error")
 		}
+		decodeRecycled(t, data)
 	})
 }
 

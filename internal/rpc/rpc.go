@@ -42,8 +42,8 @@ const DialTimeout = 5 * time.Second
 // span the remote work should nest under. Deadline, when non-zero, is the
 // task's absolute wall-clock deadline in Unix nanoseconds: servers derive
 // the handler context from it and shed work that can no longer finish in
-// time. The zero Meta means "untraced, no deadline" and costs nothing
-// beyond three zero varints in the gob stream.
+// time. The zero Meta means "untraced, no deadline" and costs nothing on
+// the wire: the binary envelope leaves the section out behind a flag bit.
 type Meta struct {
 	TraceID  uint64
 	SpanID   uint64
@@ -118,8 +118,8 @@ func encodeEnvelope(e *Encoder, env *envelope, entry *codecEntry) {
 }
 
 // binFrame owns one decoded binary envelope and its decoder as a single
-// allocation, keeping the steady-state decode path at two allocations
-// (this struct plus the body's interface box).
+// allocation, keeping the steady-state decode path at this struct, the
+// body's interface box and one copy per string field.
 type binFrame struct {
 	env envelope
 	dec Decoder
@@ -177,7 +177,8 @@ func decodeBinaryEnvelope(payload []byte) (*envelope, error) {
 // writeFrame encodes the envelope — binary when the body type has a
 // registered codec (or there is no body), gob otherwise — and writes it as
 // one length-prefixed versioned frame with a single Write (one message per
-// Write keeps netem shaping faithful). The encode buffer is pooled, so the
+// Write keeps netem shaping faithful). The encode buffer is borrowed from
+// the frame pool and returned once written, whatever its size, so the
 // steady-state write path allocates nothing.
 func writeFrame(w io.Writer, env *envelope) error {
 	e := getEncoder()
@@ -211,25 +212,26 @@ func writeFrame(w io.Writer, env *envelope) error {
 	return nil
 }
 
-// readFrame reads one length-prefixed envelope, dispatching on the frame's
-// version and codec tag. The frame buffer is allocated exactly-sized and
-// never reused, so decoded byte-slice and string fields may alias it.
-func readFrame(r io.Reader) (*envelope, error) {
+// readFrameLen reads and validates a frame's length prefix.
+func readFrameLen(r io.Reader) (int, error) {
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
 	if n > MaxMessageBytes {
-		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+		return 0, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	if n < 2 {
-		return nil, fmt.Errorf("rpc: frame of %d bytes lacks version header", n)
+		return 0, fmt.Errorf("rpc: frame of %d bytes lacks version header", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
+	return int(n), nil
+}
+
+// decodeFrame rebuilds the envelope held in buf (a whole frame after its
+// length prefix), dispatching on the version and codec tag. The envelope of
+// a binary frame aliases buf through its body's []byte fields.
+func decodeFrame(buf []byte) (*envelope, error) {
 	if buf[0] != wireVersion {
 		return nil, fmt.Errorf("rpc: unsupported wire version %d (want %d)", buf[0], wireVersion)
 	}
@@ -254,9 +256,53 @@ func readFrame(r io.Reader) (*envelope, error) {
 	}
 }
 
+// readFrame reads one length-prefixed envelope into a buffer of its own,
+// allocated to size and left to the garbage collector: the client's side
+// of the ownership rule, where the decoded reply goes to the caller and
+// nothing marks the moment the caller is done with it.
+func readFrame(r io.Reader) (*envelope, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, err
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		return nil, err
+	}
+	return decodeFrame(buf)
+}
+
+// readPooledFrame is readFrame into a frame-pool buffer: the server's side
+// of the ownership rule. The caller owns the returned buffer and must
+// putFrameBuf it once nothing decoded from the envelope is in use, which
+// for a request is after its reply frame is written (an echoing handler's
+// reply aliases the request). A failed read or decode releases the buffer
+// here.
+func readPooledFrame(r io.Reader) (*envelope, []byte, error) {
+	n, err := readFrameLen(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	buf := getFrameBuf(n)
+	if _, err := io.ReadFull(r, buf); err != nil {
+		putFrameBuf(buf)
+		return nil, nil, err
+	}
+	env, err := decodeFrame(buf)
+	if err != nil {
+		putFrameBuf(buf)
+		return nil, nil, err
+	}
+	return env, buf, nil
+}
+
 // Handler processes one request body and returns a reply body or an error.
 // The context carries the caller's propagated deadline (if any) and is
-// cancelled when the server shuts down.
+// cancelled when the server shuts down. The body's []byte fields alias the
+// request's frame buffer, which the server recycles once the reply is
+// written: a handler may read them, forward them synchronously and return
+// them in its reply, but must copy what it keeps. Strings are copies and
+// may be kept.
 type Handler func(ctx context.Context, body any) (any, error)
 
 // MetaHandler additionally receives the request's envelope metadata, so
@@ -362,12 +408,12 @@ func (s *Server) serveConn(conn net.Conn) {
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
 	for {
-		env, err := readFrame(conn)
+		env, frame, err := readPooledFrame(conn)
 		if err != nil {
 			return // connection closed or corrupted
 		}
 		reqWG.Add(1)
-		go func(env *envelope) {
+		go func() {
 			defer reqWG.Done()
 			reply := &envelope{ID: env.ID, IsReply: true}
 			body, err := s.dispatch(env.Meta, env.Body)
@@ -378,9 +424,11 @@ func (s *Server) serveConn(conn net.Conn) {
 				reply.Body = body
 			}
 			writeMu.Lock()
-			defer writeMu.Unlock()
 			_ = writeFrame(conn, reply)
-		}(env)
+			writeMu.Unlock()
+			// Only now: an echoing handler's reply aliases the request frame.
+			putFrameBuf(frame)
+		}()
 	}
 }
 

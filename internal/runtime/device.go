@@ -756,7 +756,7 @@ func (d *deviceRun) localPath(ctx context.Context, parent telemetry.SpanContext,
 	if exitStage <= 1 {
 		return 1, localDur, false, false, nil
 	}
-	payload := make([]byte, int(d.cfg.Model.D[1]))
+	payload := zeroPayload(int(d.cfg.Model.D[1]))
 	span := d.tel.tracer.StartSpan(parent, "rpc.second_block").SetDevice(d.cfg.ID).SetTask(id)
 	got, err := d.edgeClient().CallMeta(ctx, spanMeta(span), SecondBlockReq{
 		DeviceID:  d.cfg.ID,
@@ -808,7 +808,7 @@ func (d *deviceRun) pipelinedPath(ctx context.Context, parent telemetry.SpanCont
 
 // offloadedPath ships the raw input to the edge, which runs everything.
 func (d *deviceRun) offloadedPath(ctx context.Context, parent telemetry.SpanContext, id uint64, exitStage int) (int, error) {
-	payload := make([]byte, int(d.cfg.Model.D[0]))
+	payload := zeroPayload(int(d.cfg.Model.D[0]))
 	span := d.tel.tracer.StartSpan(parent, "rpc.first_block").SetDevice(d.cfg.ID).SetTask(id)
 	got, err := d.edgeClient().CallMeta(ctx, spanMeta(span), FirstBlockReq{
 		DeviceID:  d.cfg.ID,

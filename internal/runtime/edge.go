@@ -646,7 +646,7 @@ func (e *Edge) continueSecond(ctx context.Context, meta rpc.Meta, t *tenant, mod
 // to the Second exit when the cloud is unreachable. Shared by the tenant
 // path (continueSecond) and the steal path.
 func (e *Edge) forwardCloud(ctx context.Context, meta rpc.Meta, model offload.ModelParams, deviceID string, taskID uint64) (any, error) {
-	payload := make([]byte, int(model.D[2]))
+	payload := zeroPayload(int(model.D[2]))
 	var cloudSpan *telemetry.Active
 	if tctx := metaContext(meta); tctx.Valid() {
 		cloudSpan = e.tel.tracer.StartSpan(tctx, "rpc.cloud").SetDevice(deviceID).SetTask(taskID)

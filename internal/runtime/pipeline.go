@@ -150,7 +150,7 @@ func (e *Edge) activation(ctx context.Context, meta rpc.Meta, req ActivationReq)
 		TaskID:     req.TaskID,
 		Stage:      req.Stage + 1,
 		ExitStage:  req.ExitStage,
-		Payload:    make([]byte, int(st.spec.OutBytes)),
+		Payload:    zeroPayload(int(st.spec.OutBytes)),
 	})
 	if err != nil {
 		// A dead, restarted or saturated next hop degrades the task to the
@@ -275,22 +275,7 @@ func DialPipeline(cfg PipelineClientConfig) (*PipelineClient, error) {
 // and returns where it actually exited (which may be shallower than asked
 // when a mid-chain stage degraded it).
 func (pc *PipelineClient) Do(ctx context.Context, taskID uint64, exitStage int) (TaskResp, error) {
-	got, err := pc.c.CallMeta(ctx, rpc.Meta{}, ActivationReq{
-		PipelineID: pc.cfg.PipelineID,
-		DeviceID:   pc.cfg.DeviceID,
-		TaskID:     taskID,
-		Stage:      0,
-		ExitStage:  exitStage,
-		Payload:    make([]byte, int(pc.cfg.InputBytes)),
-	})
-	if err != nil {
-		return TaskResp{}, err
-	}
-	resp, ok := got.(TaskResp)
-	if !ok {
-		return TaskResp{}, fmt.Errorf("runtime: unexpected pipeline reply %T", got)
-	}
-	return resp, nil
+	return pc.DoMeta(ctx, rpc.Meta{}, taskID, exitStage)
 }
 
 // DoMeta is Do with caller-supplied metadata (trace context; the deadline
@@ -301,7 +286,7 @@ func (pc *PipelineClient) DoMeta(ctx context.Context, meta rpc.Meta, taskID uint
 		DeviceID:   pc.cfg.DeviceID,
 		TaskID:     taskID,
 		ExitStage:  exitStage,
-		Payload:    make([]byte, int(pc.cfg.InputBytes)),
+		Payload:    zeroPayload(int(pc.cfg.InputBytes)),
 	})
 	if err != nil {
 		return TaskResp{}, err

@@ -82,7 +82,11 @@ func startPipelineEdges(t *testing.T, chain partition.Chain, plan *partition.Pla
 // (partition.Evaluate), replayed on the event simulator, and executed for
 // real over loopback TCP; the runtime's per-class latency must land within
 // a generous tolerance of both model substrates (which pin each other
-// exactly — see internal/sim).
+// exactly — see internal/sim). Everything the host adds to a task — sleep
+// overshoot, a late wake-up, a descheduled goroutine — makes it longer,
+// never shorter, so the runtime figure is the fastest of five tasks per
+// class, not their mean: the tolerance is spent on the model gap, not on
+// which tasks the scheduler happened to delay.
 func TestPipelineRuntimeMatchesSolverAndSim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second loopback differential")
@@ -102,7 +106,10 @@ func TestPipelineRuntimeMatchesSolverAndSim(t *testing.T) {
 		t.Fatalf("sim.RunPipeline: %v", err)
 	}
 
-	const scale Scale = 0.02
+	// At this scale the shallowest class takes 19 ms of wall clock, so the
+	// ~2 ms a task pays in sleep granularity and loopback hops is a third of
+	// the tolerance; at 0.02 (7.7 ms) the same 2 ms was all of it.
+	const scale Scale = 0.05
 	addrs := startPipelineEdges(t, chain, plan, scale)
 	pc, err := DialPipeline(PipelineClientConfig{
 		Addr:       addrs[0],
@@ -127,10 +134,10 @@ func TestPipelineRuntimeMatchesSolverAndSim(t *testing.T) {
 	}
 	warmCancel()
 
-	const perClass = 3
+	const perClass = 5
 	taskID := uint64(1)
 	for class := 1; class <= 3; class++ {
-		var total float64
+		got := math.Inf(1)
 		for i := 0; i < perClass; i++ {
 			taskID++
 			start := time.Now()
@@ -143,9 +150,8 @@ func TestPipelineRuntimeMatchesSolverAndSim(t *testing.T) {
 			if resp.ExitStage != class {
 				t.Fatalf("class %d task %d exited at %d", class, i, resp.ExitStage)
 			}
-			total += scale.ModelSeconds(time.Since(start))
+			got = math.Min(got, scale.ModelSeconds(time.Since(start)))
 		}
-		got := total / perClass
 		for _, ref := range []struct {
 			name string
 			want float64

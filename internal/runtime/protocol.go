@@ -7,6 +7,7 @@
 package runtime
 
 import (
+	"sync/atomic"
 	"time"
 
 	"leime/internal/offload"
@@ -15,6 +16,28 @@ import (
 
 // Message types exchanged between tiers. Payloads carry real bytes so netem
 // shaping sees authentic message sizes.
+
+// zeroSlab backs every placeholder tensor in the process: all zeros, only
+// ever replaced by a longer one, never written after it is published.
+var zeroSlab atomic.Pointer[[]byte]
+
+// zeroPayload returns n zero bytes standing in for a tensor whose size, not
+// content, is the experiment (a raw input, an intermediate activation). The
+// bytes are shared by every caller and read-only: the result goes into a
+// request, whose encoder copies it onto the wire. len == cap == n, so an
+// append cannot reach the slab.
+func zeroPayload(n int) []byte {
+	for {
+		cur := zeroSlab.Load()
+		if cur != nil && len(*cur) >= n {
+			return (*cur)[:n:n]
+		}
+		grown := make([]byte, n)
+		if zeroSlab.CompareAndSwap(cur, &grown) {
+			return grown
+		}
+	}
+}
 
 // RegisterReq announces a device to the edge server.
 type RegisterReq struct {
