@@ -1,8 +1,8 @@
 // Command leimevet is the repo's multichecker: it loads packages from
 // source and applies every project-specific analyzer in one pass —
-// codeccomplete, determinism, unitsafety, lockdiscipline, wireerrors,
-// the ctxfirst and missingdocs checks that replaced cmd/ctxcheck and
-// cmd/doccheck, and the invariant suite: wirefrozen (codec registry vs
+// determinism, unitsafety, lockdiscipline, wireerrors, the ctxfirst and
+// missingdocs checks that replaced cmd/ctxcheck and cmd/doccheck, and
+// the invariant suite: wirefrozen (codec registry vs
 // the committed wire.manifest), clockpure (no wall clock in model-clock
 // packages), spanbalance (every started span ends), atomicmix (no mixed
 // atomic/plain field access) and deadlinefwd (forwards propagate the
@@ -15,10 +15,11 @@
 //
 // Patterns are directories, "./..."-style recursive patterns, or import
 // paths; the default is "./..." from the enclosing module root. -json
-// emits a JSON object carrying the findings, per-analyzer counts and the
-// wire.manifest hash. -fix applies each finding's suggested fix (the
-// errors.Is rewrites and wire.manifest regeneration) to the files in
-// place and reports what remains unfixable. -write-manifest skips
+// emits a JSON object carrying the findings, per-analyzer counts, the
+// wire.manifest hash and the size of the loaded code (non-test lines and
+// exported top-level declarations). -fix applies each finding's
+// suggested fix (the errors.Is rewrites and wire.manifest regeneration)
+// to the files in place and reports what remains unfixable. -write-manifest skips
 // analysis entirely and rewrites wire.manifest from the loaded packages'
 // rpc.RegisterCodec calls — CI runs it and fails on any resulting diff.
 package main
@@ -28,6 +29,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/ast"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -37,7 +39,6 @@ import (
 	"leime/internal/analysis"
 	"leime/internal/analysis/atomicmix"
 	"leime/internal/analysis/clockpure"
-	"leime/internal/analysis/codeccomplete"
 	"leime/internal/analysis/ctxfirst"
 	"leime/internal/analysis/deadlinefwd"
 	"leime/internal/analysis/determinism"
@@ -53,7 +54,6 @@ import (
 var analyzers = []*analysis.Analyzer{
 	atomicmix.Analyzer,
 	clockpure.Analyzer,
-	codeccomplete.Analyzer,
 	ctxfirst.Analyzer,
 	deadlinefwd.Analyzer,
 	determinism.Analyzer,
@@ -115,7 +115,7 @@ func run(patterns []string, jsonOut, fix, writeManifest, tests bool) error {
 		return applyFixes(findings)
 	}
 	if jsonOut {
-		return emitJSON(findings)
+		return emitJSON(findings, pkgs)
 	}
 	for _, f := range findings {
 		fmt.Println(f)
@@ -189,19 +189,23 @@ type jsonFinding struct {
 }
 
 // jsonReport is the -json output: the findings plus per-analyzer counts
-// (zero entries included, so a clean run still enumerates the suite) and
-// the sha256 of the committed wire.manifest ("" when absent).
+// (zero entries included, so a clean run still enumerates the suite), the
+// sha256 of the committed wire.manifest ("" when absent) and the loaded
+// code's size (see codeSize).
 type jsonReport struct {
-	Findings []jsonFinding  `json:"findings"`
-	Counts   map[string]int `json:"counts"`
-	Manifest string         `json:"wire_manifest_sha256"`
+	Findings      []jsonFinding  `json:"findings"`
+	Counts        map[string]int `json:"counts"`
+	Manifest      string         `json:"wire_manifest_sha256"`
+	NontestLOC    int            `json:"nontest_loc"`
+	ExportedDecls int            `json:"exported_decls"`
 }
 
-func emitJSON(findings []analysis.Finding) error {
+func emitJSON(findings []analysis.Finding, pkgs []*analysis.Package) error {
 	report := jsonReport{
 		Findings: make([]jsonFinding, 0, len(findings)),
 		Counts:   make(map[string]int, len(analyzers)),
 	}
+	report.NontestLOC, report.ExportedDecls = codeSize(pkgs)
 	for _, a := range analyzers {
 		report.Counts[a.Name] = 0
 	}
@@ -226,6 +230,70 @@ func emitJSON(findings []analysis.Finding) error {
 		os.Exit(1)
 	}
 	return nil
+}
+
+// codeSize measures the loaded packages' non-test Go files: their lines,
+// and their exported top-level declarations — funcs, methods on exported
+// types, types, vars and consts, one per declared name. _test.go files are
+// skipped; testdata trees are never loaded.
+func codeSize(pkgs []*analysis.Package) (loc, exported int) {
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			file := p.Fset.File(f.Pos())
+			if strings.HasSuffix(file.Name(), "_test.go") {
+				continue
+			}
+			loc += file.LineCount()
+			for _, decl := range f.Decls {
+				exported += exportedNames(decl)
+			}
+		}
+	}
+	return loc, exported
+}
+
+// exportedNames counts the exported names one top-level declaration adds
+// to its package's API.
+func exportedNames(decl ast.Decl) int {
+	n := 0
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		if d.Name.IsExported() && (d.Recv == nil || exportedReceiver(d.Recv.List[0].Type)) {
+			n++
+		}
+	case *ast.GenDecl:
+		for _, spec := range d.Specs {
+			switch s := spec.(type) {
+			case *ast.TypeSpec:
+				if s.Name.IsExported() {
+					n++
+				}
+			case *ast.ValueSpec:
+				for _, name := range s.Names {
+					if name.IsExported() {
+						n++
+					}
+				}
+			}
+		}
+	}
+	return n
+}
+
+// exportedReceiver reports whether a method receiver's base type — behind
+// a pointer and type parameters — is exported.
+func exportedReceiver(t ast.Expr) bool {
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch g := t.(type) {
+	case *ast.IndexExpr:
+		t = g.X
+	case *ast.IndexListExpr:
+		t = g.X
+	}
+	id, ok := t.(*ast.Ident)
+	return ok && id.IsExported()
 }
 
 // findModuleRoot walks up from the working directory to the enclosing

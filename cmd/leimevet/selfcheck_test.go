@@ -185,3 +185,18 @@ func TestWirefrozenCatchesFieldReorder(t *testing.T) {
 	findings := runWirefrozen(t, pkgs)
 	wantFinding(t, findings, "wire signature of codec ID 1 (leime/internal/runtime.RegisterReq) changed")
 }
+
+// TestCodeSizeCountsFixture pins the -json size counters on a fixture
+// whose package doc states the expected numbers.
+func TestCodeSizeCountsFixture(t *testing.T) {
+	loader := analysis.NewLoader()
+	loader.Overlay = filepath.Join("testdata", "src")
+	loader.IncludeTests = true
+	pkgs, err := loader.Load("sizefix")
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if loc, exported := codeSize(pkgs); loc != 32 || exported != 10 {
+		t.Errorf("codeSize = %d lines, %d exported declarations; want 32 and 10", loc, exported)
+	}
+}

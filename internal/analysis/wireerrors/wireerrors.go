@@ -1,4 +1,4 @@
-// Package wireerrors keeps typed errors honest across the gob wire. The
+// Package wireerrors keeps typed errors honest across the rpc wire. The
 // rpc layer transports a handler error as a registered code plus message
 // and rebuilds a wrapper around the registered sentinel on the caller side;
 // that contract only works if (a) every package-level sentinel in a package

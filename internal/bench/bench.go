@@ -52,7 +52,6 @@ func All() []Experiment {
 		Joint(),
 		CrossCheck(),
 		Capacity(),
-		Wire(),
 		Federation(),
 		Selftune(),
 		Partition(),

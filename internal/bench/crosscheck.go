@@ -75,7 +75,7 @@ func runCrossCheck(w io.Writer, quick bool) error {
 	}
 
 	// (b) The real runtime, 5x compressed. Milder compression than the
-	// examples use: every wall-clock overhead (sleep granularity, gob
+	// examples use: every wall-clock overhead (sleep granularity, frame
 	// encoding, scheduler jitter) is inflated by 1/scale when converted
 	// back to model time, so validation runs closer to real time. The run is
 	// instrumented: span and metric totals below the table let perf tracking

@@ -30,83 +30,9 @@ type benchTaskReq struct {
 	Exit     int
 }
 
-var benchCodecOnce sync.Once
-
-// registerBenchCodecs gives the bench types binary codecs (high IDs, far
-// from the runtime protocol's range) so benchmarks exercise the binary
-// fast path; the *Gob variants force the fallback for comparison.
-func registerBenchCodecs() {
-	benchCodecOnce.Do(func() {
-		RegisterCodec(60001, echoReq{},
-			func(e *Encoder, v any) {
-				r := v.(echoReq)
-				e.String(r.Text)
-				e.Int(r.N)
-			},
-			func(d *Decoder) (any, error) {
-				var r echoReq
-				r.Text = d.String()
-				r.N = d.Int()
-				return r, nil
-			})
-		RegisterCodec(60002, echoResp{},
-			func(e *Encoder, v any) {
-				r := v.(echoResp)
-				e.String(r.Text)
-				e.Int(r.N)
-			},
-			func(d *Decoder) (any, error) {
-				var r echoResp
-				r.Text = d.String()
-				r.N = d.Int()
-				return r, nil
-			})
-		RegisterCodec(60003, benchTaskReq{},
-			func(e *Encoder, v any) {
-				r := v.(benchTaskReq)
-				e.String(r.DeviceID)
-				e.Uvarint(r.TaskID)
-				e.Bytes(r.Payload)
-				e.Int(r.Exit)
-			},
-			func(d *Decoder) (any, error) {
-				var r benchTaskReq
-				r.DeviceID = d.String()
-				r.TaskID = d.Uvarint()
-				r.Payload = d.Bytes()
-				r.Exit = d.Int()
-				return r, nil
-			})
-	})
-}
-
 // BenchmarkCallRoundTrip measures one request/response over loopback TCP
 // on the binary codec.
 func BenchmarkCallRoundTrip(b *testing.B) {
-	registerBenchCodecs()
-	s := benchServer(b)
-	c, err := Dial(s.Addr(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	req := echoReq{Text: "payload", N: 7}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Call(context.Background(), req); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCallRoundTripGob is BenchmarkCallRoundTrip with the binary
-// codec disabled: the gob-fallback baseline the tentpole is measured
-// against.
-func BenchmarkCallRoundTripGob(b *testing.B) {
-	registerBenchCodecs()
-	restore := ForceGob()
-	defer restore()
 	s := benchServer(b)
 	c, err := Dial(s.Addr(), nil)
 	if err != nil {
@@ -153,24 +79,6 @@ func runConcurrent(b *testing.B, c *Client, workers, n int) {
 // BenchmarkCallConcurrent measures pipelined throughput on one connection
 // over the binary codec.
 func BenchmarkCallConcurrent(b *testing.B) {
-	registerBenchCodecs()
-	s := benchServer(b)
-	c, err := Dial(s.Addr(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	runConcurrent(b, c, 16, b.N)
-}
-
-// BenchmarkCallConcurrentGob is the gob-fallback baseline for
-// BenchmarkCallConcurrent.
-func BenchmarkCallConcurrentGob(b *testing.B) {
-	registerBenchCodecs()
-	restore := ForceGob()
-	defer restore()
 	s := benchServer(b)
 	c, err := Dial(s.Addr(), nil)
 	if err != nil {
@@ -185,7 +93,6 @@ func BenchmarkCallConcurrentGob(b *testing.B) {
 // benchLarge round-trips one Bytes body of the given size per iteration
 // against handler, reporting payload bytes moved per call.
 func benchLarge(b *testing.B, size int, handler Handler) {
-	registerBenchCodecs()
 	s, err := Serve("127.0.0.1:0", handler)
 	if err != nil {
 		b.Fatal(err)
@@ -231,7 +138,6 @@ func BenchmarkCallLarge(b *testing.B) {
 // envelope block, the body's interface box and the device-ID string (a
 // copy, so it may outlive the frame).
 func BenchmarkCodecTaskRoundTrip(b *testing.B) {
-	registerBenchCodecs()
 	env := &envelope{
 		ID:   7,
 		Meta: Meta{TraceID: 11, SpanID: 13, Deadline: 1_700_000_000_000_000_000},
@@ -246,32 +152,6 @@ func BenchmarkCodecTaskRoundTrip(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := decodeBinaryEnvelope(buf.Bytes()[frameHeaderLen:]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCodecTaskRoundTripGob measures the same message through the
-// gob fallback: the reflection cost the binary codec removes.
-func BenchmarkCodecTaskRoundTripGob(b *testing.B) {
-	registerBenchCodecs()
-	Register(benchTaskReq{})
-	restore := ForceGob()
-	defer restore()
-	env := &envelope{
-		ID:   7,
-		Meta: Meta{TraceID: 11, SpanID: 13, Deadline: 1_700_000_000_000_000_000},
-		Body: benchTaskReq{DeviceID: "device-42", TaskID: 99, Payload: make([]byte, 1024), Exit: 2},
-	}
-	var buf bytes.Buffer
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := writeFrame(&buf, env); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := readFrame(&buf); err != nil {
 			b.Fatal(err)
 		}
 	}

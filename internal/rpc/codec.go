@@ -1,19 +1,19 @@
-// Binary wire codec: the zero-allocation data plane of the rpc layer.
+// Binary wire codec: the one way onto the wire, and the zero-allocation
+// data plane of the rpc layer.
 //
 // Every frame on the wire is length-prefixed and versioned:
 //
 //	[4 bytes] big-endian payload length n (bytes after this prefix)
 //	[1 byte ] wire version (currently 1)
-//	[1 byte ] codec tag: 0 = gob envelope, 1 = binary envelope
-//	[n-2 B  ] envelope payload in the tagged codec
+//	[1 byte ] codec tag: always 1, the binary envelope
+//	[n-2 B  ] binary envelope payload
 //
-// The binary codec hand-rolls the envelope header (correlation ID, flags,
-// error text/code, trace metadata) and dispatches the body through a
-// registry of per-type encode/decode functions keyed by a stable uint16
-// type ID (RegisterCodec). The closed set of runtime protocol messages all
-// register codecs; any body type without one falls back to a gob-encoded
-// envelope, tagged per frame, so the two codecs negotiate per message and
-// unregistered (test-only, experimental) types keep working unchanged.
+// The codec hand-rolls the envelope header (correlation ID, flags, error
+// text/code, trace metadata) and dispatches the body through a registry of
+// per-type encode/decode functions keyed by a stable uint16 type ID
+// (RegisterCodec). The protocol is closed: a body type without a
+// registered codec cannot be sent, and a frame with any other codec tag is
+// rejected like any other corruption.
 //
 // Allocation discipline: every frame buffer has one owner and one release
 // point. Encoding borrows a buffer from the size-classed frame pool
@@ -42,10 +42,10 @@ import (
 // Wire format constants. bumping wireVersion breaks older peers loudly (a
 // reader rejects unknown versions and drops the connection) rather than
 // silently misparsing — version negotiation by construction, since both
-// ends of every link in this repo ship together.
+// ends of every link in this repo ship together. codecBinary is the only
+// valid codec tag.
 const (
 	wireVersion = 1
-	codecGob    = 0
 	codecBinary = 1
 )
 
@@ -97,10 +97,8 @@ func codecTablesSnapshot() *codecTables {
 // codec under the given stable wire ID. IDs identify the type on the wire,
 // so they must never be reused for a different type; re-registering the
 // same (id, type) pair is idempotent (setup functions run once per tier
-// construction). ID 0 is reserved for the nil body. Types without a
-// registered codec still travel — as gob-envelope frames (the negotiated
-// fallback) — so registration is a performance contract, not a
-// correctness one.
+// construction). ID 0 is reserved for the nil body. A type must be
+// registered before it is sent: an unregistered body fails to encode.
 func RegisterCodec(id uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	if id == 0 {
 		panic("rpc: codec ID 0 is reserved for the nil body")
@@ -137,16 +135,9 @@ func RegisterCodec(id uint16, prototype any, enc EncodeFunc, dec DecodeFunc) {
 	codecsValue.Store(next)
 }
 
-// binaryDisabled, when non-zero, forces every frame down the gob fallback;
-// tests use it to differential-check the two codecs over one code path.
-var binaryDisabled atomic.Bool
-
 // lookupCodec returns the entry for body's concrete type, nil when the
-// body must take the gob fallback.
+// type has no registered codec.
 func lookupCodec(body any) *codecEntry {
-	if body == nil || binaryDisabled.Load() {
-		return nil
-	}
 	return codecTablesSnapshot().byType[reflect.TypeOf(body)]
 }
 
@@ -173,14 +164,6 @@ func (e *Encoder) grow(n int) {
 	copy(next, e.buf)
 	putFrameBuf(e.buf)
 	e.buf = next
-}
-
-// Write appends p, satisfying io.Writer so the gob fallback streams into
-// the same pooled buffer as the binary path.
-func (e *Encoder) Write(p []byte) (int, error) {
-	e.reserve(len(p))
-	e.buf = append(e.buf, p...)
-	return len(p), nil
 }
 
 // Byte appends one raw byte.
@@ -389,33 +372,28 @@ func putEncoder(e *Encoder) {
 }
 
 // CodecStats is a snapshot of the wire codec counters: how many frames and
-// payload bytes each codec moved in each direction. The runtime daemons
-// export these through telemetry gauges; the split shows whether the data
-// plane is actually riding the binary fast path or leaking into the gob
-// fallback.
+// payload bytes moved in each direction. The runtime daemons export these
+// through telemetry gauges.
 type CodecStats struct {
-	// BinaryEncoded / GobEncoded count frames written by codec.
-	BinaryEncoded, GobEncoded uint64
-	// BinaryDecoded / GobDecoded count frames read by codec.
-	BinaryDecoded, GobDecoded uint64
-	// BinaryBytes / GobBytes count encoded payload bytes by codec.
-	BinaryBytes, GobBytes uint64
+	// BinaryEncoded and BinaryDecoded count frames written and read.
+	BinaryEncoded, BinaryDecoded uint64
+	// BinaryBytes counts encoded payload bytes.
+	BinaryBytes uint64
+	// GobEncoded and GobBytes are always zero. Binary is the only codec
+	// left; the fields stay because the benchmark module still adds them
+	// into its frame and byte totals.
+	GobEncoded, GobBytes uint64
 }
 
 var wireStats struct {
-	binEnc, gobEnc   atomic.Uint64
-	binDec, gobDec   atomic.Uint64
-	binByte, gobByte atomic.Uint64
+	binEnc, binDec, binByte atomic.Uint64
 }
 
 // WireStats snapshots the process-wide codec counters.
 func WireStats() CodecStats {
 	return CodecStats{
 		BinaryEncoded: wireStats.binEnc.Load(),
-		GobEncoded:    wireStats.gobEnc.Load(),
 		BinaryDecoded: wireStats.binDec.Load(),
-		GobDecoded:    wireStats.gobDec.Load(),
 		BinaryBytes:   wireStats.binByte.Load(),
-		GobBytes:      wireStats.gobByte.Load(),
 	}
 }

@@ -1,12 +1,15 @@
-// Differential tests of the two wire codecs, in an external test package
-// so it can import the runtime protocol (package runtime imports rpc, so
-// in-package rpc tests cannot).
+// Round-trip properties of the binary codec over the runtime protocol, in
+// an external test package so it can import the runtime (package runtime
+// imports rpc, so in-package rpc tests cannot). The golden frames pin the
+// bytes; these tests and fuzzers pin that decode inverts encode for any
+// field values.
 package rpc_test
 
 import (
 	"bytes"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"leime/internal/offload"
@@ -15,8 +18,8 @@ import (
 )
 
 // protocolMessages builds one instance of every protocol.go message from
-// fuzzable primitives. Empty payloads normalize to nil: both codecs decode
-// a zero-length slice as nil, so only the nil form round-trips exactly.
+// fuzzable primitives. Empty payloads normalize to nil: the codec decodes a
+// zero-length slice as nil, so only the nil form round-trips exactly.
 func protocolMessages(deviceID string, taskID uint64, payload []byte, stage int, load, mean, share float64, tenants int) []any {
 	if len(payload) == 0 {
 		payload = nil
@@ -48,59 +51,48 @@ func protocolMessages(deviceID string, taskID uint64, payload []byte, stage int,
 	}
 }
 
-// roundTripBoth pushes env through the binary codec and the forced-gob
-// fallback, requiring both to reproduce the envelope exactly and to agree
-// with each other.
-func roundTripBoth(t *testing.T, env rpc.TestEnvelope) {
+// roundTrip encodes env, requires the decode to reproduce it exactly, and
+// requires re-encoding the decoded envelope to give the same bytes.
+func roundTrip(t *testing.T, env rpc.TestEnvelope) {
 	t.Helper()
-	if env.Body != nil && !rpc.BinaryEligible(env.Body) {
-		t.Fatalf("%T has no registered binary codec", env.Body)
-	}
-	binFrame, err := rpc.MarshalFrame(env)
+	frame, err := rpc.MarshalFrame(env)
 	if err != nil {
-		t.Fatalf("binary marshal %T: %v", env.Body, err)
+		t.Fatalf("marshal %T: %v", env.Body, err)
 	}
-	binGot, err := rpc.UnmarshalFrame(binFrame)
+	got, err := rpc.UnmarshalFrame(frame)
 	if err != nil {
-		t.Fatalf("binary unmarshal %T: %v", env.Body, err)
+		t.Fatalf("unmarshal %T: %v", env.Body, err)
 	}
-	restore := rpc.ForceGob()
-	gobFrame, err := rpc.MarshalFrame(env)
-	restore()
+	if !reflect.DeepEqual(got, env) {
+		t.Errorf("round-trip diverged:\n got %#v\nwant %#v", got, env)
+	}
+	again, err := rpc.MarshalFrame(got)
 	if err != nil {
-		t.Fatalf("gob marshal %T: %v", env.Body, err)
+		t.Fatalf("re-marshal %T: %v", env.Body, err)
 	}
-	gobGot, err := rpc.UnmarshalFrame(gobFrame)
-	if err != nil {
-		t.Fatalf("gob unmarshal %T: %v", env.Body, err)
-	}
-	if !reflect.DeepEqual(binGot, env) {
-		t.Errorf("binary round-trip diverged:\n got %#v\nwant %#v", binGot, env)
-	}
-	if !reflect.DeepEqual(gobGot, env) {
-		t.Errorf("gob round-trip diverged:\n got %#v\nwant %#v", gobGot, env)
-	}
-	if !reflect.DeepEqual(binGot, gobGot) {
-		t.Errorf("codecs disagree:\nbinary %#v\n   gob %#v", binGot, gobGot)
+	if !bytes.Equal(again, frame) {
+		t.Errorf("%T re-encodes differently:\nfirst  %x\nsecond %x", env.Body, frame, again)
 	}
 }
 
 // TestDifferentialProtocolMessages round-trips every protocol message with
-// representative values through both codecs.
+// representative values, holding each decode against its source and each
+// re-encode against the first encode.
 func TestDifferentialProtocolMessages(t *testing.T) {
 	runtime.RegisterMessages()
 	meta := rpc.Meta{TraceID: 7, SpanID: 9, Deadline: 1_700_000_000_000_000_000}
 	for _, body := range protocolMessages("dev-1", 42, []byte{1, 2, 3, 255}, 2, 8e13, 3.5, 0.25, 4) {
-		roundTripBoth(t, rpc.TestEnvelope{ID: 11, Meta: meta, Body: body})
+		roundTrip(t, rpc.TestEnvelope{ID: 11, Meta: meta, Body: body})
 	}
-	// Error replies and empty envelopes must survive both codecs too.
-	roundTripBoth(t, rpc.TestEnvelope{ID: 3, IsReply: true, Err: "edge: busy", Code: "overloaded"})
-	roundTripBoth(t, rpc.TestEnvelope{ID: 0})
+	// Error replies and empty envelopes must survive too.
+	roundTrip(t, rpc.TestEnvelope{ID: 3, IsReply: true, Err: "edge: busy", Code: "overloaded"})
+	roundTrip(t, rpc.TestEnvelope{ID: 0})
 }
 
-// TestProtocolMessagesRideBinaryPath pins the negotiation: registered
-// protocol messages must take the binary codec, unregistered bodies the
-// gob fallback, distinguished by the frame's codec tag byte.
+// TestProtocolMessagesRideBinaryPath pins that the protocol is closed:
+// registered messages go out under the binary codec tag, an unregistered
+// body does not encode at all, and a frame under any other tag (0 was the
+// retired gob codec) does not decode.
 func TestProtocolMessagesRideBinaryPath(t *testing.T) {
 	runtime.RegisterMessages()
 	for _, body := range protocolMessages("dev", 1, []byte{9}, 1, 1, 1, 1, 1) {
@@ -111,27 +103,20 @@ func TestProtocolMessagesRideBinaryPath(t *testing.T) {
 		if frame[5] != 1 {
 			t.Errorf("%T took codec tag %d, want binary (1)", body, frame[5])
 		}
+		frame[5] = 0
+		if _, err := rpc.UnmarshalFrame(frame); err == nil || !strings.Contains(err.Error(), "unknown codec tag 0") {
+			t.Errorf("%T under codec tag 0 decoded with error %v, want unknown codec tag", body, err)
+		}
 	}
 	type unregistered struct{ X int }
-	rpc.Register(unregistered{})
-	frame, err := rpc.MarshalFrame(rpc.TestEnvelope{ID: 1, Body: unregistered{X: 5}})
-	if err != nil {
-		t.Fatalf("marshal unregistered: %v", err)
-	}
-	if frame[5] != 0 {
-		t.Errorf("unregistered body took codec tag %d, want gob (0)", frame[5])
-	}
-	got, err := rpc.UnmarshalFrame(frame)
-	if err != nil {
-		t.Fatalf("unmarshal gob fallback: %v", err)
-	}
-	if got.Body != (unregistered{X: 5}) {
-		t.Errorf("gob fallback body = %#v", got.Body)
+	_, err := rpc.MarshalFrame(rpc.TestEnvelope{ID: 1, Body: unregistered{X: 5}})
+	if err == nil || !strings.Contains(err.Error(), "rpc: encode: no codec registered for rpc_test.unregistered") {
+		t.Errorf("unregistered body encoded with error %v, want no codec registered", err)
 	}
 }
 
-// FuzzDifferentialCodec fuzzes the full protocol set through both codecs,
-// requiring byte-path-independent equality.
+// FuzzDifferentialCodec fuzzes the full protocol set through the codec:
+// every decode must equal its source and every re-encode its first encode.
 func FuzzDifferentialCodec(f *testing.F) {
 	runtime.RegisterMessages()
 	f.Add("dev-1", uint64(42), []byte{1, 2, 3}, 2, 8e13, 3.5, 0.25, 4, uint64(7), uint64(9), int64(12345))
@@ -143,7 +128,7 @@ func FuzzDifferentialCodec(f *testing.F) {
 		}
 		meta := rpc.Meta{TraceID: traceID, SpanID: spanID, Deadline: deadline}
 		for _, body := range protocolMessages(deviceID, taskID, payload, stage, load, mean, share, tenants) {
-			roundTripBoth(t, rpc.TestEnvelope{ID: taskID, Meta: meta, Body: body})
+			roundTrip(t, rpc.TestEnvelope{ID: taskID, Meta: meta, Body: body})
 		}
 	})
 }

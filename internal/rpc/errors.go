@@ -51,7 +51,7 @@ var (
 // define application-level sentinels (e.g. the runtime's backpressure error)
 // register them once at setup so they survive the trip through the envelope.
 // Codes must be unique; re-registering a code with a different sentinel
-// panics, mirroring gob.Register.
+// panics, as rebinding a codec ID does in RegisterCodec.
 func RegisterError(code string, sentinel error) {
 	if code == "" || sentinel == nil {
 		panic("rpc: RegisterError needs a code and a sentinel")

@@ -20,6 +20,18 @@ type TestEnvelope struct {
 	Body    any
 }
 
+// writeFrame encodes env and writes the frame to w with a single Write, as
+// a client or server does.
+func writeFrame(w io.Writer, env *envelope) error {
+	e, err := encodeFrame(env)
+	if err != nil {
+		return err
+	}
+	defer putEncoder(e)
+	_, err = w.Write(e.buf)
+	return err
+}
+
 // MarshalFrame encodes env exactly as a client or server would write it:
 // one length-prefixed versioned frame.
 func MarshalFrame(env TestEnvelope) ([]byte, error) {
@@ -93,16 +105,4 @@ func UnmarshalRecycledFrame(data []byte, check func(TestEnvelope, error)) {
 func ReadFrameForTest(r io.Reader) error {
 	_, err := readFrame(r)
 	return err
-}
-
-// ForceGob disables the binary codec for differential testing and returns
-// a restore function.
-func ForceGob() (restore func()) {
-	binaryDisabled.Store(true)
-	return func() { binaryDisabled.Store(false) }
-}
-
-// BinaryEligible reports whether body would ride the binary codec.
-func BinaryEligible(body any) bool {
-	return body == nil || lookupCodec(body) != nil
 }

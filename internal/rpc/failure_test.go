@@ -3,14 +3,14 @@ package rpc
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 )
 
 type panicReq struct{ Msg string }
-
-func init() { Register(panicReq{}) }
 
 func startHardenedServer(t *testing.T) *Server {
 	t.Helper()
@@ -54,36 +54,87 @@ func TestHandlerPanicBecomesError(t *testing.T) {
 func TestCorruptFrameClosesOnlyThatConnection(t *testing.T) {
 	s := startHardenedServer(t)
 
-	// A raw connection sends garbage bytes with a plausible length prefix.
-	raw, err := net.Dial("tcp", s.Addr())
+	// Garbage bytes behind a plausible length prefix.
+	garbage := make([]byte, 4+16)
+	binary.BigEndian.PutUint32(garbage[:4], 16)
+	for i := 4; i < len(garbage); i++ {
+		garbage[i] = 0xff
+	}
+	// A well-formed request under codec tag 0, the retired gob codec.
+	tag0, err := MarshalFrame(TestEnvelope{ID: 1, Body: echoReq{Text: "ok"}})
 	if err != nil {
-		t.Fatalf("dial raw: %v", err)
+		t.Fatalf("marshal: %v", err)
 	}
-	defer raw.Close()
-	frame := make([]byte, 4+16)
-	binary.BigEndian.PutUint32(frame[:4], 16)
-	for i := 4; i < len(frame); i++ {
-		frame[i] = 0xff
-	}
-	if _, err := raw.Write(frame); err != nil {
-		t.Fatalf("write garbage: %v", err)
-	}
-	// The server should drop the corrupted connection: a read eventually
-	// returns EOF/reset rather than hanging.
-	_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
-	buf := make([]byte, 1)
-	if _, err := raw.Read(buf); err == nil {
-		t.Error("server kept a corrupted connection alive with data")
-	}
+	tag0[5] = 0
+	for name, frame := range map[string][]byte{"garbage": garbage, "codec tag 0": tag0} {
+		t.Run(name, func(t *testing.T) {
+			raw, err := net.Dial("tcp", s.Addr())
+			if err != nil {
+				t.Fatalf("dial raw: %v", err)
+			}
+			defer raw.Close()
+			if _, err := raw.Write(frame); err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			// The server should drop the corrupted connection: a read
+			// eventually returns EOF/reset rather than hanging.
+			_ = raw.SetReadDeadline(time.Now().Add(2 * time.Second))
+			buf := make([]byte, 1)
+			if _, err := raw.Read(buf); err == nil {
+				t.Error("server kept a corrupted connection alive with data")
+			}
 
-	// A healthy client is unaffected.
+			// A healthy client is unaffected.
+			c, err := Dial(s.Addr(), nil)
+			if err != nil {
+				t.Fatalf("Dial: %v", err)
+			}
+			defer c.Close()
+			if _, err := c.Call(context.Background(), echoReq{Text: "ok"}); err != nil {
+				t.Errorf("healthy client failed after another connection corrupted: %v", err)
+			}
+		})
+	}
+}
+
+// TestUnencodableReplyAnswersCaller has the handler return replies that
+// cannot be encoded, one over MaxMessageBytes and one with no codec. The
+// caller must get the encode error as a RemoteError at once, not wait out
+// its deadline, and the connection must keep serving.
+func TestUnencodableReplyAnswersCaller(t *testing.T) {
+	type unregistered struct{ X int }
+	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+		switch body.(echoReq).Text {
+		case "huge":
+			return benchTaskReq{Payload: make([]byte, MaxMessageBytes)}, nil
+		case "uncodable":
+			return unregistered{X: 1}, nil
+		}
+		return body, nil
+	})
+	if err != nil {
+		t.Fatalf("Serve: %v", err)
+	}
+	defer s.Close()
 	c, err := Dial(s.Addr(), nil)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
+	for text, want := range map[string]string{
+		"huge":      "exceeds limit",
+		"uncodable": "no codec registered for rpc.unregistered",
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		_, err := c.Call(ctx, echoReq{Text: text})
+		cancel()
+		var remote *RemoteError
+		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, want) {
+			t.Errorf("%s reply: call error %v, want a RemoteError containing %q", text, err, want)
+		}
+	}
 	if _, err := c.Call(context.Background(), echoReq{Text: "ok"}); err != nil {
-		t.Errorf("healthy client failed after another connection corrupted: %v", err)
+		t.Errorf("connection unusable after unencodable replies: %v", err)
 	}
 }
 

@@ -77,7 +77,6 @@ func checkPattern(p []byte, seed uint64) error {
 // reply is written makes the encoder write its header over the bytes it is
 // about to copy.
 func TestEchoedRequestOutlivesItsFrame(t *testing.T) {
-	registerBenchCodecs()
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) { return body, nil })
 	if err != nil {
 		t.Fatalf("Serve: %v", err)
@@ -108,7 +107,6 @@ func TestEchoedRequestOutlivesItsFrame(t *testing.T) {
 // before its reply is written, or handed out twice, shows as a corrupted
 // pattern and, under -race, as a write racing the read.
 func TestPooledFrameLifetimeStress(t *testing.T) {
-	registerBenchCodecs()
 	var entered atomic.Uint64
 	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
 		req := body.(benchTaskReq)
@@ -223,7 +221,6 @@ func decodeRecycled(t *testing.T, data []byte) (recycled bool) {
 // buffer a longer 0xFF-filled frame used last: nothing of the previous
 // tenant may leak into the envelope.
 func TestDirtyRecycledBufferDecodesTheSame(t *testing.T) {
-	registerBenchCodecs()
 	payload := make([]byte, 5000)
 	fillPattern(payload, 9)
 	envs := []*envelope{
@@ -231,7 +228,7 @@ func TestDirtyRecycledBufferDecodesTheSame(t *testing.T) {
 		{ID: 2, Meta: Meta{TraceID: 7, SpanID: 9, Deadline: 1_700_000_000_000_000_000}, Body: benchTaskReq{DeviceID: "device-42", TaskID: 99, Payload: payload, Exit: 2}},
 		{ID: 3, Body: benchTaskReq{DeviceID: "d", TaskID: 1}},
 		{ID: 4, IsReply: true, Err: "edge: busy", Code: "overloaded"},
-		{ID: 5, Body: echoReq{Text: "gob or binary, whichever is registered", N: -3}},
+		{ID: 5, Body: echoReq{Text: "a test codec on a reserved ID", N: -3}},
 		{ID: 6},
 	}
 	reused := 0

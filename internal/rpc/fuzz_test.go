@@ -25,6 +25,9 @@ func FuzzReadFrame(f *testing.F) {
 		corrupted[8] ^= 0x55
 	}
 	f.Add(corrupted)
+	tag0 := append([]byte(nil), buf.Bytes()...)
+	tag0[5] = 0 // the retired gob codec tag
+	f.Add(tag0)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env, err := readFrame(bytes.NewReader(data))

@@ -403,7 +403,9 @@ func (r *ReliableClient) CallMeta(ctx context.Context, meta Meta, body any) (any
 			r.breaker.releaseProbe()
 			return nil, err
 		default:
-			// Remote application error: the peer is alive and answered.
+			// Remote application error: the peer is alive and answered. A
+			// request that failed to encode lands here too; it never left
+			// this process, and retrying cannot make it encode.
 			r.breaker.Success()
 			return nil, err
 		}

@@ -4,22 +4,21 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-type idemReq struct{ N int }
+type idemReq struct {
+	N   int
+	Pad []byte
+}
 
 func (idemReq) Idempotent() bool { return true }
 
 type onceReq struct{ N int }
-
-func init() {
-	Register(idemReq{})
-	Register(onceReq{})
-}
 
 func fastOpts() ReliableOptions {
 	return ReliableOptions{
@@ -337,5 +336,58 @@ func TestReliableOnConnectFailureDiscardsConnection(t *testing.T) {
 	}
 	if attempts.Load() < 3 {
 		t.Errorf("OnConnect attempts = %d, want >= 3", attempts.Load())
+	}
+}
+
+// TestReliableEncodeFailureIsNotTransport sends an idempotent request too
+// large to encode. Nothing reached the peer, so it is not a transport
+// failure: one attempt, no breaker failure, and the connection stays in
+// use for the next call.
+func TestReliableEncodeFailureIsNotTransport(t *testing.T) {
+	leakCheck(t)
+	s := startEcho(t)
+	var retries, connects atomic.Int32
+	r := DialReliable(s.Addr(), nil, ReliableOptions{
+		Retry:   fastOpts().Retry,
+		Breaker: BreakerConfig{FailureThreshold: 1, Cooldown: time.Minute},
+		OnRetry: func() { retries.Add(1) },
+		OnConnect: func(context.Context, *Client) error {
+			connects.Add(1)
+			return nil
+		},
+		Seed: 1,
+	})
+	defer r.Close()
+	_, err := r.Call(context.Background(), idemReq{N: 1, Pad: make([]byte, MaxMessageBytes)})
+	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
+		t.Fatalf("over-limit request = %v, want an exceeds-limit encode error", err)
+	}
+	if errors.Is(err, ErrPeerUnavailable) {
+		t.Errorf("encode failure %v reported as a transport failure", err)
+	}
+	if retries.Load() != 0 {
+		t.Errorf("%d retries of a request that can never encode", retries.Load())
+	}
+	if got := r.Breaker().State(); got != BreakerClosed {
+		t.Errorf("breaker %v after an encode failure, want closed", got)
+	}
+	r.mu.Lock()
+	c := r.cur
+	r.mu.Unlock()
+	if c == nil {
+		t.Fatal("encode failure discarded the connection")
+	}
+	c.mu.Lock()
+	pending := len(c.pending)
+	c.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("%d pending slots left after the failed encode", pending)
+	}
+	got, err := r.Call(context.Background(), echoReq{Text: "after", N: 2})
+	if err != nil {
+		t.Fatalf("call after the encode failure: %v", err)
+	}
+	if got.(echoResp).N != 4 || connects.Load() != 1 {
+		t.Errorf("reply %+v after %d connects, want N=4 on the first connection", got, connects.Load())
 	}
 }

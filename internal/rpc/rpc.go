@@ -1,7 +1,6 @@
 // Package rpc is a minimal typed message layer over TCP for the testbed
-// runtime: length-prefixed versioned envelopes (hand-rolled binary for the
-// registered runtime messages, gob as the negotiated fallback — see
-// codec.go), concurrent request/response with correlation IDs, a
+// runtime: length-prefixed versioned envelopes in one hand-rolled binary
+// codec (see codec.go), concurrent request/response with correlation IDs, a
 // handler-based server with graceful shutdown, and optional netem shaping
 // on the client side (emulating the wireless uplink or the edge–cloud
 // Internet path).
@@ -14,10 +13,8 @@
 package rpc
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -53,9 +50,9 @@ type Meta struct {
 // Valid reports whether the metadata carries a live trace.
 func (m Meta) Valid() bool { return m.TraceID != 0 }
 
-// envelope is the wire frame. Body carries any registered value (binary
-// codec or gob fallback); Code carries the typed cause of Err (see
-// RegisterError).
+// envelope is the wire frame. Body carries a value whose type has a
+// registered codec (RegisterCodec), or nil; Code carries the typed cause of
+// Err (see RegisterError).
 type envelope struct {
 	ID      uint64
 	IsReply bool
@@ -64,14 +61,6 @@ type envelope struct {
 	Meta    Meta
 	Body    any
 }
-
-// Register makes a message type transportable through the gob fallback.
-// Call it once per concrete type, typically from an init-free setup
-// function in the owning package. Types that additionally register a
-// binary codec (RegisterCodec) ride the zero-allocation fast path; the
-// runtime's closed protocol set registers both, and the codeccomplete
-// analyzer keeps that set closed.
-func Register(v any) { gob.Register(v) }
 
 // Binary envelope flag bits (the byte after the correlation ID).
 const (
@@ -174,42 +163,32 @@ func decodeBinaryEnvelope(payload []byte) (*envelope, error) {
 	return env, nil
 }
 
-// writeFrame encodes the envelope — binary when the body type has a
-// registered codec (or there is no body), gob otherwise — and writes it as
-// one length-prefixed versioned frame with a single Write (one message per
-// Write keeps netem shaping faithful). The encode buffer is borrowed from
-// the frame pool and returned once written, whatever its size, so the
-// steady-state write path allocates nothing.
-func writeFrame(w io.Writer, env *envelope) error {
+// encodeFrame encodes env as one length-prefixed versioned frame into an
+// encoder borrowed from the frame pool, so the steady-state encode path
+// allocates nothing. The caller sends e.buf with a single Write (one
+// message per Write keeps netem shaping faithful) and then returns the
+// encoder with putEncoder. A body type without a registered codec, or a
+// frame over MaxMessageBytes, is an error and borrows nothing.
+func encodeFrame(env *envelope) (*Encoder, error) {
+	var entry *codecEntry
+	if env.Body != nil {
+		if entry = lookupCodec(env.Body); entry == nil {
+			return nil, fmt.Errorf("rpc: encode: no codec registered for %T", env.Body)
+		}
+	}
 	e := getEncoder()
-	defer putEncoder(e)
 	// Header placeholder: 4-byte length prefix, version, codec tag.
-	e.buf = append(e.buf, 0, 0, 0, 0, wireVersion, codecGob)
-	entry := lookupCodec(env.Body)
-	binaryOK := entry != nil || (env.Body == nil && !binaryDisabled.Load())
-	if binaryOK {
-		encodeEnvelope(e, env, entry)
-	} else if err := gob.NewEncoder(e).Encode(env); err != nil {
-		return fmt.Errorf("rpc: encode: %w", err)
-	}
-	frame := e.buf
-	payload := len(frame) - 4
+	e.buf = append(e.buf, 0, 0, 0, 0, wireVersion, codecBinary)
+	encodeEnvelope(e, env, entry)
+	payload := len(e.buf) - 4
 	if payload > MaxMessageBytes {
-		return fmt.Errorf("rpc: message of %d bytes exceeds limit", payload)
+		putEncoder(e)
+		return nil, fmt.Errorf("rpc: message of %d bytes exceeds limit", payload)
 	}
-	binary.BigEndian.PutUint32(frame[:4], uint32(payload))
-	if binaryOK {
-		frame[5] = codecBinary
-		wireStats.binEnc.Add(1)
-		wireStats.binByte.Add(uint64(payload - 2))
-	} else {
-		wireStats.gobEnc.Add(1)
-		wireStats.gobByte.Add(uint64(payload - 2))
-	}
-	if _, err := w.Write(frame); err != nil {
-		return fmt.Errorf("rpc: write: %w", err)
-	}
-	return nil
+	binary.BigEndian.PutUint32(e.buf[:4], uint32(payload))
+	wireStats.binEnc.Add(1)
+	wireStats.binByte.Add(uint64(payload - 2))
+	return e, nil
 }
 
 // readFrameLen reads and validates a frame's length prefix.
@@ -229,31 +208,21 @@ func readFrameLen(r io.Reader) (int, error) {
 }
 
 // decodeFrame rebuilds the envelope held in buf (a whole frame after its
-// length prefix), dispatching on the version and codec tag. The envelope of
-// a binary frame aliases buf through its body's []byte fields.
+// length prefix), checking the version and codec tag first. The envelope
+// aliases buf through its body's []byte fields.
 func decodeFrame(buf []byte) (*envelope, error) {
 	if buf[0] != wireVersion {
 		return nil, fmt.Errorf("rpc: unsupported wire version %d (want %d)", buf[0], wireVersion)
 	}
-	payload := buf[2:]
-	switch buf[1] {
-	case codecBinary:
-		env, err := decodeBinaryEnvelope(payload)
-		if err != nil {
-			return nil, err
-		}
-		wireStats.binDec.Add(1)
-		return env, nil
-	case codecGob:
-		var env envelope
-		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&env); err != nil {
-			return nil, fmt.Errorf("rpc: decode: %w", err)
-		}
-		wireStats.gobDec.Add(1)
-		return &env, nil
-	default:
+	if buf[1] != codecBinary {
 		return nil, fmt.Errorf("rpc: unknown codec tag %d", buf[1])
 	}
+	env, err := decodeBinaryEnvelope(buf[2:])
+	if err != nil {
+		return nil, err
+	}
+	wireStats.binDec.Add(1)
+	return env, nil
 }
 
 // readFrame reads one length-prefixed envelope into a buffer of its own,
@@ -424,7 +393,15 @@ func (s *Server) serveConn(conn net.Conn) {
 				reply.Body = body
 			}
 			writeMu.Lock()
-			_ = writeFrame(conn, reply)
+			e, err := encodeFrame(reply)
+			if err != nil {
+				// The caller still gets an answer, the encode error, rather
+				// than waiting out its deadline. A bodiless error envelope
+				// always encodes.
+				e, _ = encodeFrame(&envelope{ID: env.ID, IsReply: true, Err: err.Error()})
+			}
+			_, _ = conn.Write(e.buf)
+			putEncoder(e)
 			writeMu.Unlock()
 			// Only now: an echoing handler's reply aliases the request frame.
 			putFrameBuf(frame)
@@ -566,7 +543,8 @@ func (c *Client) Call(ctx context.Context, body any) (any, error) {
 // tighter than meta.Deadline, is propagated to the server in the envelope so
 // remote tiers can shed work that can no longer finish in time. Transport
 // failures wrap ErrPeerUnavailable; an elapsed context wraps
-// ErrDeadlineExceeded.
+// ErrDeadlineExceeded; a body that cannot be encoded (no registered codec,
+// or over MaxMessageBytes) fails with a plain error and sends nothing.
 func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxError(err)
@@ -595,14 +573,20 @@ func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
+	// Only the socket write is a transport failure: a request that cannot
+	// be encoded never left this process, and says nothing about the peer.
 	c.writeMu.Lock()
-	err := writeFrame(c.conn, &envelope{ID: id, Meta: meta, Body: body})
+	e, err := encodeFrame(&envelope{ID: id, Meta: meta, Body: body})
+	if err == nil {
+		if _, werr := c.conn.Write(e.buf); werr != nil {
+			err = fmt.Errorf("rpc: write: %w: %v", ErrPeerUnavailable, werr)
+		}
+		putEncoder(e)
+	}
 	c.writeMu.Unlock()
 	if err != nil {
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("rpc: %w: %v", ErrPeerUnavailable, err)
+		c.release(id)
+		return nil, err
 	}
 
 	select {
@@ -624,11 +608,16 @@ func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error)
 		// Abandon the pending slot: a late reply finds no waiter and is
 		// dropped by the read loop (the channel is buffered, so a racing
 		// send cannot block it).
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
+		c.release(id)
 		return nil, ctxError(ctx.Err())
 	}
+}
+
+// release frees call id's pending slot.
+func (c *Client) release(id uint64) {
+	c.mu.Lock()
+	delete(c.pending, id)
+	c.mu.Unlock()
 }
 
 // ctxError maps a context error to the package's typed sentinels.

@@ -30,11 +30,57 @@ type slowResp struct {
 	Tag int
 }
 
+// registerTestCodec gives a test-only message type a binary codec on a
+// test-reserved ID (60000 and up, far from the runtime protocol's range).
+func registerTestCodec[T any](id uint16, enc func(*Encoder, T), dec func(*Decoder) T) {
+	var zero T
+	RegisterCodec(id, zero,
+		func(e *Encoder, v any) { enc(e, v.(T)) },
+		func(d *Decoder) (any, error) { return dec(d), nil })
+}
+
+// The tests' message types travel like any other body: through a codec.
 func init() {
-	Register(echoReq{})
-	Register(echoResp{})
-	Register(slowReq{})
-	Register(slowResp{})
+	registerTestCodec(60001,
+		func(e *Encoder, r echoReq) { e.String(r.Text); e.Int(r.N) },
+		func(d *Decoder) echoReq { return echoReq{Text: d.String(), N: d.Int()} })
+	registerTestCodec(60002,
+		func(e *Encoder, r echoResp) { e.String(r.Text); e.Int(r.N) },
+		func(d *Decoder) echoResp { return echoResp{Text: d.String(), N: d.Int()} })
+	registerTestCodec(60003,
+		func(e *Encoder, r benchTaskReq) {
+			e.String(r.DeviceID)
+			e.Uvarint(r.TaskID)
+			e.Bytes(r.Payload)
+			e.Int(r.Exit)
+		},
+		func(d *Decoder) benchTaskReq {
+			return benchTaskReq{DeviceID: d.String(), TaskID: d.Uvarint(), Payload: d.Bytes(), Exit: d.Int()}
+		})
+	registerTestCodec(60004,
+		func(e *Encoder, r slowReq) { e.Varint(int64(r.Delay)); e.Int(r.Tag) },
+		func(d *Decoder) slowReq { return slowReq{Delay: time.Duration(d.Varint()), Tag: d.Int()} })
+	registerTestCodec(60005,
+		func(e *Encoder, r slowResp) { e.Int(r.Tag) },
+		func(d *Decoder) slowResp { return slowResp{Tag: d.Int()} })
+	registerTestCodec(60006,
+		func(e *Encoder, r metaReq) { e.Int(r.Tag) },
+		func(d *Decoder) metaReq { return metaReq{Tag: d.Int()} })
+	registerTestCodec(60007,
+		func(e *Encoder, r metaResp) { e.Int(r.Tag); e.Uvarint(r.TraceID); e.Uvarint(r.SpanID) },
+		func(d *Decoder) metaResp { return metaResp{Tag: d.Int(), TraceID: d.Uvarint(), SpanID: d.Uvarint()} })
+	registerTestCodec(60008,
+		func(e *Encoder, r idemReq) { e.Int(r.N); e.Bytes(r.Pad) },
+		func(d *Decoder) idemReq { return idemReq{N: d.Int(), Pad: d.Bytes()} })
+	registerTestCodec(60009,
+		func(e *Encoder, r onceReq) { e.Int(r.N) },
+		func(d *Decoder) onceReq { return onceReq{N: d.Int()} })
+	registerTestCodec(60010,
+		func(e *Encoder, r panicReq) { e.String(r.Msg) },
+		func(d *Decoder) panicReq { return panicReq{Msg: d.String()} })
+	registerTestCodec(60011,
+		func(e *Encoder, s string) { e.String(s) },
+		func(d *Decoder) string { return d.String() })
 }
 
 func startEcho(t *testing.T) *Server {
@@ -234,13 +280,8 @@ type metaResp struct {
 	SpanID  uint64
 }
 
-func init() {
-	Register(metaReq{})
-	Register(metaResp{})
-}
-
 // startMetaEcho serves a handler that reflects the envelope metadata back to
-// the caller, proving the trace fields round-trip through gob.
+// the caller, proving the trace fields round-trip through the envelope.
 func startMetaEcho(t *testing.T, delay time.Duration) *Server {
 	t.Helper()
 	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, meta Meta, body any) (any, error) {

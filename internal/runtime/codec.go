@@ -11,11 +11,8 @@ import (
 
 // Binary wire codecs for the closed protocol set. Each message type gets a
 // stable codec ID and a hand-rolled encode/decode pair that is the exact
-// inverse of the other; RegisterMessages installs them next to the gob
-// registrations, so every tier negotiates the binary fast path for these
-// types and falls back to gob only for unregistered (test or experimental)
-// bodies. The codeccomplete analyzer enforces that every type registered
-// here with rpc.Register also appears below.
+// inverse of the other; RegisterMessages installs them, and the rpc layer
+// refuses to send a body type that has none.
 //
 // IDs are wire contract: never reuse one for a different type. Field order
 // within each codec is likewise frozen — append-only evolution requires a
@@ -67,9 +64,10 @@ func decodeModel(d *rpc.Decoder, m *offload.ModelParams) {
 	}
 }
 
-// registerCodecs installs the binary codec for every protocol message.
-// Idempotent, like RegisterMessages that calls it.
-func registerCodecs() {
+// RegisterMessages installs the binary codec of every protocol message with
+// the rpc layer, which sends nothing else. It is idempotent per process and
+// must be called by every tier before serving or dialing.
+func RegisterMessages() {
 	rpc.RegisterCodec(codecIDRegisterReq, RegisterReq{},
 		func(e *rpc.Encoder, v any) {
 			r := v.(RegisterReq)
@@ -345,41 +343,27 @@ func registerCodecs() {
 }
 
 // RegisterWireMetrics exposes the process-wide rpc codec counters on reg
-// as scrape-time gauges, split by codec (binary fast path vs gob
-// fallback) and direction. In steady state the gob frame gauges should
-// sit at zero for the runtime protocol; movement there means a message
-// type is missing its binary codec and the data plane is paying
-// reflection costs. Safe to call more than once per registry.
+// as scrape-time gauges by direction. The codec="binary" label names the
+// only codec there is, and keeps existing scrape queries working. Safe to
+// call more than once per registry.
 func RegisterWireMetrics(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
+	codec := telemetry.Label{Key: "codec", Value: "binary"}
 	frames := []struct {
-		codec, dir string
-		get        func(rpc.CodecStats) uint64
+		dir string
+		get func(rpc.CodecStats) uint64
 	}{
-		{"binary", "encode", func(s rpc.CodecStats) uint64 { return s.BinaryEncoded }},
-		{"binary", "decode", func(s rpc.CodecStats) uint64 { return s.BinaryDecoded }},
-		{"gob", "encode", func(s rpc.CodecStats) uint64 { return s.GobEncoded }},
-		{"gob", "decode", func(s rpc.CodecStats) uint64 { return s.GobDecoded }},
+		{"encode", func(s rpc.CodecStats) uint64 { return s.BinaryEncoded }},
+		{"decode", func(s rpc.CodecStats) uint64 { return s.BinaryDecoded }},
 	}
 	for _, f := range frames {
 		get := f.get
 		reg.GaugeFunc("leime_wire_frames", "Frames moved by the rpc wire codec.",
 			func() float64 { return float64(get(rpc.WireStats())) },
-			telemetry.Label{Key: "codec", Value: f.codec}, telemetry.Label{Key: "dir", Value: f.dir})
+			codec, telemetry.Label{Key: "dir", Value: f.dir})
 	}
-	sizes := []struct {
-		codec string
-		get   func(rpc.CodecStats) uint64
-	}{
-		{"binary", func(s rpc.CodecStats) uint64 { return s.BinaryBytes }},
-		{"gob", func(s rpc.CodecStats) uint64 { return s.GobBytes }},
-	}
-	for _, f := range sizes {
-		get := f.get
-		reg.GaugeFunc("leime_wire_encoded_bytes", "Envelope payload bytes produced by the rpc wire codec.",
-			func() float64 { return float64(get(rpc.WireStats())) },
-			telemetry.Label{Key: "codec", Value: f.codec})
-	}
+	reg.GaugeFunc("leime_wire_encoded_bytes", "Envelope payload bytes produced by the rpc wire codec.",
+		func() float64 { return float64(rpc.WireStats().BinaryBytes) }, codec)
 }

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"leime/internal/offload"
-	"leime/internal/rpc"
 )
 
 // Message types exchanged between tiers. Payloads carry real bytes so netem
@@ -290,34 +289,6 @@ func (HeartbeatReq) Idempotent() bool { return true }
 // twice, so upstream degrades to its deepest hosted exit instead of
 // retrying.
 func (StageInstallReq) Idempotent() bool { return true }
-
-// RegisterMessages registers all protocol types with the rpc layer — the
-// gob fallback registration here plus the binary codecs (codec.go) — so
-// every tier rides the zero-allocation binary wire path for the closed
-// protocol set. It is idempotent per process and must be called by every
-// tier before serving or dialing.
-func RegisterMessages() {
-	registerCodecs()
-	rpc.Register(RegisterReq{})
-	rpc.Register(RegisterResp{})
-	rpc.Register(FirstBlockReq{})
-	rpc.Register(SecondBlockReq{})
-	rpc.Register(ThirdBlockReq{})
-	rpc.Register(TaskResp{})
-	rpc.Register(QueueStatReq{})
-	rpc.Register(QueueStatResp{})
-	rpc.Register(UpdateReq{})
-	rpc.Register(UnregisterReq{})
-	rpc.Register(UnregisterResp{})
-	rpc.Register(EdgeStatsReq{})
-	rpc.Register(EdgeStatsResp{})
-	rpc.Register(HeartbeatReq{})
-	rpc.Register(HeartbeatResp{})
-	rpc.Register(StealReq{})
-	rpc.Register(StageInstallReq{})
-	rpc.Register(StageInstallResp{})
-	rpc.Register(ActivationReq{})
-}
 
 // Scale compresses testbed time so experiments finish quickly: all compute
 // burns, link delays and slot lengths are multiplied by the factor. 1.0 is
