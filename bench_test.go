@@ -47,7 +47,8 @@ func BenchmarkFig11Scaling(b *testing.B)          { benchExperiment(b, "fig11") 
 // BenchmarkRunAllSerial and BenchmarkRunAllParallel time the full
 // experiment suite through the runner at parallelism 1 vs NumCPU; their
 // ratio is the wall-clock payoff of the parallel runner (bounded below by
-// the crosscheck experiment, which sleeps on a real socket testbed).
+// the federation, selftune and partition experiments, which sleep on real
+// socket testbeds).
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.RunAll(io.Discard, true, 1); err != nil {
@@ -71,7 +72,6 @@ func BenchmarkAblationSolver(b *testing.B) { benchExperiment(b, "ablation-solver
 func BenchmarkWildLinks(b *testing.B)      { benchExperiment(b, "wildlinks") }
 func BenchmarkExtDeadline(b *testing.B)    { benchExperiment(b, "ext-deadline") }
 func BenchmarkExtJoint(b *testing.B)       { benchExperiment(b, "ext-joint") }
-func BenchmarkCrossCheck(b *testing.B)     { benchExperiment(b, "crosscheck") }
 
 // benchInstance prepares a calibrated exit-setting instance once.
 func benchInstance(b *testing.B, p *model.Profile) *exitsetting.Instance {

@@ -22,13 +22,12 @@ import (
 
 // report is the machine-readable run record -json emits.
 type report struct {
-	Quick            bool                   `json:"quick"`
-	Parallelism      int                    `json:"parallelism"`
-	GOMAXPROCS       int                    `json:"gomaxprocs"`
-	TotalWallSeconds float64                `json:"total_wall_seconds"`
-	Experiments      []experimentRecord     `json:"experiments"`
-	SolverEvals      []bench.SolverEvals    `json:"solver_evals"`
-	Telemetry        *bench.TelemetryReport `json:"telemetry,omitempty"`
+	Quick            bool                `json:"quick"`
+	Parallelism      int                 `json:"parallelism"`
+	GOMAXPROCS       int                 `json:"gomaxprocs"`
+	TotalWallSeconds float64             `json:"total_wall_seconds"`
+	Experiments      []experimentRecord  `json:"experiments"`
+	SolverEvals      []bench.SolverEvals `json:"solver_evals"`
 }
 
 type experimentRecord struct {
@@ -149,17 +148,12 @@ func run() error {
 		if err != nil {
 			return fmt.Errorf("solver evals: %w", err)
 		}
-		tel, err := bench.CollectTelemetry(*quick)
-		if err != nil {
-			return fmt.Errorf("telemetry summary: %w", err)
-		}
 		rep := report{
 			Quick:            *quick,
 			Parallelism:      *parallel,
 			GOMAXPROCS:       runtime.GOMAXPROCS(0),
 			TotalWallSeconds: time.Since(start).Seconds(),
 			SolverEvals:      evals,
-			Telemetry:        tel,
 		}
 		for _, r := range results {
 			rep.Experiments = append(rep.Experiments, experimentRecord{ID: r.ID, Title: r.Title, WallSeconds: r.WallSeconds})

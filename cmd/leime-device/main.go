@@ -53,7 +53,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		slots    = fs.Int("slots", 60, "number of slots to generate")
 		bw       = fs.Float64("bandwidth", 10, "uplink bandwidth in Mbps")
 		lat      = fs.Float64("latency", 0.02, "uplink latency in seconds")
-		policy   = fs.String("policy", "leime", "offloading policy: leime, device-only, edge-only, cap")
+		policy   = fs.String("policy", "leime", "offloading policy: leime, leime-centralized, device-only, edge-only, cap or fixed:<ratio>")
 		scale    = fs.Float64("scale", 1, "time compression factor (1 = real time)")
 		seed     = fs.Int64("seed", 1, "randomness seed")
 		admin    = fs.String("admin", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/traces (empty = telemetry off)")
@@ -83,18 +83,9 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	default:
 		return fmt.Errorf("unknown device %q (want pi or nano)", *device)
 	}
-	var pol offload.Policy
-	switch *policy {
-	case "leime":
-		pol = offload.Lyapunov()
-	case "device-only":
-		pol = offload.DeviceOnly()
-	case "edge-only":
-		pol = offload.EdgeOnly()
-	case "cap":
-		pol = offload.CapabilityBased()
-	default:
-		return fmt.Errorf("unknown policy %q", *policy)
+	pol, err := offload.ParsePolicy(*policy)
+	if err != nil {
+		return err
 	}
 
 	// Readiness flips once the device has registered with an edge and holds

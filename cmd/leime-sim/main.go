@@ -23,7 +23,6 @@ import (
 	"os"
 
 	"leime/internal/metrics"
-	"leime/internal/scenario"
 )
 
 const exampleScenario = `{
@@ -69,11 +68,11 @@ func run() error {
 		defer f.Close()
 		in = f
 	}
-	sc, err := scenario.Load(in)
+	sc, err := load(in)
 	if err != nil {
 		return err
 	}
-	res, err := sc.Run()
+	res, err := sc.run()
 	if err != nil {
 		return err
 	}

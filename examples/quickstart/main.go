@@ -1,7 +1,6 @@
 // Quickstart: build a LEIME system for one device, inspect the optimal exit
 // setting, compare it against the paper's baselines, and run a short
-// simulated workload — plus one genuinely executed multi-exit inference with
-// the built-in tensor engine.
+// simulated workload.
 package main
 
 import (
@@ -9,9 +8,6 @@ import (
 	"log"
 
 	"leime"
-	"leime/internal/dataset"
-	"leime/internal/model"
-	"leime/internal/tensor"
 )
 
 func main() {
@@ -55,33 +51,5 @@ func run() error {
 	fmt.Printf("\nsimulated %d tasks: mean TCT %.1f ms, P99 %.1f ms, exits [%d %d %d], mean offload ratio %.2f\n",
 		res.Completed, res.TCT.Mean()*1000, res.TCT.Percentile(99)*1000,
 		res.ExitCounts[0], res.ExitCounts[1], res.ExitCounts[2], res.Ratio.Mean())
-
-	// 4. Execute a real multi-exit inference: the tensor engine runs the
-	// SqueezeNet graph (fire modules, concatenations) for real, with
-	// classifiers at three exits. The weights are random (untrained), so
-	// softmax confidences sit near uniform (~0.1); the low threshold below
-	// demonstrates the early-exit mechanics, not a trained model's accuracy.
-	p := model.SqueezeNet10()
-	net, err := tensor.NewGraphNet(p, []int{2, 6, 10}, 7)
-	if err != nil {
-		return err
-	}
-	ds, err := dataset.Generate(dataset.CIFAR10Like, 4, 11)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\nreal executed inference (squeezenet-1.0 graph, exits at 2/6/10):")
-	for i := 0; i < ds.Len(); i++ {
-		in, err := tensor.FromImage(ds.Image(i), 32, 32, 3)
-		if err != nil {
-			return err
-		}
-		pred, err := net.Run(in, 0.3)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  sample %d (difficulty %.2f): left at exit-%d, class %d, confidence %.2f, %.0f MFLOPs executed\n",
-			i, ds.Samples[i].Difficulty, pred.Exit, pred.Class, pred.Confidence, pred.FLOPs/1e6)
-	}
 	return nil
 }

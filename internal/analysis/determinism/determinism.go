@@ -33,6 +33,7 @@ import (
 // load driver are wall-clock by nature and are covered only by the
 // map-order tier.
 var PurePaths = []string{
+	"leime/cmd/leime-sim",
 	"leime/internal/cluster",
 	"leime/internal/confidence",
 	"leime/internal/control",
@@ -43,9 +44,7 @@ var PurePaths = []string{
 	"leime/internal/model",
 	"leime/internal/offload",
 	"leime/internal/partition",
-	"leime/internal/scenario",
 	"leime/internal/sim",
-	"leime/internal/tensor",
 	"leime/internal/trace",
 	// "pure" is the analysistest fixture stand-in for this set.
 	"pure",

@@ -50,8 +50,6 @@ func All() []Experiment {
 		WildLinks(),
 		Deadline(),
 		Joint(),
-		CrossCheck(),
-		Capacity(),
 		Federation(),
 		Selftune(),
 		Partition(),

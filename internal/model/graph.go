@@ -80,9 +80,9 @@ func (n GraphNode) FLOPs() float64 {
 
 // Graph is the executable internal structure of one chain element: a DAG of
 // primitive operations from a single input node to a single output (the last
-// node). The tensor engine executes Graphs directly, and the analytic FLOPs
-// of an element are defined as the sum over its graph's nodes — so the
-// numbers every LEIME decision consumes are exactly what execution performs.
+// node). The analytic FLOPs of an element are defined as the sum over its
+// graph's nodes — so the numbers every LEIME decision consumes are exactly
+// what execution performs.
 type Graph struct {
 	// Nodes are in topological order; Nodes[0] is the OpInput node and the
 	// last node is the element's output.

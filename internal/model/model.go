@@ -33,8 +33,7 @@ func (s Shape) Bytes() float64 { return float64(s.Elems()) * 4 }
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.H, s.W, s.C) }
 
 // ConvSpec describes one primitive convolution inside an element, with its
-// concrete input shape, so FLOPs are reconstructible and cross-checkable
-// against an executing engine.
+// concrete input shape, so FLOPs are reconstructible.
 type ConvSpec struct {
 	In     Shape
 	OutC   int
@@ -67,9 +66,8 @@ type Element struct {
 	FLOPs float64
 	// Out is the activation shape after the element (and its folded pool).
 	Out Shape
-	// Convs lists the primitive convolutions the element comprises, for
-	// cross-checking against an executing tensor engine. May be empty for
-	// synthetic profiles.
+	// Convs lists the primitive convolutions the element comprises. May be
+	// empty for synthetic profiles.
 	Convs []ConvSpec
 	// ExtraFLOPs is the non-convolutional cost folded into the element
 	// (activations, pooling, residual adds, concatenation); FLOPs is always
@@ -77,7 +75,8 @@ type Element struct {
 	ExtraFLOPs float64
 	// Graph is the element's executable internal structure; nil for
 	// synthetic profiles. When present, FLOPs, Out and Convs are derived
-	// from it, so the analytic numbers equal executed operation counts.
+	// from it, so the analytic numbers equal executed operation counts
+	// (pinned per element by testdata/executed_flops.txt).
 	Graph *Graph
 }
 

@@ -1,6 +1,10 @@
 package offload
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Policy is a named per-slot offloading rule: given the device, its slot
 // observation and the controller's cost model, it returns the offloading
@@ -87,4 +91,30 @@ func FixedRatio(x float64) Policy {
 // ClassicBaselines returns the offloading baselines of Fig. 10(b).
 func ClassicBaselines() []Policy {
 	return []Policy{DeviceOnly(), EdgeOnly(), CapabilityBased()}
+}
+
+// ParsePolicy resolves a policy by its command-line name: leime,
+// leime-centralized, device-only, edge-only, cap, or fixed:<ratio> with the
+// ratio a number in [0, 1].
+func ParsePolicy(name string) (Policy, error) {
+	switch name {
+	case "leime":
+		return Lyapunov(), nil
+	case "leime-centralized":
+		return LyapunovCentralized(), nil
+	case "device-only":
+		return DeviceOnly(), nil
+	case "edge-only":
+		return EdgeOnly(), nil
+	case "cap":
+		return CapabilityBased(), nil
+	}
+	if s, ok := strings.CutPrefix(name, "fixed:"); ok {
+		ratio, err := strconv.ParseFloat(s, 64)
+		if err != nil || !(0 <= ratio && ratio <= 1) {
+			return Policy{}, fmt.Errorf("fixed ratio %q is not a number in [0, 1]", s)
+		}
+		return FixedRatio(ratio), nil
+	}
+	return Policy{}, fmt.Errorf("unknown policy %q (want leime, leime-centralized, device-only, edge-only, cap or fixed:<ratio>)", name)
 }

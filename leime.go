@@ -13,11 +13,11 @@
 //     Lyapunov drift-plus-penalty controller with a decentralized
 //     cost-balancing solution and KKT edge-resource allocation.
 //
-// The package is a facade over the substrates in internal/: DNN profiles and
-// an executing tensor engine, a calibrated exit-confidence model (the
-// trained-network stand-in), two simulators (the paper's slot model and a
-// per-task discrete-event pipeline), and a real-TCP testbed runtime with
-// netem-style link shaping.
+// The package is a facade over the substrates in internal/: analytic DNN
+// profiles, a calibrated exit-confidence model (the trained-network
+// stand-in), two simulators (the paper's slot model and a per-task
+// discrete-event pipeline), and a real-TCP testbed runtime with netem-style
+// link shaping.
 //
 // # Quick start
 //
