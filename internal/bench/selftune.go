@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"leime/internal/control"
 	"leime/internal/loadgen"
 	"leime/internal/metrics"
 	"leime/internal/offload"
@@ -111,7 +112,7 @@ func sweepVariant(policy runtime.ControlPolicy, idPrefix string, rates []float64
 func runSelftuneAdaptive(w io.Writer, rates []float64, duration time.Duration) error {
 	static, err := sweepVariant(runtime.ControlPolicy{
 		MaxBacklogSec: selftuneBudgetSec,
-		Batch:         runtime.BatchConfig{MaxSize: 8, MaxDelaySec: 0.05},
+		Batch:         control.Batch{MaxSize: 8, MaxDelaySec: 0.05},
 	}, "st-static", rates, duration, selftuneDeadlineSec)
 	if err != nil {
 		return err

@@ -9,6 +9,10 @@
 // package to the pure tier — identical observation streams produce
 // bit-identical control trajectories.
 //
+// Batch is the one batch-window configuration both substrates share: the
+// size and delay caps, the marginal cost of each extra job, the amortized
+// cost formula and the adaptive window's default ceilings.
+//
 // Three controllers:
 //
 //   - Predictor: turns a queue's backlog (seconds of accepted-but-unfinished

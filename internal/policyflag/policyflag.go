@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"leime/internal/control"
 	"leime/internal/runtime"
 )
 
@@ -53,7 +54,7 @@ func (v *Values) Policy() (runtime.ControlPolicy, error) {
 		MaxBacklogSec:     v.budget,
 		DeadlineAdmission: v.deadline,
 		EDF:               v.edf,
-		Batch:             runtime.BatchConfig{MaxSize: v.windowMax, MaxDelaySec: v.window, Marginal: v.marginal},
+		Batch:             control.Batch{MaxSize: v.windowMax, MaxDelaySec: v.window, Marginal: v.marginal},
 		AdaptiveBatch:     v.adaptive,
 		TargetP99Sec:      v.p99,
 	}

@@ -7,38 +7,41 @@ import (
 	"testing"
 	"time"
 
+	"leime/internal/control"
 	"leime/internal/offload"
 	"leime/internal/rpc"
 )
 
-// TestBatchConfigSemantics pins the knob semantics: what enables batching
-// and how the amortized cost scales.
+// TestBatchConfigSemantics pins how a policy's batch window reaches the
+// executor: the zero policy does not batch, a static window is kept as
+// configured, and an adaptive window fills its zero ceilings with
+// control.Batch.AdaptiveCeilings, keeping the rest.
 func TestBatchConfigSemantics(t *testing.T) {
 	cases := []struct {
-		cfg     BatchConfig
-		enabled bool
+		pol  ControlPolicy
+		want control.Batch
 	}{
-		{BatchConfig{}, false},
-		{BatchConfig{MaxSize: 1, MaxDelaySec: 1}, false},
-		{BatchConfig{MaxSize: 8}, false},
-		{BatchConfig{MaxSize: 8, MaxDelaySec: 0.01}, true},
+		{ControlPolicy{}, control.Batch{}},
+		{ControlPolicy{Batch: control.Batch{MaxSize: 4}}, control.Batch{MaxSize: 4}},
+		{ControlPolicy{Batch: control.Batch{MaxSize: 4, MaxDelaySec: 0.01, Marginal: 1}},
+			control.Batch{MaxSize: 4, MaxDelaySec: 0.01, Marginal: 1}},
+		{ControlPolicy{AdaptiveBatch: true},
+			control.Batch{MaxSize: control.DefaultAdaptiveBatchSize, MaxDelaySec: control.DefaultAdaptiveDelayCapSec}},
+		{ControlPolicy{AdaptiveBatch: true, Batch: control.Batch{MaxSize: 4, Marginal: 0.5}},
+			control.Batch{MaxSize: 4, MaxDelaySec: control.DefaultAdaptiveDelayCapSec, Marginal: 0.5}},
 	}
 	for _, c := range cases {
-		if got := c.cfg.Enabled(); got != c.enabled {
-			t.Errorf("%+v Enabled() = %v, want %v", c.cfg, got, c.enabled)
+		e, err := NewExecutor(1e9, 1, WithPolicy(c.pol))
+		if err != nil {
+			t.Fatalf("NewExecutor: %v", err)
 		}
-	}
-	cfg := BatchConfig{MaxSize: 8, MaxDelaySec: 0.01}
-	if got := cfg.AmortizedFLOPs(1e9, 1); got != 1e9 {
-		t.Errorf("AmortizedFLOPs(1e9, 1) = %v, want 1e9", got)
-	}
-	// Default marginal 0.25: a batch of 5 costs 2x a lone job, not 5x.
-	if got := cfg.AmortizedFLOPs(1e9, 5); got != 2e9 {
-		t.Errorf("AmortizedFLOPs(1e9, 5) = %v, want 2e9", got)
-	}
-	cfg.Marginal = 1
-	if got := cfg.AmortizedFLOPs(1e9, 5); got != 5e9 {
-		t.Errorf("AmortizedFLOPs(marginal=1, 5) = %v, want 5e9", got)
+		if e.batch != c.want {
+			t.Errorf("policy %+v: executor batch %+v, want %+v", c.pol, e.batch, c.want)
+		}
+		if (e.window != nil) != c.pol.AdaptiveBatch {
+			t.Errorf("policy %+v: adaptive window installed = %v", c.pol, e.window != nil)
+		}
+		e.Close()
 	}
 }
 
@@ -49,7 +52,7 @@ func TestExecutorBatchAmortizes(t *testing.T) {
 	const jobs = 8
 	// One job burns 50ms; serial service of 8 takes 400ms. A full batch
 	// burns 50ms*(1+7*0.25) = 87.5ms.
-	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: BatchConfig{MaxSize: jobs, MaxDelaySec: 0.2}}))
+	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: control.Batch{MaxSize: jobs, MaxDelaySec: 0.2}}))
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
 	}
@@ -89,7 +92,7 @@ func TestExecutorBatchAmortizes(t *testing.T) {
 // FLOPs classes (different DNN blocks) never share a batch: a class change
 // caps the open batch so FIFO order holds.
 func TestExecutorBatchPreservesClassSeparation(t *testing.T) {
-	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: BatchConfig{MaxSize: 8, MaxDelaySec: 0.05}}))
+	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: control.Batch{MaxSize: 8, MaxDelaySec: 0.05}}))
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
 	}
@@ -128,7 +131,7 @@ func TestExecutorBatchPreservesClassSeparation(t *testing.T) {
 // batch window is open and checks it is dropped unburned while the rest of
 // the batch completes.
 func TestExecutorBatchWindowRespectsCancellation(t *testing.T) {
-	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: BatchConfig{MaxSize: 4, MaxDelaySec: 0.25}}))
+	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: control.Batch{MaxSize: 4, MaxDelaySec: 0.25}}))
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
 	}
@@ -176,7 +179,7 @@ func TestEdgeBatchingServesWorkload(t *testing.T) {
 		Model:     testModel(),
 		CloudAddr: cloud.Addr(),
 		TimeScale: testScale,
-		Policy:    ControlPolicy{Batch: BatchConfig{MaxSize: 8, MaxDelaySec: 0.05}},
+		Policy:    ControlPolicy{Batch: control.Batch{MaxSize: 8, MaxDelaySec: 0.05}},
 	})
 	if err != nil {
 		t.Fatalf("StartEdge: %v", err)

@@ -17,55 +17,6 @@ import (
 // executor.
 var ErrExecutorClosed = errors.New("runtime: executor closed")
 
-// DefaultBatchMarginal is the incremental cost of each batched job beyond
-// the first, as a fraction of a lone job's cost, when BatchConfig.Marginal
-// is zero. The value models the measured shape of DNN batch inference:
-// weights stream once per batch and per-item activation work dominates, so
-// a batch of B costs ~(1 + (B-1)*0.25) lone-job times rather than B.
-// internal/sim mirrors the same constant so model-clock and wall-clock runs
-// amortize identically.
-const DefaultBatchMarginal = 0.25
-
-// BatchConfig enables size/delay-bounded batching on an Executor. A batch
-// coalesces queued jobs of the same FLOPs class (the same DNN block): the
-// server holds the head job open for at most MaxDelaySec model seconds,
-// admits up to MaxSize co-arriving same-class jobs, then burns one
-// amortized service for all of them. The zero value disables batching.
-type BatchConfig struct {
-	// MaxSize caps how many jobs one batch may coalesce; values <= 1
-	// disable batching.
-	MaxSize int
-	// MaxDelaySec bounds, in model seconds (scaled like every other burn),
-	// how long the server waits for co-arriving work before firing a
-	// partial batch. It is the latency price of batching: an isolated job
-	// pays up to this much extra wait. Non-positive disables batching.
-	MaxDelaySec float64
-	// Marginal is the cost of each additional batched job as a fraction of
-	// the first job's cost, in (0, 1]; zero selects
-	// DefaultBatchMarginal. 1 restores unbatched cost (no amortization).
-	Marginal float64
-}
-
-// Enabled reports whether the configuration actually batches.
-func (c BatchConfig) Enabled() bool { return c.MaxSize > 1 && c.MaxDelaySec > 0 }
-
-// marginal resolves the zero value to the documented default.
-func (c BatchConfig) marginal() float64 {
-	if c.Marginal <= 0 {
-		return DefaultBatchMarginal
-	}
-	return c.Marginal
-}
-
-// AmortizedFLOPs returns the FLOPs one batch of n jobs of the given
-// per-job cost burns under this configuration.
-func (c BatchConfig) AmortizedFLOPs(flops float64, n int) float64 {
-	if n <= 1 {
-		return flops
-	}
-	return flops * (1 + float64(n-1)*c.marginal())
-}
-
 // ExecOption configures optional Executor behaviour at construction; see
 // WithPolicy in policy.go.
 type ExecOption func(*Executor)
@@ -104,7 +55,7 @@ type Executor struct {
 	// policy is the resolved control policy; batch, admitSec, edf, window
 	// and pred are its unpacked hot-path fields.
 	policy   ControlPolicy
-	batch    BatchConfig
+	batch    control.Batch
 	admitSec float64
 	edf      bool
 	window   *control.Window    // adaptive batch window, nil when static
@@ -556,7 +507,7 @@ func (e *Executor) runBatch(batch []*job) {
 		for _, j := range live {
 			j.wait = start.Sub(j.enq)
 		}
-		flops := e.batch.AmortizedFLOPs(live[0].flops, len(live))
+		flops := e.batch.Amortized(live[0].flops, len(live))
 		if d := e.scale.Seconds(flops / e.Rate()); d > 0 {
 			time.Sleep(d)
 		}

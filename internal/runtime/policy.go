@@ -2,24 +2,11 @@ package runtime
 
 import "leime/internal/control"
 
-// Defaults for the adaptive control policy. The batch constants are the
-// static-optimal point found by the capacity experiment (4 devices on a
-// 4 GFLOPS edge, seed 77): the adaptive window treats them as the ceiling
-// it may approach, so a saturated adaptive executor converges to the same
-// operating point a hand-tuned one starts at.
-const (
-	// DefaultAdaptiveBatchSize is the batch size cap when AdaptiveBatch is
-	// set and ControlPolicy.Batch.MaxSize is zero.
-	DefaultAdaptiveBatchSize = 8
-	// DefaultAdaptiveDelayCapSec is the batch window ceiling (model
-	// seconds) when AdaptiveBatch is set and Batch.MaxDelaySec is zero.
-	DefaultAdaptiveDelayCapSec = 0.05
-	// DefaultDegradeUtilization is the fraction of the edge's FLOPS the
-	// degradation planner budgets tenants against when
-	// DegradePolicy.Utilization is zero; the 10% headroom absorbs arrival
-	// burstiness around the mean rates the plan is computed from.
-	DefaultDegradeUtilization = 0.9
-)
+// DefaultDegradeUtilization is the fraction of the edge's FLOPS the
+// degradation planner budgets tenants against when
+// DegradePolicy.Utilization is zero; the 10% headroom absorbs arrival
+// burstiness around the mean rates the plan is computed from.
+const DefaultDegradeUtilization = 0.9
 
 // DefaultExitAccuracy is the per-exit conditional accuracy profile assumed
 // by the degradation planner when DegradePolicy.Accuracy is zero. The
@@ -59,9 +46,8 @@ type ControlPolicy struct {
 	// Batch configures the batch window. With AdaptiveBatch false it is
 	// applied statically, exactly the old behaviour; with AdaptiveBatch
 	// true, MaxSize and MaxDelaySec become the ceilings of the adaptive
-	// window (zeros select DefaultAdaptiveBatchSize /
-	// DefaultAdaptiveDelayCapSec).
-	Batch BatchConfig
+	// window (control.Batch.AdaptiveCeilings fills zeros).
+	Batch control.Batch
 	// AdaptiveBatch widens and shrinks the batch window from the observed
 	// arrival rate and latency tail (control.Window): sparse traffic
 	// serves unbatched with no added latency, saturation rides
@@ -115,12 +101,7 @@ func (d DegradePolicy) withDefaults() DegradePolicy {
 // degenerate no-op policy.
 func (p ControlPolicy) withDefaults() ControlPolicy {
 	if p.AdaptiveBatch {
-		if p.Batch.MaxSize <= 1 {
-			p.Batch.MaxSize = DefaultAdaptiveBatchSize
-		}
-		if p.Batch.MaxDelaySec <= 0 {
-			p.Batch.MaxDelaySec = DefaultAdaptiveDelayCapSec
-		}
+		p.Batch = p.Batch.AdaptiveCeilings()
 	}
 	p.Degrade = p.Degrade.withDefaults()
 	return p

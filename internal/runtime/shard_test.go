@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"leime/internal/control"
 )
 
 // TestExecutorShardedConcurrentStress hammers one executor from many
@@ -19,7 +21,7 @@ import (
 func TestExecutorShardedConcurrentStress(t *testing.T) {
 	e, err := NewExecutor(1e9, 0.001, WithPolicy(ControlPolicy{
 		MaxBacklogSec: 5,
-		Batch:         BatchConfig{MaxSize: 4, MaxDelaySec: 0.002},
+		Batch:         control.Batch{MaxSize: 4, MaxDelaySec: 0.002},
 	}))
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
@@ -222,7 +224,7 @@ func TestExecutorShardFIFOPinsSingleQueueBehavior(t *testing.T) {
 // into one amortized burn (identical published service), and a batch of
 // one degenerates to the lone-job burn.
 func TestExecutorShardBatchCoalescingPinned(t *testing.T) {
-	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: BatchConfig{MaxSize: 4, MaxDelaySec: 0.05}}))
+	e, err := NewExecutor(1e9, 1, WithPolicy(ControlPolicy{Batch: control.Batch{MaxSize: 4, MaxDelaySec: 0.05}}))
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
 	}

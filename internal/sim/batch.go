@@ -2,11 +2,11 @@ package sim
 
 import "leime/internal/control"
 
-// Batch configures window batching on a Station, mirroring the testbed
-// executor's BatchConfig (internal/runtime): up to MaxSize jobs of the same
-// service-duration class coalesce into one amortized burn, each batch held
-// open at most MaxDelaySec. The zero value disables batching, keeping the
-// station an exact single-server FIFO queue.
+// A station's batch window is configured by control.Batch, the same value
+// that configures the testbed executor's (internal/runtime): up to MaxSize
+// jobs of the same service-duration class coalesce into one amortized burn,
+// each batch held open at most MaxDelaySec. The zero value disables
+// batching, keeping the station an exact single-server FIFO queue.
 //
 // One modeling difference from the executor is the window anchor: the
 // executor opens its window when the batch head reaches the server, while
@@ -14,42 +14,6 @@ import "leime/internal/control"
 // separate "server pulled the job" instant — service start is derived from
 // the busy horizon). Under saturation both anchor at effectively the same
 // point; when idle the station fires up to MaxDelaySec earlier.
-type Batch struct {
-	// MaxSize caps how many jobs share one burn. Values <= 1 disable
-	// batching.
-	MaxSize int
-	// MaxDelaySec bounds how long the first job of a batch waits for
-	// co-arriving work. Zero or negative disables batching.
-	MaxDelaySec float64
-	// Marginal is the cost of each batched job beyond the first as a
-	// fraction of a lone job's duration. Zero means the executor default
-	// (0.25); 1 restores serial cost.
-	Marginal float64
-}
-
-// DefaultBatchMarginal matches runtime.DefaultBatchMarginal so a simulated
-// batch window and a testbed batch window amortize identically.
-const DefaultBatchMarginal = 0.25
-
-// Enabled reports whether the configuration actually batches.
-func (b Batch) Enabled() bool { return b.MaxSize > 1 && b.MaxDelaySec > 0 }
-
-// marginal returns the effective per-extra-job cost fraction.
-func (b Batch) marginal() float64 {
-	if b.Marginal <= 0 {
-		return DefaultBatchMarginal
-	}
-	return b.Marginal
-}
-
-// AmortizedSec returns the service seconds one burn of n jobs of per-job
-// duration dur costs: dur * (1 + (n-1)*marginal).
-func (b Batch) AmortizedSec(dur float64, n int) float64 {
-	if n <= 1 {
-		return dur
-	}
-	return dur * (1 + float64(n-1)*b.marginal())
-}
 
 // batchJob is one submission parked in an open batch window.
 type batchJob struct {
@@ -68,15 +32,15 @@ type openBatch struct {
 
 // SetBatch configures window batching on the station. Must be called before
 // any submissions; a disabled configuration leaves behaviour unchanged.
-func (s *Station) SetBatch(b Batch) { s.batch = b }
+func (s *station) SetBatch(b control.Batch) { s.batch = b }
 
 // SetWindow installs an adaptive batch window (control.Window) driven on the
 // engine clock: every submission feeds the controller an arrival, every
 // completion a latency, and each batch holds open for the controller's live
 // delay instead of a static MaxDelaySec. maxSize caps jobs per burn — the
 // ceiling the controller's target fill respects. Must be called before any
-// submissions; the amortization cost model is Batch's (default marginal).
-func (s *Station) SetWindow(w *control.Window, maxSize int) {
+// submissions; the amortization cost model is control.Batch's.
+func (s *station) SetWindow(w *control.Window, maxSize int) {
 	s.window = w
 	s.winMax = maxSize
 }
@@ -84,7 +48,7 @@ func (s *Station) SetWindow(w *control.Window, maxSize int) {
 // batchLimits returns the batch size cap and hold delay in force for the
 // next window: the adaptive controller's live values when one is installed,
 // the static configuration otherwise.
-func (s *Station) batchLimits() (maxSize int, delaySec float64) {
+func (s *station) batchLimits() (maxSize int, delaySec float64) {
 	if s.window != nil {
 		return s.winMax, s.window.DelaySec()
 	}
@@ -95,7 +59,7 @@ func (s *Station) batchLimits() (maxSize int, delaySec float64) {
 // window when it fills, when a different duration class arrives (preserving
 // FIFO: later same-class jobs cannot overtake the blocked head), or when the
 // deadline timer expires.
-func (s *Station) submitBatched(e *Engine, dur, extraDelay float64, done func(enqueued, started, finish float64)) {
+func (s *station) submitBatched(e *engine, dur, extraDelay float64, done func(enqueued, started, finish float64)) {
 	maxSize, delay := s.batchLimits()
 	if maxSize <= 1 || delay <= 0 {
 		// The adaptive window has shut (sparse arrivals): serve unbatched,
@@ -126,13 +90,13 @@ func (s *Station) submitBatched(e *Engine, dur, extraDelay float64, done func(en
 // fireBatch closes the open window and schedules its single amortized burn:
 // every job in the batch shares one service interval on the busy horizon and
 // completes at the same finish time (plus per-job propagation delay).
-func (s *Station) fireBatch(e *Engine) {
+func (s *station) fireBatch(e *engine) {
 	b := s.open
 	if b == nil {
 		return
 	}
 	s.open = nil
-	amort := s.batch.AmortizedSec(b.dur, len(b.jobs))
+	amort := s.batch.Amortized(b.dur, len(b.jobs))
 	start := e.Now()
 	if s.busyUntil > start {
 		start = s.busyUntil

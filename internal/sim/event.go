@@ -148,18 +148,18 @@ func RunEvents(cfg EventConfig) (*EventResult, error) {
 		shares:   shares,
 		rng:      rand.New(rand.NewSource(cfg.Seed ^ 0x5eed)),
 		res:      &EventResult{PerDeviceTCT: make([]metrics.Summary, n)},
-		devCPU:   make([]*Station, n),
-		uplink:   make([]*Station, n),
-		edgeCPU:  make([]*Station, n),
+		devCPU:   make([]*station, n),
+		uplink:   make([]*station, n),
+		edgeCPU:  make([]*station, n),
 		h1:       make([]int, n),
 		slotTCT:  make([]float64, cfg.Slots),
 		slotDone: make([]int, cfg.Slots),
 		slotGen:  make([]int, cfg.Slots),
 	}
 	for i := range s.devCPU {
-		s.devCPU[i] = NewStation(fmt.Sprintf("dev%d-cpu", i))
-		s.uplink[i] = NewStation(fmt.Sprintf("dev%d-uplink", i))
-		s.edgeCPU[i] = NewStation(fmt.Sprintf("edge-share%d", i))
+		s.devCPU[i] = newStation(fmt.Sprintf("dev%d-cpu", i))
+		s.uplink[i] = newStation(fmt.Sprintf("dev%d-uplink", i))
+		s.edgeCPU[i] = newStation(fmt.Sprintf("edge-share%d", i))
 		s.edgeCPU[i].SetBatch(pol.Batch)
 		if pol.AdaptiveBatch {
 			// One controller per share, exactly as the testbed runs one
@@ -171,8 +171,8 @@ func RunEvents(cfg EventConfig) (*EventResult, error) {
 			}), pol.Batch.MaxSize)
 		}
 	}
-	s.cloudLink = NewStation("edge-cloud-link")
-	s.cloudCPU = NewStation("cloud-cpu")
+	s.cloudLink = newStation("edge-cloud-link")
+	s.cloudCPU = newStation("cloud-cpu")
 
 	// Drive slot by slot: generate this slot's tasks, then advance the
 	// engine to the slot boundary so queue observations at the next decision
@@ -211,7 +211,7 @@ func RunEvents(cfg EventConfig) (*EventResult, error) {
 	}
 	horizon := float64(cfg.Slots) * cfg.TauSec
 	s.res.Utilization = make(map[string]float64)
-	for _, group := range [][]*Station{s.devCPU, s.uplink, s.edgeCPU, {s.cloudLink, s.cloudCPU}} {
+	for _, group := range [][]*station{s.devCPU, s.uplink, s.edgeCPU, {s.cloudLink, s.cloudCPU}} {
 		for _, st := range group {
 			s.res.Utilization[st.Name()] = st.Utilization(horizon)
 		}
@@ -230,16 +230,16 @@ type eventState struct {
 	devices []offload.Device
 	shares  []float64
 	rng     *rand.Rand
-	eng     Engine
+	eng     engine
 	res     *EventResult
 
-	devCPU  []*Station // per-device local CPU
-	uplink  []*Station // per-device uplink to the edge
-	edgeCPU []*Station // per-device edge share (Docker-quota equivalent)
+	devCPU  []*station // per-device local CPU
+	uplink  []*station // per-device uplink to the edge
+	edgeCPU []*station // per-device edge share (Docker-quota equivalent)
 	h1      []int      // per-device first-block tasks pending at the edge
 
-	cloudLink *Station
-	cloudCPU  *Station
+	cloudLink *station
+	cloudCPU  *station
 
 	slotTCT  []float64
 	slotDone []int
@@ -316,9 +316,10 @@ const (
 
 // admitEdge applies the edge policy to a submission of dur service seconds
 // on the task's edge share at the current engine time. The wait quote is
-// the share's busy horizon — exact in the busy-horizon model, so no learned
-// bias correction is needed (the fixed point a testbed control.Predictor
-// converges toward). Deadline admission checks the predicted completion
+// the share's backlog: its busy horizon, exact in the busy-horizon model, plus
+// any jobs parked in an open batch window at their unamortized duration. No
+// learned bias correction is applied (the fixed point a testbed
+// control.Predictor converges toward). Deadline admission checks the predicted completion
 // against the task's remaining DeadlineSec budget; it runs before the
 // capacity check, mirroring the runtime's order.
 func (s *eventState) admitEdge(task *simTask, dur float64) admitVerdict {

@@ -112,12 +112,12 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 		return nil, fmt.Errorf("sim: kill stage %d out of range [1,%d)", cfg.KillStage, len(plan.Stages))
 	}
 
-	eng := &Engine{}
-	cpus := make([]*Station, len(plan.Stages))
-	links := make([]*Station, len(plan.Stages))
+	eng := &engine{}
+	cpus := make([]*station, len(plan.Stages))
+	links := make([]*station, len(plan.Stages))
 	for j := range plan.Stages {
-		cpus[j] = NewStation(fmt.Sprintf("stage%d.cpu", j))
-		links[j] = NewStation(fmt.Sprintf("stage%d.link", j))
+		cpus[j] = newStation(fmt.Sprintf("stage%d.cpu", j))
+		links[j] = newStation(fmt.Sprintf("stage%d.link", j))
 	}
 	dead := make([]bool, len(plan.Stages))
 	if cfg.KillStage > 0 {

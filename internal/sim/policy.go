@@ -1,5 +1,7 @@
 package sim
 
+import "leime/internal/control"
+
 // Policy mirrors runtime.ControlPolicy for the event simulator's edge
 // shares, so a simulated control plane and a testbed control plane can be
 // configured from the same user-facing options. The zero value disables
@@ -11,12 +13,13 @@ package sim
 //   - No EDF field. Stations are busy-horizon models: service order IS
 //     arrival order, there is no queue to re-sort. EDF is a testbed-only
 //     discipline; differential comparisons run with EDF off.
-//   - No learned wait predictor. The busy horizon is the exact wait, so
-//     deadline admission quotes it directly — the calibrated fixed point a
-//     testbed control.Predictor converges toward (bias 1).
+//   - No learned wait predictor. Deadline admission quotes the station's
+//     backlog directly: without batching it is the exact wait, the
+//     calibrated fixed point a testbed control.Predictor converges toward
+//     (bias 1).
 type Policy struct {
 	// MaxBacklogSec bounds each edge share's backlog: an edge submission
-	// that would push the share's busy horizon beyond this many seconds is
+	// that would push the share's backlog beyond this many seconds is
 	// refused, and the task re-runs on its device (counted in
 	// EventResult.Fallbacks) — mirroring the runtime's
 	// ErrOverloadCapacity degrade-to-local contract. Non-positive leaves
@@ -32,8 +35,8 @@ type Policy struct {
 	// Batch configures the edge shares' batch window. With AdaptiveBatch
 	// false it is applied statically, exactly the old behaviour; with
 	// AdaptiveBatch true, MaxSize and MaxDelaySec become the adaptive
-	// window's ceilings (zeros select the runtime defaults, 8 and 0.05s).
-	Batch Batch
+	// window's ceilings (control.Batch.AdaptiveCeilings fills zeros).
+	Batch control.Batch
 	// AdaptiveBatch drives each share's batch window from the observed
 	// arrival rate and latency tail (control.Window) on the engine clock:
 	// sparse traffic serves unbatched, saturation rides Batch.MaxDelaySec.
@@ -43,25 +46,12 @@ type Policy struct {
 	TargetP99Sec float64
 }
 
-// Adaptive-batch ceilings mirroring runtime.DefaultAdaptiveBatchSize and
-// runtime.DefaultAdaptiveDelayCapSec, so a simulated adaptive window and a
-// testbed adaptive window resolve identical defaults.
-const (
-	defaultAdaptiveBatchSize   = 8
-	defaultAdaptiveDelayCapSec = 0.05
-)
-
 // withDefaults resolves zero fields exactly as runtime.ControlPolicy does:
 // adaptive batching fills its size and window ceilings, everything else
 // stays as configured. Fully zero stays fully zero.
 func (p Policy) withDefaults() Policy {
 	if p.AdaptiveBatch {
-		if p.Batch.MaxSize <= 1 {
-			p.Batch.MaxSize = defaultAdaptiveBatchSize
-		}
-		if p.Batch.MaxDelaySec <= 0 {
-			p.Batch.MaxDelaySec = defaultAdaptiveDelayCapSec
-		}
+		p.Batch = p.Batch.AdaptiveCeilings()
 	}
 	return p
 }

@@ -1,14 +1,19 @@
-// Package sim provides the two simulators the experiments run on:
+// Package sim provides the simulators the experiments run on:
 //
-//   - SlotSim implements exactly the paper's time-slotted system model
+//   - RunSlots implements exactly the paper's time-slotted system model
 //     (§III-D): per-slot arrivals, the queue recurrences of eqs. 10–11, the
 //     cost terms of eqs. 12–14, and pluggable offloading policies. It is the
 //     substrate for the offloading experiments (Figs. 3, 9, 10(b), 11).
 //
-//   - EventSim is a discrete-event, per-task simulator of the full
+//   - RunEvents is a discrete-event, per-task simulator of the full
 //     device–edge–cloud pipeline (CPU queues, serialized network links,
 //     propagation delays, early exits). It is the testbed stand-in for the
 //     end-to-end latency experiments (Figs. 2, 7, 8, 10(a)).
+//
+//   - RunPipeline drives a partitioned model chain over stage workers, the
+//     model-clock twin of the pipelined runtime.
+//
+// The last two share one private event engine and single-server station.
 package sim
 
 import (

@@ -36,6 +36,7 @@ import (
 
 	"leime/internal/cluster"
 	"leime/internal/confidence"
+	"leime/internal/control"
 	"leime/internal/dataset"
 	"leime/internal/exitsetting"
 	"leime/internal/model"
@@ -366,7 +367,7 @@ type (
 	// overload degradation.
 	PolicyOptions = runtime.ControlPolicy
 	// BatchConfig configures the batch window inside PolicyOptions.
-	BatchConfig = runtime.BatchConfig
+	BatchConfig = control.Batch
 	// DegradeOptions configures overload degradation inside PolicyOptions.
 	DegradeOptions = runtime.DegradePolicy
 )
@@ -378,13 +379,9 @@ func simPolicy(p PolicyOptions) sim.Policy {
 	return sim.Policy{
 		MaxBacklogSec:     p.MaxBacklogSec,
 		DeadlineAdmission: p.DeadlineAdmission,
-		Batch: sim.Batch{
-			MaxSize:     p.Batch.MaxSize,
-			MaxDelaySec: p.Batch.MaxDelaySec,
-			Marginal:    p.Batch.Marginal,
-		},
-		AdaptiveBatch: p.AdaptiveBatch,
-		TargetP99Sec:  p.TargetP99Sec,
+		Batch:             p.Batch,
+		AdaptiveBatch:     p.AdaptiveBatch,
+		TargetP99Sec:      p.TargetP99Sec,
 	}
 }
 
