@@ -255,6 +255,40 @@ func TestShapedClientSlowsLargeMessages(t *testing.T) {
 	}
 }
 
+// TestShapedCallsPayLatencyPerFrame is the shaper's side of the write path's
+// contract: netem charges its latency once per Write, so a client must hand
+// a shaped connection one frame per Write. K concurrent calls over a link
+// with latency L and ample bandwidth then take at least K·L; frames
+// coalesced into one Write would share a single L and finish early.
+func TestShapedCallsPayLatencyPerFrame(t *testing.T) {
+	const k, latency = 8, 20 * time.Millisecond
+	s := startEcho(t)
+	shaper, err := netem.NewShaper(netem.Link{BandwidthBps: 1e9, Latency: latency}, 3)
+	if err != nil {
+		t.Fatalf("NewShaper: %v", err)
+	}
+	c, err := Dial(s.Addr(), shaper)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := c.Call(context.Background(), echoReq{Text: "shaped", N: i}); err != nil {
+				t.Errorf("Call %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if elapsed := time.Since(start); elapsed < k*latency {
+		t.Errorf("%d calls over a %v link took %v, want at least %v: frames shared a Write", k, latency, elapsed, k*latency)
+	}
+}
+
 func TestDialUnreachable(t *testing.T) {
 	if _, err := Dial("127.0.0.1:1", nil); err == nil {
 		t.Error("expected dial error")
