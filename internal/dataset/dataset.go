@@ -3,8 +3,7 @@
 // dataset only through (a) each task's input byte size and (b) how hard each
 // sample is to classify, which drives early-exit behaviour. This package
 // therefore models a dataset as a distribution of per-sample difficulties in
-// [0, 1] (0 = trivially easy, 1 = needs the full network) plus a deterministic
-// pseudo-image payload generator for wire-level experiments.
+// [0, 1] (0 = trivially easy, 1 = needs the full network).
 //
 // The paper's motivation experiments (§II-B2, Fig. 3(b)) synthesize datasets
 // of different complexity "reflected by the exit rate of First-exit"; the
@@ -13,7 +12,6 @@ package dataset
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 )
 
@@ -30,9 +28,6 @@ type Sample struct {
 
 // NumClasses is the label cardinality (CIFAR-10).
 const NumClasses = 10
-
-// ImageBytes is the raw payload size of one sample (32x32 RGB, 8-bit).
-const ImageBytes = 32 * 32 * 3
 
 // Mixture parameterizes a three-component difficulty distribution: a share
 // of easy samples (difficulty near EasyMode), a share of hard samples (near
@@ -96,8 +91,7 @@ type Dataset struct {
 	// Samples are the generated samples, in generation order.
 	Samples []Sample
 	// Mix records the generating mixture.
-	Mix  Mixture
-	seed int64
+	Mix Mixture
 }
 
 // Generate draws n samples from the mixture, deterministically for a given
@@ -110,7 +104,7 @@ func Generate(mix Mixture, n int, seed int64) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: sample count %d must be positive", n)
 	}
 	rng := rand.New(rand.NewSource(seed))
-	ds := &Dataset{Samples: make([]Sample, n), Mix: mix, seed: seed}
+	ds := &Dataset{Samples: make([]Sample, n), Mix: mix}
 	for i := range ds.Samples {
 		ds.Samples[i] = Sample{
 			ID:         i,
@@ -154,35 +148,4 @@ func (d *Dataset) MeanDifficulty() float64 {
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 
-// Image deterministically renders sample i's pseudo-image payload: a smooth
-// pattern seeded by the sample identity, with per-pixel noise scaled by the
-// sample's difficulty (harder samples are noisier). The payload exists so
-// wire-level experiments move realistic, incompressible bytes.
-func (d *Dataset) Image(i int) []byte {
-	s := d.Samples[i%len(d.Samples)]
-	rng := rand.New(rand.NewSource(d.seed ^ int64(s.ID)*0x9e3779b9))
-	img := make([]byte, ImageBytes)
-	noise := s.Difficulty
-	for y := 0; y < 32; y++ {
-		for x := 0; x < 32; x++ {
-			base := math.Sin(float64(x)/5+float64(s.Label)) * math.Cos(float64(y)/7)
-			for c := 0; c < 3; c++ {
-				v := 128 + 90*base + 60*noise*(2*rng.Float64()-1)
-				img[(y*32+x)*3+c] = byte(clamp(v, 0, 255))
-			}
-		}
-	}
-	return img
-}
-
-func clamp01(v float64) float64 { return clamp(v, 0, 1) }
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
+func clamp01(v float64) float64 { return min(max(v, 0), 1) }

@@ -17,17 +17,18 @@
 //
 // Allocation discipline: every frame buffer has one owner and one release
 // point. Encoding borrows a buffer from the size-classed frame pool
-// (framepool.go), grows through the pool's classes, emits the frame with a
-// single Write (the one-message-per-Write invariant netem shaping relies
-// on) and returns the buffer, so the steady-state encode path allocates
-// nothing at any frame size. A server reads each request into a pooled
-// buffer and releases it after the reply frame is written; a client reads
-// each reply into an exact-size buffer the garbage collector owns, because
-// the reply is handed to the caller and has no release point. Decoded
-// byte-slice fields alias the frame buffer (a request body's []byte fields
-// are valid until its reply is written, a reply's for as long as the
-// caller holds them); decoded strings are copies, because strings are what
-// handlers keep — map keys, installed routes, span labels.
+// (framepool.go) and grows through the pool's classes; the connection's
+// frame writer (writer.go) writes the frame and returns the buffer, so the
+// steady-state encode path allocates nothing at any frame size. A server
+// reads each request into a pooled buffer, and the frame writer releases
+// it once the reply is encoded (the encoder copies what the reply aliases,
+// so the release does not wait for the write); a client reads each reply
+// into an exact-size buffer the garbage collector owns, because the reply
+// is handed to the caller and has no release point. Decoded byte-slice
+// fields alias the frame buffer (a request body's []byte fields are valid
+// until its reply is encoded, a reply's for as long as the caller holds
+// them); decoded strings are copies, because strings are what handlers
+// keep — map keys, installed routes, span labels.
 package rpc
 
 import (
@@ -330,7 +331,7 @@ func (d *Decoder) Float64() float64 {
 
 // Bytes consumes a length-prefixed byte slice. The result aliases the
 // frame buffer (zero copy) and is valid only as long as the frame's owner
-// holds the buffer: for a request body, until its reply is written. Nil for
+// holds the buffer: for a request body, until its reply is encoded. Nil for
 // the empty slice.
 func (d *Decoder) Bytes() []byte {
 	n := d.Uvarint()

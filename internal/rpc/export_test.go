@@ -20,8 +20,8 @@ type TestEnvelope struct {
 	Body    any
 }
 
-// writeFrame encodes env and writes the frame to w with a single Write, as
-// a client or server does.
+// writeFrame encodes env and writes the frame to w with a single Write: the
+// bytes a client or server puts on the wire for it.
 func writeFrame(w io.Writer, env *envelope) error {
 	e, err := encodeFrame(env)
 	if err != nil {

@@ -55,7 +55,7 @@ func frameClassSize(i int) int {
 // getFrameBuf returns a buffer of length n whose capacity is n's class
 // size. The contents are whatever the previous frame left: callers
 // overwrite [0, n) before reading it. Sizes no legal frame reaches (an
-// encode that writeFrame is about to reject) are plain allocations.
+// encode that encodeFrame is about to reject) are plain allocations.
 func getFrameBuf(n int) []byte {
 	if n > maxFrameBuf {
 		return make([]byte, n)

@@ -13,6 +13,7 @@
 package rpc
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -32,6 +33,10 @@ const MaxMessageBytes = 16 << 20
 
 // DialTimeout bounds one TCP connection attempt.
 const DialTimeout = 5 * time.Second
+
+// readBufBytes sizes the buffered reader under each connection's read loop:
+// a coalesced run of small frames comes in with one read.
+const readBufBytes = 16 << 10
 
 // Meta is the request metadata carried alongside the body in every
 // envelope: the caller's telemetry context and time budget. TraceID groups
@@ -165,10 +170,10 @@ func decodeBinaryEnvelope(payload []byte) (*envelope, error) {
 
 // encodeFrame encodes env as one length-prefixed versioned frame into an
 // encoder borrowed from the frame pool, so the steady-state encode path
-// allocates nothing. The caller sends e.buf with a single Write (one
-// message per Write keeps netem shaping faithful) and then returns the
-// encoder with putEncoder. A body type without a registered codec, or a
-// frame over MaxMessageBytes, is an error and borrows nothing.
+// allocates nothing. The caller writes e.buf (the frame writer, see
+// writer.go) and then returns the encoder with putEncoder. A body type
+// without a registered codec, or a frame over MaxMessageBytes, is an error
+// and borrows nothing.
 func encodeFrame(env *envelope) (*Encoder, error) {
 	var entry *codecEntry
 	if env.Body != nil {
@@ -244,9 +249,8 @@ func readFrame(r io.Reader) (*envelope, error) {
 // readPooledFrame is readFrame into a frame-pool buffer: the server's side
 // of the ownership rule. The caller owns the returned buffer and must
 // putFrameBuf it once nothing decoded from the envelope is in use, which
-// for a request is after its reply frame is written (an echoing handler's
-// reply aliases the request). A failed read or decode releases the buffer
-// here.
+// for a request is after its reply is encoded (an echoing handler's reply
+// aliases the request). A failed read or decode releases the buffer here.
 func readPooledFrame(r io.Reader) (*envelope, []byte, error) {
 	n, err := readFrameLen(r)
 	if err != nil {
@@ -269,7 +273,7 @@ func readPooledFrame(r io.Reader) (*envelope, []byte, error) {
 // The context carries the caller's propagated deadline (if any) and is
 // cancelled when the server shuts down. The body's []byte fields alias the
 // request's frame buffer, which the server recycles once the reply is
-// written: a handler may read them, forward them synchronously and return
+// encoded: a handler may read them, forward them synchronously and return
 // them in its reply, but must copy what it keeps. Strings are copies and
 // may be kept.
 type Handler func(ctx context.Context, body any) (any, error)
@@ -289,8 +293,9 @@ func WithShedHook(hook func()) ServeOption {
 }
 
 // Server accepts connections and dispatches requests to a handler. Each
-// request runs in its own goroutine; replies serialize on a per-connection
-// write lock.
+// request runs in its own goroutine; replies queue on the connection's
+// frame writer, which coalesces the ones that are ready together into one
+// write.
 type Server struct {
 	handler  MetaHandler
 	ln       net.Listener
@@ -373,18 +378,24 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		_ = conn.Close()
 	}()
-	var writeMu sync.Mutex
+	// A reply that does not encode still answers its caller, with the
+	// encode error, rather than leaving it to wait out its deadline.
+	w := newFrameWriter(conn, func(env *envelope, err error) *envelope {
+		return &envelope{ID: env.ID, IsReply: true, Err: err.Error()}
+	})
+	defer w.drains.Wait()
 	var reqWG sync.WaitGroup
 	defer reqWG.Wait()
+	r := bufio.NewReaderSize(conn, readBufBytes)
 	for {
-		env, frame, err := readPooledFrame(conn)
+		env, frame, err := readPooledFrame(r)
 		if err != nil {
 			return // connection closed or corrupted
 		}
 		reqWG.Add(1)
 		go func() {
 			defer reqWG.Done()
-			reply := &envelope{ID: env.ID, IsReply: true}
+			reply := envelope{ID: env.ID, IsReply: true}
 			body, err := s.dispatch(env.Meta, env.Body)
 			if err != nil {
 				reply.Err = err.Error()
@@ -392,19 +403,9 @@ func (s *Server) serveConn(conn net.Conn) {
 			} else {
 				reply.Body = body
 			}
-			writeMu.Lock()
-			e, err := encodeFrame(reply)
-			if err != nil {
-				// The caller still gets an answer, the encode error, rather
-				// than waiting out its deadline. A bodiless error envelope
-				// always encodes.
-				e, _ = encodeFrame(&envelope{ID: env.ID, IsReply: true, Err: err.Error()})
-			}
-			_, _ = conn.Write(e.buf)
-			putEncoder(e)
-			writeMu.Unlock()
-			// Only now: an echoing handler's reply aliases the request frame.
-			putFrameBuf(frame)
+			// The writer releases the request frame once the reply is
+			// encoded: an echoing handler's reply aliases it.
+			w.send(&reply, frame)
 		}()
 	}
 }
@@ -465,12 +466,11 @@ func (s *Server) Close() error {
 // calls. An optional netem shaper paces outgoing messages.
 type Client struct {
 	conn net.Conn
-
-	writeMu sync.Mutex
-	nextID  uint64
+	w    *frameWriter
 
 	mu      sync.Mutex
-	pending map[uint64]chan *envelope
+	nextID  uint64
+	pending map[uint64]chan callResult
 	closed  bool
 	readErr error
 
@@ -497,16 +497,38 @@ func DialContext(ctx context.Context, addr string, shaper *netem.Shaper) (*Clien
 	if shaper != nil {
 		conn = shaper.Conn(conn)
 	}
-	c := &Client{conn: conn, pending: make(map[uint64]chan *envelope)}
+	c := &Client{conn: conn, pending: make(map[uint64]chan callResult)}
+	c.w = newFrameWriter(conn, c.encodeFailed)
 	c.wg.Add(1)
 	go c.readLoop()
 	return c, nil
 }
 
+// callResult is what a pending call receives: the reply, or the local
+// error of a request that did not encode.
+type callResult struct {
+	reply *envelope
+	err   error
+}
+
+// encodeFailed hands a request that did not encode its plain, non-transport
+// error through the call's pending slot; nothing is sent.
+func (c *Client) encodeFailed(env *envelope, err error) *envelope {
+	c.mu.Lock()
+	ch, ok := c.pending[env.ID]
+	delete(c.pending, env.ID)
+	c.mu.Unlock()
+	if ok {
+		ch <- callResult{err: err}
+	}
+	return nil
+}
+
 func (c *Client) readLoop() {
 	defer c.wg.Done()
+	r := bufio.NewReaderSize(c.conn, readBufBytes)
 	for {
-		env, err := readFrame(c.conn)
+		env, err := readFrame(r)
 		if err != nil {
 			c.mu.Lock()
 			c.readErr = err
@@ -527,7 +549,7 @@ func (c *Client) readLoop() {
 		}
 		c.mu.Unlock()
 		if ok {
-			ch <- env
+			ch <- callResult{reply: env}
 		}
 	}
 }
@@ -544,7 +566,10 @@ func (c *Client) Call(ctx context.Context, body any) (any, error) {
 // remote tiers can shed work that can no longer finish in time. Transport
 // failures wrap ErrPeerUnavailable; an elapsed context wraps
 // ErrDeadlineExceeded; a body that cannot be encoded (no registered codec,
-// or over MaxMessageBytes) fails with a plain error and sends nothing.
+// or over MaxMessageBytes) fails with a plain error and sends nothing. The
+// body is encoded on the connection's frame writer, possibly by another
+// goroutine; CallMeta returns only once that is done, so the caller may
+// reuse what the body aliases.
 func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, ctxError(err)
@@ -569,28 +594,14 @@ func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error)
 	}
 	c.nextID++
 	id := c.nextID
-	ch := make(chan *envelope, 1)
+	ch := make(chan callResult, 1)
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	// Only the socket write is a transport failure: a request that cannot
-	// be encoded never left this process, and says nothing about the peer.
-	c.writeMu.Lock()
-	e, err := encodeFrame(&envelope{ID: id, Meta: meta, Body: body})
-	if err == nil {
-		if _, werr := c.conn.Write(e.buf); werr != nil {
-			err = fmt.Errorf("rpc: write: %w: %v", ErrPeerUnavailable, werr)
-		}
-		putEncoder(e)
-	}
-	c.writeMu.Unlock()
-	if err != nil {
-		c.release(id)
-		return nil, err
-	}
-
+	seq := c.w.send(&envelope{ID: id, Meta: meta, Body: body}, nil)
+	defer c.w.settle(seq)
 	select {
-	case env, ok := <-ch:
+	case res, ok := <-ch:
 		if !ok {
 			c.mu.Lock()
 			readErr := c.readErr
@@ -600,10 +611,16 @@ func (c *Client) CallMeta(ctx context.Context, meta Meta, body any) (any, error)
 			}
 			return nil, ErrClosed
 		}
-		if env.Err != "" {
+		if res.err != nil {
+			// Only a failed write is a transport failure: a request that
+			// cannot be encoded never left this process, and says nothing
+			// about the peer.
+			return nil, res.err
+		}
+		if env := res.reply; env.Err != "" {
 			return nil, remoteError(env.Err, env.Code)
 		}
-		return env.Body, nil
+		return res.reply.Body, nil
 	case <-ctx.Done():
 		// Abandon the pending slot: a late reply finds no waiter and is
 		// dropped by the read loop (the channel is buffered, so a racing
