@@ -30,13 +30,17 @@ type ExecOption func(*Executor)
 // Internally the queue is sharded by FLOPs class (one shard per distinct
 // per-job cost — in ME-DNN terms, per DNN block): submitters of different
 // classes enqueue and cancel against their own shard's lock and never
-// contend with each other. A single dispatcher goroutine preserves the
-// single-server semantics, serving the shard whose head job enqueued
-// earliest — with batching disabled that reproduces the old global FIFO
-// exactly (jobs run one at a time in arrival order); with batching enabled
-// each shard is by construction a same-class run, and an open batch window
-// fires early as soon as any other shard holds work, so no class stalls
-// behind another's window.
+// contend with each other. One server token (serving) preserves the
+// single-server semantics: whoever burns holds it, so one burn runs at a
+// time. A dispatcher goroutine serves queued work, taking the shard whose
+// head job enqueued earliest — with batching disabled that reproduces the
+// old global FIFO exactly (jobs run one at a time in arrival order); with
+// batching enabled each shard is by construction a same-class run, and an
+// open batch window fires early as soon as any other shard holds work, so
+// no class stalls behind another's window. Without batching, a submitter
+// that finds the token free and nothing queued burns its own job on its
+// own goroutine: the job arrived at an empty queue, so FIFO and EDF order
+// are unchanged and the dispatcher hop is skipped.
 //
 // All capacity behaviour is configured through WithPolicy (ControlPolicy),
 // off by default: batching coalesces same-FLOPs jobs into amortized
@@ -78,6 +82,10 @@ type Executor struct {
 	// dispatcher rescans all shards on every wake).
 	ready chan struct{}
 
+	// serving is the server token: held by the dispatcher for each batch
+	// and by a submitter serving its own job inline.
+	serving atomic.Bool
+
 	// collecting names the shard whose batch window the dispatcher is
 	// holding open, nil outside a window. Foreign-class enqueues broadcast
 	// that shard's cond so the window fires without waiting for its timer.
@@ -116,7 +124,8 @@ type job struct {
 	// (the burn runs to completion). Whoever wins the CAS from 0 decides.
 	cancel int32
 	// wait and service are written by the worker before done is closed;
-	// closing the channel publishes them to the submitter.
+	// closing the channel publishes them to the submitter. A job served
+	// inline by its submitter has no done channel.
 	wait    time.Duration
 	service time.Duration
 	done    chan struct{}
@@ -269,6 +278,10 @@ func (e *Executor) DoTimed(flops float64) (wait, service time.Duration, err erro
 // budget rejects work with ErrOverloadCapacity, and deadline admission
 // rejects work whose predicted wait plus service cannot fit the context
 // deadline with ErrDeadlineInfeasible. Both unwrap to ErrOverloaded.
+//
+// An admitted job on an unbatched executor that finds nothing queued and
+// wins the server token is burned on the caller's goroutine; every other
+// job queues for the dispatcher.
 func (e *Executor) DoTimedCtx(ctx context.Context, flops float64) (wait, service time.Duration, err error) {
 	if flops < 0 {
 		flops = 0
@@ -276,7 +289,7 @@ func (e *Executor) DoTimedCtx(ctx context.Context, flops float64) (wait, service
 	if err := ctx.Err(); err != nil {
 		return 0, 0, err
 	}
-	j := &job{flops: flops, enq: time.Now(), done: make(chan struct{})}
+	j := &job{flops: flops, enq: time.Now()}
 	deadline, hasDeadline := ctx.Deadline()
 	if hasDeadline {
 		j.deadline = deadline.UnixNano()
@@ -325,6 +338,23 @@ func (e *Executor) DoTimedCtx(ctx context.Context, flops float64) (wait, service
 	if e.window != nil {
 		e.window.ObserveArrival(e.nowModelSec())
 	}
+	if e.batch.MaxSize <= 1 && e.window == nil && e.queuedTotal.Load() == 0 && e.serving.CompareAndSwap(false, true) {
+		// The server is idle and nothing waits ahead of this job: serve it
+		// here. Registering in wg before releasing closeMu keeps it inside
+		// Close's drain.
+		e.wg.Add(1)
+		e.closeMu.RUnlock()
+		e.runBatch([]*job{j})
+		// Hand the server back; work that queued behind this burn needs
+		// the dispatcher.
+		e.serving.Store(false)
+		if e.queuedTotal.Load() > 0 {
+			e.wake()
+		}
+		e.wg.Done()
+		return j.wait, j.service, nil
+	}
+	j.done = make(chan struct{})
 	s := e.shardFor(flops)
 	s.mu.Lock()
 	j.seq = e.seq.Add(1)
@@ -372,9 +402,12 @@ func (e *Executor) DoTimedCtx(ctx context.Context, flops float64) (wait, service
 	}
 }
 
-// dispatcher is the executor's single server loop: scan the shards, serve
-// the one whose head enqueued first, repeat. One batch burns at a time, so
-// sharding changes contention, never the service discipline.
+// dispatcher is the executor's queue server loop: scan the shards, take
+// the server token, serve the shard whose head enqueued first, repeat. A
+// submitter burning inline holds the token; the dispatcher then waits for
+// the wake that submitter sends when it hands the token back. One batch
+// burns at a time, so sharding and inline service change contention,
+// never the service discipline.
 func (e *Executor) dispatcher() {
 	defer e.wg.Done()
 	for {
@@ -386,7 +419,12 @@ func (e *Executor) dispatcher() {
 			<-e.ready
 			continue
 		}
+		if !e.serving.CompareAndSwap(false, true) {
+			<-e.ready
+			continue
+		}
 		e.runBatch(e.collect(s))
+		e.serving.Store(false)
 	}
 }
 
@@ -535,7 +573,9 @@ func (e *Executor) runBatch(batch []*job) {
 	for _, j := range live {
 		j.service = service
 		atomic.AddInt32(&e.pending, -1)
-		close(j.done)
+		if j.done != nil { // nil for a job served inline
+			close(j.done)
+		}
 	}
 }
 

@@ -110,6 +110,19 @@ func TestExecutorShardedConcurrentStress(t *testing.T) {
 	}
 }
 
+// waitUntil polls cond until it holds, failing the test if it does not
+// within five seconds.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 // TestExecutorCloseDrainsAcceptedJobs pins the Close contract on the
 // sharded queue: jobs accepted before Close complete normally (no error),
 // jobs submitted after Close fail with ErrExecutorClosed, and Close does
@@ -121,7 +134,16 @@ func TestExecutorCloseDrainsAcceptedJobs(t *testing.T) {
 	}
 	const queued = 6
 	var wg sync.WaitGroup
-	errs := make([]error, queued)
+	errs := make([]error, queued+1)
+	// A 100ms head job holds the server on its submitter's goroutine, so
+	// the others queue behind it and Close must hand the drain from the
+	// inline burn to the dispatcher.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		_, _, errs[queued] = e.DoTimed(1e10)
+	}()
+	waitUntil(t, "head job in service", e.serving.Load)
 	for i := 0; i < queued; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -130,7 +152,7 @@ func TestExecutorCloseDrainsAcceptedJobs(t *testing.T) {
 			_, _, errs[i] = e.DoTimed(1e7 * float64(1+i%2))
 		}(i)
 	}
-	time.Sleep(10 * time.Millisecond) // let them enqueue
+	waitUntil(t, "all jobs enqueued", func() bool { return e.Pending() == queued+1 })
 	e.Close()
 	if got := e.Pending(); got != 0 {
 		t.Errorf("Pending after Close = %d, want 0 (Close must drain)", got)
@@ -186,7 +208,14 @@ func TestExecutorShardFIFOPinsSingleQueueBehavior(t *testing.T) {
 				t.Errorf("job %d service = %v, want ≈%v", i, service, wantService)
 			}
 		}(i, flops)
-		time.Sleep(8 * time.Millisecond) // deterministic enqueue order
+		// Submit the next job only once this one holds its place: the head
+		// in service on its submitter's goroutine, each later job with its
+		// enqueue sequence number taken.
+		if i == 0 {
+			waitUntil(t, "head job in service", e.serving.Load)
+		} else {
+			waitUntil(t, "job enqueued", func() bool { return e.seq.Load() == uint64(i) })
+		}
 	}
 	wg.Wait()
 	for i, got := range order {
@@ -196,7 +225,10 @@ func TestExecutorShardFIFOPinsSingleQueueBehavior(t *testing.T) {
 	}
 
 	// Wait/service split: with the server busy on a 40ms head job, the
-	// next job's wait is the head's residual service, not its own.
+	// next job's wait is the head's residual service, not its own. The
+	// dispatcher may still hold the server token for an instant after the
+	// last job above returned; once it is free, only the head can take it.
+	waitUntil(t, "idle server", func() bool { return !e.serving.Load() })
 	var headWG sync.WaitGroup
 	headWG.Add(1)
 	go func() {
@@ -205,7 +237,7 @@ func TestExecutorShardFIFOPinsSingleQueueBehavior(t *testing.T) {
 			t.Errorf("head: %v", err)
 		}
 	}()
-	time.Sleep(10 * time.Millisecond)
+	waitUntil(t, "head job in service", e.serving.Load)
 	wait, service, err := e.DoTimed(perJob)
 	headWG.Wait()
 	if err != nil {
@@ -263,5 +295,85 @@ func TestExecutorShardBatchCoalescingPinned(t *testing.T) {
 	}
 	if service < 40*time.Millisecond || service > 120*time.Millisecond {
 		t.Errorf("lone service = %v, want ≈40ms", service)
+	}
+}
+
+// TestExecutorInlineKeepsOneServer pins the single-server invariant across
+// the two ways a job is served: inline on its submitter's goroutine (the
+// server was idle and nothing was queued) and by the dispatcher (it
+// queued). In each of 25 rounds eight goroutines submit a mixed-class
+// ~1ms job at once: the first to arrive finds the executor idle and
+// serves itself, the rest queue behind it. Burns that never overlap
+// report services summing to at most the run's wall time; a dispatcher
+// serving the queue beside the inline burn would exceed it.
+func TestExecutorInlineKeepsOneServer(t *testing.T) {
+	e, err := NewExecutor(1e9, 1)
+	if err != nil {
+		t.Fatalf("NewExecutor: %v", err)
+	}
+	defer e.Close()
+	const (
+		workers = 8
+		rounds  = 25
+	)
+	classes := []float64{1e6, 1.2e6, 0.8e6}
+	var serviceSum atomic.Int64
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(flops float64) {
+				defer wg.Done()
+				_, service, err := e.DoTimed(flops)
+				if err != nil {
+					t.Errorf("round %d: %v", r, err)
+					return
+				}
+				serviceSum.Add(int64(service))
+			}(classes[(r+w)%len(classes)])
+		}
+		wg.Wait()
+	}
+	wall := time.Since(start)
+	if sum := time.Duration(serviceSum.Load()); sum > wall {
+		t.Errorf("services sum to %v over a %v run: burns overlapped", sum, wall)
+	}
+	if got := e.Pending(); got != 0 {
+		t.Errorf("Pending after run = %d, want 0", got)
+	}
+	if got := e.BacklogSeconds(); got < -1e-9 || got > 1e-9 {
+		t.Errorf("BacklogSeconds after run = %v, want 0", got)
+	}
+}
+
+// TestExecutorCloseDrainsInlineJob pins Close against a job served on its
+// submitter's goroutine: Close returns only after the burn, the job
+// completes without error, and the executor is closed afterwards.
+func TestExecutorCloseDrainsInlineJob(t *testing.T) {
+	e, err := NewExecutor(1e9, 1)
+	if err != nil {
+		t.Fatalf("NewExecutor: %v", err)
+	}
+	const burn = 200 * time.Millisecond
+	start := time.Now()
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := e.DoTimed(2e8) // 200ms at 1e9 FLOPS
+		done <- err
+	}()
+	waitUntil(t, "job accepted", func() bool { return e.Pending() == 1 })
+	e.Close()
+	if elapsed := time.Since(start); elapsed < burn {
+		t.Errorf("Close returned after %v, before the %v burn finished", elapsed, burn)
+	}
+	if err := <-done; err != nil {
+		t.Errorf("inline job: %v (accepted work must complete)", err)
+	}
+	if got := e.Pending(); got != 0 {
+		t.Errorf("Pending after Close = %d, want 0", got)
+	}
+	if err := e.Do(1e7); !errors.Is(err, ErrExecutorClosed) {
+		t.Errorf("Do after Close = %v, want ErrExecutorClosed", err)
 	}
 }
