@@ -363,27 +363,15 @@ func toSweepPoints(pts []exitsetting.SweepPoint) []SweepPoint {
 // no degradation.
 type (
 	// PolicyOptions is the edge control policy: backlog budget, deadline
-	// admission, EDF queue ordering, static or adaptive batching, and
-	// overload degradation.
+	// admission, EDF queue ordering and static or adaptive batching, run
+	// alike by the testbed and the simulator, plus overload degradation,
+	// which only the testbed runs.
 	PolicyOptions = runtime.ControlPolicy
 	// BatchConfig configures the batch window inside PolicyOptions.
 	BatchConfig = control.Batch
 	// DegradeOptions configures overload degradation inside PolicyOptions.
 	DegradeOptions = runtime.DegradePolicy
 )
-
-// simPolicy converts the policy for the event simulator, which mirrors the
-// control plane minus EDF and degradation (see sim.Policy for why those two
-// have no analytic counterpart).
-func simPolicy(p PolicyOptions) sim.Policy {
-	return sim.Policy{
-		MaxBacklogSec:     p.MaxBacklogSec,
-		DeadlineAdmission: p.DeadlineAdmission,
-		Batch:             p.Batch,
-		AdaptiveBatch:     p.AdaptiveBatch,
-		TargetP99Sec:      p.TargetP99Sec,
-	}
-}
 
 // SimOptions configure the built-in simulations.
 type SimOptions struct {
@@ -401,10 +389,10 @@ type SimOptions struct {
 	// Seed drives stochastic arrivals; 0 defaults to 1. Use SeedZero for
 	// the literal seed 0.
 	Seed int64
-	// EdgePolicy is the control policy on the simulated edge shares. Only
+	// EdgePolicy is the control policy on the simulated edge shares, run
+	// by the same control.Queue as the testbed's executors. Only
 	// SimulateTasks honours it — the slot model has no per-task service to
-	// control. EDF and degradation have no simulator counterpart and are
-	// ignored here (sim.Policy documents why).
+	// control. Degradation is runtime-only and ignored here.
 	EdgePolicy PolicyOptions
 }
 
@@ -482,7 +470,7 @@ func (s *System) SimulateTasks(opts SimOptions) (*sim.EventResult, error) {
 		Slots:       opts.Slots,
 		WarmupSlots: opts.Slots / 10,
 		Seed:        opts.Seed,
-		EdgePolicy:  simPolicy(opts.EdgePolicy),
+		EdgePolicy:  opts.EdgePolicy,
 	})
 }
 
