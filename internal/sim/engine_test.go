@@ -140,8 +140,8 @@ func TestStationQueueLenAndBacklog(t *testing.T) {
 		if got := s.QueueLen(); got != 2 {
 			t.Errorf("QueueLen = %d, want 2", got)
 		}
-		if got := s.Backlog(0); math.Abs(got-6) > 1e-12 {
-			t.Errorf("Backlog(0) = %v, want 6", got)
+		if got := s.Backlog(); math.Abs(got-6) > 1e-12 {
+			t.Errorf("Backlog = %v, want 6", got)
 		}
 	})
 	if _, err := e.Run(100); err != nil {
@@ -150,7 +150,7 @@ func TestStationQueueLenAndBacklog(t *testing.T) {
 	if got := s.QueueLen(); got != 0 {
 		t.Errorf("QueueLen after drain = %d, want 0", got)
 	}
-	if got := s.Backlog(100); got != 0 {
+	if got := s.Backlog(); got != 0 {
 		t.Errorf("Backlog after drain = %v, want 0", got)
 	}
 }
