@@ -1,11 +1,11 @@
 package control
 
-// DefaultBatchMarginal is the incremental cost of each batched job beyond
+// defaultBatchMarginal is the incremental cost of each batched job beyond
 // the first, as a fraction of a lone job's cost, when Batch.Marginal is
 // zero. The value models the measured shape of DNN batch inference:
 // weights stream once per batch and per-item activation work dominates, so
 // a batch of B costs ~(1 + (B-1)*0.25) lone-job times rather than B.
-const DefaultBatchMarginal = 0.25
+const defaultBatchMarginal = 0.25
 
 // Ceilings of the adaptive batch window when Batch leaves them zero. They
 // are the static-optimal point found on 4 devices sharing a 4 GFLOPS edge
@@ -36,7 +36,7 @@ type Batch struct {
 	// Non-positive disables batching.
 	MaxDelaySec float64
 	// Marginal is the cost of each additional batched job as a fraction of
-	// the first job's cost, in (0, 1]; zero selects DefaultBatchMarginal.
+	// the first job's cost, in (0, 1]; zero selects defaultBatchMarginal.
 	// 1 restores unbatched cost (no amortization).
 	Marginal float64
 }
@@ -47,7 +47,7 @@ func (b Batch) Enabled() bool { return b.MaxSize > 1 && b.MaxDelaySec > 0 }
 // marginal resolves the zero value to the documented default.
 func (b Batch) marginal() float64 {
 	if b.Marginal <= 0 {
-		return DefaultBatchMarginal
+		return defaultBatchMarginal
 	}
 	return b.Marginal
 }
@@ -62,11 +62,11 @@ func (b Batch) Amortized(cost float64, n int) float64 {
 	return cost * (1 + float64(n-1)*b.marginal())
 }
 
-// AdaptiveCeilings returns the configuration an adaptive window runs
+// adaptiveCeilings returns the configuration an adaptive window runs
 // under: a MaxSize of 1 or less and a non-positive MaxDelaySec are filled
 // with DefaultAdaptiveBatchSize and DefaultAdaptiveDelayCapSec; explicit
 // values and Marginal are kept.
-func (b Batch) AdaptiveCeilings() Batch {
+func (b Batch) adaptiveCeilings() Batch {
 	if b.MaxSize <= 1 {
 		b.MaxSize = DefaultAdaptiveBatchSize
 	}

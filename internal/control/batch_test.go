@@ -13,7 +13,7 @@ func TestBatch(t *testing.T) {
 		cost     float64
 		n        int
 		want     float64 // Amortized(cost, n)
-		ceilings Batch   // AdaptiveCeilings()
+		ceilings Batch   // adaptiveCeilings()
 	}{
 		{"zero", Batch{}, false, 1e9, 5, 2e9,
 			Batch{MaxSize: DefaultAdaptiveBatchSize, MaxDelaySec: DefaultAdaptiveDelayCapSec}},
@@ -35,11 +35,11 @@ func TestBatch(t *testing.T) {
 		if got := c.b.Amortized(c.cost, c.n); got != c.want {
 			t.Errorf("%s: Amortized(%v, %d) = %v, want %v", c.name, c.cost, c.n, got, c.want)
 		}
-		if got := c.b.AdaptiveCeilings(); got != c.ceilings {
-			t.Errorf("%s: AdaptiveCeilings() = %+v, want %+v", c.name, got, c.ceilings)
+		if got := c.b.adaptiveCeilings(); got != c.ceilings {
+			t.Errorf("%s: adaptiveCeilings() = %+v, want %+v", c.name, got, c.ceilings)
 		}
-		if !c.b.AdaptiveCeilings().Enabled() {
-			t.Errorf("%s: adaptive ceilings %+v do not batch", c.name, c.b.AdaptiveCeilings())
+		if !c.b.adaptiveCeilings().Enabled() {
+			t.Errorf("%s: adaptive ceilings %+v do not batch", c.name, c.b.adaptiveCeilings())
 		}
 	}
 }

@@ -14,19 +14,19 @@ func TestPredictorLearnsBias(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		p.Observe(1.0, 1.5)
 	}
-	if b := p.Bias(); math.Abs(b-1.5) > 0.01 {
+	if b := p.bias; math.Abs(b-1.5) > 0.01 {
 		t.Fatalf("bias = %v, want ~1.5", b)
 	}
 	// Near-zero predictions must not poison the bias.
 	p.Observe(1e-9, 100)
-	if b := p.Bias(); math.Abs(b-1.5) > 0.01 {
+	if b := p.bias; math.Abs(b-1.5) > 0.01 {
 		t.Fatalf("bias moved on a near-zero prediction: %v", b)
 	}
 	// Outlier ratios are clamped, and the bias itself never exceeds 2.
 	for i := 0; i < 200; i++ {
 		p.Observe(1.0, 1000)
 	}
-	if b := p.Bias(); b > 2 {
+	if b := p.bias; b > 2 {
 		t.Fatalf("bias %v escaped the [0.5, 2] clamp", b)
 	}
 }
@@ -135,7 +135,7 @@ func TestWindowP99GuardShrinksTheWindow(t *testing.T) {
 	for i := 0; i < windowLatN+p99RecomputeEvery; i++ {
 		w.ObserveLatency(0.5)
 	}
-	if got := w.P99Sec(); got < 0.4 {
+	if got := w.p99Sec; got < 0.4 {
 		t.Fatalf("p99 cache %v did not absorb the tail", got)
 	}
 	for i := 0; i < 200; i++ {
@@ -171,10 +171,10 @@ func bruteForcePlan(tenants []TenantDemand, accuracy [3]float64, budgetFLOPS flo
 	var walk func(i int)
 	walk = func(i int) {
 		if i == n {
-			if DemandFLOPS(tenants, caps) > budgetFLOPS {
+			if demandFLOPS(tenants, caps) > budgetFLOPS {
 				return
 			}
-			if acc := AggregateAccuracy(tenants, caps, accuracy); acc > bestAcc {
+			if acc := aggregateAccuracy(tenants, caps, accuracy); acc > bestAcc {
 				bestAcc = acc
 				copy(best, caps)
 			}
@@ -196,16 +196,16 @@ func TestPlanMatchesBruteForceOnSeparatedRatios(t *testing.T) {
 	tenants, acc := degradeFixture()
 	// Full demand: 100*(2e8+0.2*8e8) + 100*(2e8+0.9*8e8) + 20*(2e8+0.6*8e8)
 	//            = 36e9 + 92e9 + 13.6e9 = 141.6e9 FLOPS.
-	full := DemandFLOPS(tenants, nil)
+	full := demandFLOPS(tenants, nil)
 	if math.Abs(full-141.6e9) > 1e6 {
 		t.Fatalf("fixture demand = %v, want 141.6e9", full)
 	}
 	for _, budgetFLOPS := range []float64{150e9, 120e9, 80e9, 40e9, 10e9} {
 		got := Plan(tenants, acc, budgetFLOPS)
 		want := bruteForcePlan(tenants, acc, budgetFLOPS)
-		gotAcc := AggregateAccuracy(tenants, got, acc)
-		wantAcc := AggregateAccuracy(tenants, want, acc)
-		if DemandFLOPS(tenants, got) > budgetFLOPS && DemandFLOPS(tenants, want) <= budgetFLOPS {
+		gotAcc := aggregateAccuracy(tenants, got, acc)
+		wantAcc := aggregateAccuracy(tenants, want, acc)
+		if demandFLOPS(tenants, got) > budgetFLOPS && demandFLOPS(tenants, want) <= budgetFLOPS {
 			t.Fatalf("budget %g: plan %v infeasible while %v fits", budgetFLOPS, got, want)
 		}
 		if math.Abs(gotAcc-wantAcc) > 1e-12 {
@@ -244,7 +244,7 @@ func TestPlanIsDeterministic(t *testing.T) {
 
 func TestBlindPlanRelievesNothing(t *testing.T) {
 	tenants, _ := degradeFixture()
-	full := DemandFLOPS(tenants, nil)
+	full := demandFLOPS(tenants, nil)
 	caps := BlindPlan(tenants, full/2)
 	for i, c := range caps {
 		if c != 2 {
@@ -252,7 +252,7 @@ func TestBlindPlanRelievesNothing(t *testing.T) {
 		}
 	}
 	// The strawman property: uniform 3->2 leaves edge demand unchanged.
-	if got := DemandFLOPS(tenants, caps); got != full {
+	if got := demandFLOPS(tenants, caps); got != full {
 		t.Fatalf("blind plan changed edge demand %v -> %v; 3->2 frees no edge compute", full, got)
 	}
 	// Below budget it does nothing at all.
@@ -265,9 +265,9 @@ func TestBlindPlanRelievesNothing(t *testing.T) {
 
 func TestAggregateAccuracyOrdering(t *testing.T) {
 	tenants, acc := degradeFixture()
-	full := AggregateAccuracy(tenants, []int{3, 3, 3}, acc)
-	blind := AggregateAccuracy(tenants, []int{2, 2, 2}, acc)
-	floor := AggregateAccuracy(tenants, []int{1, 1, 1}, acc)
+	full := aggregateAccuracy(tenants, []int{3, 3, 3}, acc)
+	blind := aggregateAccuracy(tenants, []int{2, 2, 2}, acc)
+	floor := aggregateAccuracy(tenants, []int{1, 1, 1}, acc)
 	if !(full > blind && blind > floor) {
 		t.Fatalf("accuracy ordering violated: full %v blind %v floor %v", full, blind, floor)
 	}

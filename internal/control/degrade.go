@@ -32,11 +32,11 @@ func (t TenantDemand) edgeCostFLOPs(cap int) float64 {
 	return c
 }
 
-// ExpectedAccuracy returns the expected per-task accuracy for this tenant
+// expectedAccuracy returns the expected per-task accuracy for this tenant
 // under an exit cap, given the per-exit conditional accuracy profile
 // (accuracy[i] is the accuracy of exit i+1). Tasks that would have exited
 // deeper than the cap are answered by the cap's classifier instead.
-func (t TenantDemand) ExpectedAccuracy(cap int, accuracy [3]float64) float64 {
+func (t TenantDemand) expectedAccuracy(cap int, accuracy [3]float64) float64 {
 	switch {
 	case cap <= 1:
 		return accuracy[0]
@@ -47,10 +47,10 @@ func (t TenantDemand) ExpectedAccuracy(cap int, accuracy [3]float64) float64 {
 	}
 }
 
-// DemandFLOPS returns the aggregate edge compute demand of the tenants
+// demandFLOPS returns the aggregate edge compute demand of the tenants
 // under the given exit caps, in FLOPs per model second. caps shorter than
 // tenants is padded with 3 (no cap).
-func DemandFLOPS(tenants []TenantDemand, caps []int) float64 {
+func demandFLOPS(tenants []TenantDemand, caps []int) float64 {
 	var demand float64
 	for i, t := range tenants {
 		cap := 3
@@ -62,17 +62,17 @@ func DemandFLOPS(tenants []TenantDemand, caps []int) float64 {
 	return demand
 }
 
-// AggregateAccuracy returns the rate-weighted mean expected accuracy of the
+// aggregateAccuracy returns the rate-weighted mean expected accuracy of the
 // tenants under the given exit caps — the objective the degradation plan
 // maximizes. Zero total rate returns 0.
-func AggregateAccuracy(tenants []TenantDemand, caps []int, accuracy [3]float64) float64 {
+func aggregateAccuracy(tenants []TenantDemand, caps []int, accuracy [3]float64) float64 {
 	var num, den float64
 	for i, t := range tenants {
 		cap := 3
 		if i < len(caps) {
 			cap = caps[i]
 		}
-		num += t.ArrivalRate * t.ExpectedAccuracy(cap, accuracy)
+		num += t.ArrivalRate * t.expectedAccuracy(cap, accuracy)
 		den += t.ArrivalRate
 	}
 	if den == 0 {
@@ -112,9 +112,9 @@ func Plan(tenants []TenantDemand, accuracy [3]float64, budgetFLOPS float64) []in
 		if saveFLOPS <= 0 {
 			return 0
 		}
-		return t.ArrivalRate * (t.ExpectedAccuracy(3, accuracy) - t.ExpectedAccuracy(1, accuracy)) / saveFLOPS
+		return t.ArrivalRate * (t.expectedAccuracy(3, accuracy) - t.expectedAccuracy(1, accuracy)) / saveFLOPS
 	}
-	demand := DemandFLOPS(tenants, caps)
+	demand := demandFLOPS(tenants, caps)
 	for demand > budgetFLOPS {
 		best := -1
 		var bestRatio float64
@@ -163,7 +163,7 @@ func Plan(tenants []TenantDemand, accuracy [3]float64, budgetFLOPS float64) []in
 func BlindPlan(tenants []TenantDemand, budgetFLOPS float64) []int {
 	caps := make([]int, len(tenants))
 	full := 3
-	if DemandFLOPS(tenants, nil) > budgetFLOPS {
+	if demandFLOPS(tenants, nil) > budgetFLOPS {
 		full = 2
 	}
 	for i := range caps {

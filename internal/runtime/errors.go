@@ -14,7 +14,7 @@ var (
 	// ErrBusy marks an offload the edge rejected with admission control:
 	// the device's first-block backlog hit its cap. Devices fall back to
 	// local execution instead of piling onto a saturated edge.
-	ErrBusy = errors.New(BusyMessage)
+	ErrBusy = errors.New(busyMessage)
 	// ErrUnknownDevice marks requests for a device the edge has no tenant
 	// state for — the normal outcome after an edge restart, which the
 	// device's reconnect hook repairs by re-registering.

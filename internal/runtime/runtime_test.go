@@ -84,7 +84,7 @@ func TestExecutorFIFOAndRate(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 40*time.Millisecond {
 		t.Errorf("job finished too fast: %v", elapsed)
 	}
-	if err := e.SetRate(1e10); err != nil {
+	if err := e.setRate(1e10); err != nil {
 		t.Fatalf("SetRate: %v", err)
 	}
 	start = time.Now()
@@ -138,7 +138,7 @@ func TestExecutorValidation(t *testing.T) {
 	}
 	e, _ := NewExecutor(1e9, 1)
 	defer e.Close()
-	if err := e.SetRate(-1); err == nil {
+	if err := e.setRate(-1); err == nil {
 		t.Error("negative rate accepted")
 	}
 }
