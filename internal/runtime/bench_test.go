@@ -25,8 +25,8 @@ func BenchmarkExecutorDo(b *testing.B) {
 }
 
 // BenchmarkExecutorDoParallelSameClass measures contended submission where
-// every goroutine shares one FLOPs class (one shard: the worst case for
-// the sharded queue, equivalent to the old single mutex).
+// every goroutine shares one FLOPs class: all submitters and the server
+// meet on the executor's one mutex.
 func BenchmarkExecutorDoParallelSameClass(b *testing.B) {
 	e, err := NewExecutor(1e9, 1)
 	if err != nil {
@@ -45,8 +45,9 @@ func BenchmarkExecutorDoParallelSameClass(b *testing.B) {
 }
 
 // BenchmarkExecutorDoParallelMultiClass measures contended submission
-// across four FLOPs classes — each goroutine sticks to one class, so
-// enqueues spread over shards and contend only on their own lock.
+// across four FLOPs classes — each goroutine sticks to one class; the
+// classes share one queue and its mutex, so the cost should match the
+// same-class case.
 func BenchmarkExecutorDoParallelMultiClass(b *testing.B) {
 	e, err := NewExecutor(1e9, 1)
 	if err != nil {

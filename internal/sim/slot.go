@@ -13,7 +13,9 @@
 //   - RunPipeline drives a partitioned model chain over stage workers, the
 //     model-clock twin of the pipelined runtime.
 //
-// The last two share one private event engine and single-server station.
+// The last two share one private event engine and single-server station,
+// which drives the same control.Queue as runtime.Executor: admission, EDF
+// and batching are one implementation on both clocks.
 package sim
 
 import (
