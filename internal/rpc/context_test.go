@@ -117,7 +117,19 @@ func TestCallCancellation(t *testing.T) {
 		_, err := c.Call(ctx, echoReq{})
 		errCh <- err
 	}()
-	time.Sleep(20 * time.Millisecond)
+	// Cancel only once the call is pending, so the cancellation reaches
+	// the wait for the reply rather than the check on entry.
+	for pending := 0; pending == 0; {
+		select {
+		case err := <-errCh:
+			t.Fatalf("call returned before it was cancelled: %v", err)
+		default:
+		}
+		c.mu.Lock()
+		pending = len(c.pending)
+		c.mu.Unlock()
+		runtime.Gosched()
+	}
 	cancel()
 	select {
 	case err := <-errCh:

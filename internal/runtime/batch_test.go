@@ -152,7 +152,8 @@ func TestExecutorBatchWindowRespectsCancellation(t *testing.T) {
 			t.Errorf("surviving job: %v", err)
 		}
 	}()
-	time.Sleep(20 * time.Millisecond) // both queued inside the open window
+	// Both queued inside the open 250 ms window.
+	waitUntil(t, "both jobs queued", func() bool { return e.Pending() == 2 })
 	cancel()
 	wg.Wait()
 	if !errors.Is(cancelledErr, context.Canceled) {
