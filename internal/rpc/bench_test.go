@@ -5,6 +5,7 @@ import (
 	"context"
 	"sync"
 	"testing"
+	"time"
 )
 
 func benchServer(b *testing.B) *Server {
@@ -44,6 +45,28 @@ func BenchmarkCallRoundTrip(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := c.Call(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCallRoundTripDeadline is BenchmarkCallRoundTrip under a context
+// deadline: the envelope carries it and the handler context reports it, so
+// the difference between the two is what a deadline costs a round trip.
+func BenchmarkCallRoundTripDeadline(b *testing.B) {
+	s := benchServer(b)
+	c, err := Dial(s.Addr(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
+	req := echoReq{Text: "payload", N: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Call(ctx, req); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,10 @@
 //
 // The call APIs are context-aware: a caller's deadline travels in the
 // envelope metadata, servers shed requests whose deadline already passed
-// before invoking the handler, and handler errors that match registered
+// before invoking the handler and hand the deadline to the handler as a
+// value of its context (ctx.Deadline), with no timer armed per request;
+// Done closes only at server shutdown, so a handler that blocks on the
+// network arms its own timer. Handler errors that match registered
 // sentinels (RegisterError) stay typed across the wire. DialReliable layers
 // retries and a circuit breaker on top for unreliable peers.
 package rpc
@@ -270,8 +273,11 @@ func readPooledFrame(r io.Reader) (*envelope, []byte, error) {
 }
 
 // Handler processes one request body and returns a reply body or an error.
-// The context carries the caller's propagated deadline (if any) and is
-// cancelled when the server shuts down. The body's []byte fields alias the
+// The context's Deadline is the caller's propagated envelope deadline (if
+// any), carried as a value: no timer backs it, and Done closes only when the
+// server shuts down. A handler that blocks on the network arms its own
+// timer, context.WithDeadline(ctx, d); one that only computes reads the
+// deadline and decides for itself. The body's []byte fields alias the
 // request's frame buffer, which the server recycles once the reply is
 // encoded: a handler may read them, forward them synchronously and return
 // them in its reply, but must copy what it keeps. Strings are copies and
@@ -423,12 +429,22 @@ func (s *Server) dispatch(meta Meta, body any) (any, error) {
 			}
 			return nil, fmt.Errorf("rpc: request shed: %w", ErrDeadlineExceeded)
 		}
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
+		ctx = &deadlineCtx{Context: ctx, deadline: deadline}
 	}
 	return s.safeHandle(ctx, meta, body)
 }
+
+// deadlineCtx is a handler's context when the envelope carries a deadline:
+// the server's base context, reporting the deadline as a value. It arms no
+// timer and registers nothing with its parent, so Done and Err are the
+// base context's and fire only at server shutdown; a handler that blocks
+// on the network bounds the wait with context.WithDeadline itself.
+type deadlineCtx struct {
+	context.Context
+	deadline time.Time
+}
+
+func (c *deadlineCtx) Deadline() (time.Time, bool) { return c.deadline, true }
 
 // safeHandle invokes the handler, converting a panic into an error so one
 // bad request cannot take the whole server (and every other tenant's

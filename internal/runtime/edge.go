@@ -651,6 +651,8 @@ func (e *Edge) forwardCloud(ctx context.Context, meta rpc.Meta, model offload.Mo
 	if tctx := metaContext(meta); tctx.Valid() {
 		cloudSpan = e.tel.tracer.StartSpan(tctx, "rpc.cloud").SetDevice(deviceID).SetTask(taskID)
 	}
+	ctx, cancel := forwardCtx(ctx)
+	defer cancel()
 	start := time.Now()
 	got, err := e.cloud.CallMeta(ctx, spanMeta(cloudSpan), ThirdBlockReq{TaskID: taskID, Payload: payload, FLOPs: model.Mu[2]})
 	e.tel.cloudCall.Observe(time.Since(start).Seconds())
@@ -669,6 +671,16 @@ func (e *Edge) forwardCloud(ctx context.Context, meta rpc.Meta, model offload.Mo
 		return nil, fmt.Errorf("edge: unexpected cloud reply %T", got)
 	}
 	return resp, nil
+}
+
+// forwardCtx arms the timer an rpc handler's context leaves out: the
+// handler's deadline is a value, so a handler about to wait on the network
+// for another tier bounds that wait at the same deadline itself.
+func forwardCtx(ctx context.Context) (context.Context, context.CancelFunc) {
+	if d, ok := ctx.Deadline(); ok {
+		return context.WithDeadline(ctx, d)
+	}
+	return ctx, func() {}
 }
 
 // CloudBreaker exposes the cloud path's circuit breaker; nil when no cloud

@@ -144,6 +144,8 @@ func (e *Edge) activation(ctx context.Context, meta rpc.Meta, req ActivationReq)
 	if tctx := metaContext(meta); tctx.Valid() {
 		hopSpan = e.tel.tracer.StartSpan(tctx, "rpc.stage").SetDevice(req.DeviceID).SetTask(req.TaskID)
 	}
+	ctx, cancel := forwardCtx(ctx)
+	defer cancel()
 	got, err := st.next.CallMeta(ctx, spanMeta(hopSpan), ActivationReq{
 		PipelineID: req.PipelineID,
 		DeviceID:   req.DeviceID,

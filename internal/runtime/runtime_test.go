@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"leime/internal/netem"
 	"leime/internal/offload"
 	"leime/internal/rpc"
+	"leime/internal/telemetry"
 )
 
 // testModel is an ME-Inception-v3-like deployment with compute scaled so a
@@ -408,5 +410,72 @@ func TestHeterogeneousModelsShareOneEdge(t *testing.T) {
 			t.Errorf("device %d: no useful completions (completed=%d, mean TCT %v)",
 				i, stats[i].Completed, stats[i].TCT.Mean())
 		}
+	}
+}
+
+// TestEdgeShedsQueuedWorkAtEnvelopeDeadline pins the deadline-shed path of
+// a request whose only deadline is the one in its envelope: the handler's
+// context reports it as a value and never fires, so the executor's own
+// wait timer must abandon the job. A tenant's executor is busy with a
+// 2 s first block; a second first block whose envelope deadline is 100 ms
+// away queues behind it and must come back as a typed deadline failure
+// before the first finishes, counted as a shed and never burned.
+func TestEdgeShedsQueuedWorkAtEnvelopeDeadline(t *testing.T) {
+	RegisterMessages()
+	model := testModel()
+	model.Mu[0] = 2e9 // 2 s alone on a 1 GFLOPS edge
+	edge, err := StartEdge(EdgeConfig{Addr: "127.0.0.1:0", FLOPS: 1e9, Model: model, TimeScale: 1, Metrics: telemetry.NewRegistry()})
+	if err != nil {
+		t.Fatalf("StartEdge: %v", err)
+	}
+	defer edge.Close()
+	c, err := rpc.Dial(edge.Addr(), nil)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, err := c.Call(ctx, RegisterReq{DeviceID: "a", FLOPS: 1e9, ArrivalMean: 1}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	tenant, _, err := edge.tenantSnapshot("a")
+	if err != nil {
+		t.Fatalf("tenant: %v", err)
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := c.Call(ctx, FirstBlockReq{DeviceID: "a", TaskID: 1, ExitStage: 1})
+		first <- err
+	}()
+	waitUntil(t, "first block in service", func() bool { return tenant.exec.Pending() == 1 })
+
+	// The client's own context has no deadline: only the envelope's bounds
+	// the second request.
+	meta := rpc.Meta{Deadline: time.Now().Add(100 * time.Millisecond).UnixNano()}
+	_, err = c.CallMeta(ctx, meta, FirstBlockReq{DeviceID: "a", TaskID: 2, ExitStage: 1})
+	if !errors.Is(err, rpc.ErrDeadlineExceeded) {
+		t.Fatalf("queued request past its envelope deadline = %v, want rpc.ErrDeadlineExceeded", err)
+	}
+	select {
+	case err := <-first:
+		t.Fatalf("the shed came back only after the first block finished (first: %v)", err)
+	default:
+	}
+	if got := edge.tel.sheds.Value(); got != 1 {
+		t.Errorf("edge shed counter = %d, want 1", got)
+	}
+	if got := edge.DeadlineSheds(); got != 0 {
+		t.Errorf("shed on arrival = %d, want 0: the request was live when it arrived", got)
+	}
+
+	if err := <-first; err != nil {
+		t.Fatalf("first block: %v", err)
+	}
+	// The abandoned job leaves the queue as soon as the server is free; a
+	// burn would hold it there for another 2 s.
+	waitUntil(t, "abandoned job drained", func() bool { return tenant.exec.Pending() == 0 })
+	if got := edge.tel.block1.Count(); got != 1 {
+		t.Errorf("block-1 services = %d, want 1: the shed job was burned", got)
 	}
 }

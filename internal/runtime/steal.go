@@ -157,6 +157,8 @@ func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, m
 	if tctx := metaContext(meta); tctx.Valid() {
 		span = e.tel.tracer.StartSpan(tctx, "rpc.steal").SetDevice(req.DeviceID).SetTask(req.TaskID)
 	}
+	ctx, cancel := forwardCtx(ctx)
+	defer cancel()
 	got, err := peer.CallMeta(ctx, spanMeta(span), StealReq{
 		DeviceID:  req.DeviceID,
 		TaskID:    req.TaskID,
