@@ -375,3 +375,42 @@ func TestExecutorCloseDrainsInlineJob(t *testing.T) {
 		t.Errorf("Do after Close = %v, want ErrExecutorClosed", err)
 	}
 }
+
+// TestExecutorServiceNeverUnderBurns pins the burn's lower bound on both
+// sides of spinBelow and on both serving paths: a job reports a service
+// of at least its modelled one whether it is spun (under spinBelow) or
+// slept, and whether its submitter serves it inline or the dispatcher
+// does. The dispatcher path runs on a batching executor, which never
+// serves inline; a batch of one burns exactly the unbatched service.
+func TestExecutorServiceNeverUnderBurns(t *testing.T) {
+	const rateFLOPS = 1e9 // one FLOP is one nanosecond
+	inline, err := NewExecutor(rateFLOPS, 1)
+	if err != nil {
+		t.Fatalf("NewExecutor: %v", err)
+	}
+	defer inline.Close()
+	queued, err := NewExecutor(rateFLOPS, 1, WithPolicy(ControlPolicy{Batch: control.Batch{MaxSize: 2, MaxDelaySec: 1e-6}}))
+	if err != nil {
+		t.Fatalf("NewExecutor: %v", err)
+	}
+	defer queued.Close()
+	for _, d := range []time.Duration{spinBelow * 9 / 10, spinBelow / 10, 20 * spinBelow} {
+		for _, path := range []struct {
+			name string
+			e    *Executor
+		}{{"inline", inline}, {"dispatcher", queued}} {
+			for i := 0; i < 50; i++ {
+				wait, service, err := path.e.DoTimed(float64(d.Nanoseconds()))
+				if err != nil {
+					t.Fatalf("%s %v: %v", path.name, d, err)
+				}
+				if service < d {
+					t.Fatalf("%s %v: service %v under the modelled %v", path.name, d, service, d)
+				}
+				if path.e == inline && wait != 0 {
+					t.Fatalf("%s %v: waited %v, so it was not served inline", path.name, d, wait)
+				}
+			}
+		}
+	}
+}
