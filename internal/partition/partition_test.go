@@ -260,6 +260,9 @@ func TestLoadForcesPipelining(t *testing.T) {
 	if len(loaded.Stages) < 2 {
 		t.Fatalf("loaded solve used %d stages, want >= 2", len(loaded.Stages))
 	}
+	if m := net.Profile.NumExits(); loaded.Cuts[len(loaded.Cuts)-1] != m {
+		t.Fatalf("loaded cut %v does not end at the last layer %d", loaded.Cuts, m)
+	}
 	if loaded.SustainableRate <= single.SustainableRate {
 		t.Fatalf("pipelined sustainable rate %.3g should exceed single-worker %.3g",
 			loaded.SustainableRate, single.SustainableRate)
