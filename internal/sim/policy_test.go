@@ -46,6 +46,54 @@ func TestEventSimAdaptiveWindowUnderCongestion(t *testing.T) {
 	t.Logf("mean TCT: unbatched %.3fs, adaptive %.3fs", base.TCT.Mean(), adaptive.TCT.Mean())
 }
 
+// TestEventSimAdaptiveWindowTracksStaticWindow holds the self-tuning
+// claim on the model clock: the adaptive window, which finds its operating
+// point online, does as well as the static window (8 jobs / 50 ms) tuned
+// for this workload, and deadline admission refuses no feasible work below
+// the knee. Both arms run under the same 3 s backlog budget; the adaptive
+// arm adds deadline admission and EDF. At the congested load the adaptive
+// arm's mean TCT is 0.396 s against the static arm's 0.434 s (the
+// adaptive-window and static-batch golden rows). At a third of that load
+// with a 1 s deadline it is 0.295 s against 0.336 s, with no misses.
+func TestEventSimAdaptiveWindowTracksStaticWindow(t *testing.T) {
+	static := control.Policy{MaxBacklogSec: 3, Batch: control.Batch{MaxSize: 8, MaxDelaySec: 0.05}}
+	adaptive := control.Policy{MaxBacklogSec: 3, DeadlineAdmission: true, EDF: true, AdaptiveBatch: true}
+	for _, load := range []struct {
+		name        string
+		perSlot     float64
+		deadlineSec float64
+	}{
+		{"congested", 3, 0},
+		{"sub-knee", 1, 1},
+	} {
+		run := func(pol control.Policy) *EventResult {
+			t.Helper()
+			cfg := policySimConfig(pol, load.deadlineSec)
+			for i := range cfg.Devices {
+				cfg.Devices[i].Device.ArrivalMean = load.perSlot
+			}
+			res, err := RunEvents(cfg)
+			if err != nil {
+				t.Fatalf("%s RunEvents: %v", load.name, err)
+			}
+			if res.Generated == 0 || res.Completed != res.Generated {
+				t.Fatalf("%s conservation: generated %d, completed %d", load.name, res.Generated, res.Completed)
+			}
+			return res
+		}
+		st, ad := run(static), run(adaptive)
+		if ad.TCT.Mean() > 1.1*st.TCT.Mean() {
+			t.Errorf("%s: adaptive mean TCT %.3fs above 1.1x the static window's %.3fs",
+				load.name, ad.TCT.Mean(), st.TCT.Mean())
+		}
+		if load.deadlineSec > 0 && float64(ad.DeadlineMisses) > 0.01*float64(ad.Generated) {
+			t.Errorf("%s: adaptive missed %d of %d deadlines, want <= 1%%", load.name, ad.DeadlineMisses, ad.Generated)
+		}
+		t.Logf("%s: static %.3fs, adaptive %.3fs, adaptive misses %d/%d",
+			load.name, st.TCT.Mean(), ad.TCT.Mean(), ad.DeadlineMisses, ad.Generated)
+	}
+}
+
 // TestEventSimCapacityBudgetFallsBack bounds the edge shares with a tight
 // backlog budget: refusals must re-run tasks on their devices (Fallbacks),
 // never drop them, and every task still exits through its sampled exit.
