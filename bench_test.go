@@ -46,9 +46,7 @@ func BenchmarkFig11Scaling(b *testing.B)          { benchExperiment(b, "fig11") 
 
 // BenchmarkRunAllSerial and BenchmarkRunAllParallel time the full
 // experiment suite through the runner at parallelism 1 vs NumCPU; their
-// ratio is the wall-clock payoff of the parallel runner (bounded below by
-// the federation, selftune and partition experiments, which sleep on real
-// socket testbeds).
+// ratio is the wall-clock payoff of the parallel runner.
 func BenchmarkRunAllSerial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := bench.RunAll(io.Discard, true, 1); err != nil {

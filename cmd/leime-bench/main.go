@@ -36,49 +36,6 @@ type experimentRecord struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// partitionEnvelope wraps the partition study report in the PR provenance
-// header the committed PARTITION_9.json artifact carries.
-type partitionEnvelope struct {
-	PR    int    `json:"pr"`
-	Title string `json:"title"`
-	Date  string `json:"date"`
-	Host  string `json:"host"`
-	Study struct {
-		Command string                 `json:"command"`
-		Note    string                 `json:"note"`
-		Report  *bench.PartitionReport `json:"report"`
-	} `json:"study"`
-}
-
-// writePartitionJSON runs the partition study and records its report with
-// the provenance envelope.
-func writePartitionJSON(path string, quick bool) error {
-	rep, err := bench.RunPartitionStudy(os.Stdout, quick)
-	if err != nil {
-		return err
-	}
-	env := partitionEnvelope{
-		PR:    9,
-		Title: "Pipeline-partitioned inference across edge workers: min-latency chain cuts, staged runtime, three agreeing substrates",
-		Date:  time.Now().Format("2006-01-02"),
-		Host:  fmt.Sprintf("%s/%s, %d CPU, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version()),
-	}
-	env.Study.Command = "leime-bench -experiment partition -partition-json PARTITION_9.json"
-	env.Study.Note = "Load numbers come from the deterministic event simulator (pinned seed); the differential section executes the same cut over loopback TCP, so its runtime_sec entries carry timer and transport noise and are gated loosely. Single-edge offload saturates at the solver's single_sustainable_per_sec; the pipelined cut carries the same load with bounded queues."
-	env.Study.Report = rep
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("partition-json: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(env); err != nil {
-		f.Close()
-		return fmt.Errorf("partition-json: %w", err)
-	}
-	return f.Close()
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "leime-bench:", err)
@@ -88,19 +45,14 @@ func main() {
 
 func run() error {
 	var (
-		experiment    = flag.String("experiment", "all", "experiment id (fig2, fig3, fig6, fig7, fig8, fig9, fig10a, fig10b, fig11, motivation) or 'all'")
-		quick         = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-		list          = flag.Bool("list", false, "list experiments and exit")
-		parallel      = flag.Int("parallel", runtime.NumCPU(), "worker-pool width for experiments and inner sweeps (1 = serial)")
-		jsonPath      = flag.String("json", "", "write per-experiment wall times and solver eval counters to this file")
-		partitionJSON = flag.String("partition-json", "", "run the partition study and write its report (with the PR envelope) to this file")
-		cpuprofile    = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
+		experiment = flag.String("experiment", "all", "experiment id (see -list) or 'all'")
+		quick      = flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
+		list       = flag.Bool("list", false, "list experiments and exit")
+		parallel   = flag.Int("parallel", runtime.NumCPU(), "worker-pool width for experiments and inner sweeps (1 = serial)")
+		jsonPath   = flag.String("json", "", "write per-experiment wall times and solver eval counters to this file")
+		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	)
 	flag.Parse()
-
-	if *partitionJSON != "" {
-		return writePartitionJSON(*partitionJSON, *quick)
-	}
 
 	if *list {
 		for _, e := range bench.All() {

@@ -12,12 +12,12 @@ import (
 	"leime/internal/sim"
 )
 
-// AblationV sweeps the Lyapunov penalty weight V. Theorem 3 bounds the
+// ablationV sweeps the Lyapunov penalty weight V. Theorem 3 bounds the
 // delay gap by O(B/V) and the queue backlog by O(V); the experiment measures
 // where the deployed controller actually sits on that trade-off. (Finding:
 // with the balance-plus-corner-check decision rule, performance is nearly
 // flat in V — queue stability does not depend on the drift terms.)
-func AblationV() Experiment {
+func ablationV() Experiment {
 	return Experiment{
 		ID:    "ablation-v",
 		Title: "Ablation: Lyapunov penalty weight V — the O(B/V) delay / O(V) backlog trade-off of Theorem 3",
@@ -75,10 +75,10 @@ func runAblationV(w io.Writer, quick bool) error {
 	return nil
 }
 
-// AblationAlloc compares the KKT edge-resource allocation (eq. 27) against
+// ablationAlloc compares the KKT edge-resource allocation (eq. 27) against
 // uniform and demand-proportional splits on a heterogeneous fleet — the
 // design choice Appendix B derives.
-func AblationAlloc() Experiment {
+func ablationAlloc() Experiment {
 	return Experiment{
 		ID:    "ablation-alloc",
 		Title: "Ablation: KKT edge allocation (eq. 27) vs uniform and demand-proportional splits",
@@ -177,10 +177,10 @@ func runAblationAlloc(w io.Writer, quick bool) error {
 	return nil
 }
 
-// AblationSolver compares the decentralized balance decision (eq. 20, O(1)
+// ablationSolver compares the decentralized balance decision (eq. 20, O(1)
 // per device) against the exact per-slot P1' optimizer (golden-section
 // search) — quantifying the paper's "close-to-optimal" claim end to end.
-func AblationSolver() Experiment {
+func ablationSolver() Experiment {
 	return Experiment{
 		ID:    "ablation-solver",
 		Title: "Ablation: decentralized balance rule vs exact per-slot optimizer (close-to-optimal gap)",
@@ -250,10 +250,10 @@ func runAblationSolver(w io.Writer, quick bool) error {
 	return nil
 }
 
-// WildLinks extends Fig. 3 to the online setting: the uplink bandwidth
+// wildLinks extends Fig. 3 to the online setting: the uplink bandwidth
 // churns while the system runs, and LEIME's per-slot controller is compared
 // against every fixed ratio — none of which can be right in all regimes.
-func WildLinks() Experiment {
+func wildLinks() Experiment {
 	return Experiment{
 		ID:    "wildlinks",
 		Title: "Extension: bandwidth churn — online LEIME vs every fixed offloading ratio",

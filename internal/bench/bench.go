@@ -34,25 +34,22 @@ type Experiment struct {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		Motivation(),
-		Fig2(),
-		Fig3(),
-		Fig6(),
-		Fig7(),
-		Fig8(),
-		Fig9(),
-		Fig10a(),
-		Fig10b(),
-		Fig11(),
-		AblationV(),
-		AblationAlloc(),
-		AblationSolver(),
-		WildLinks(),
-		Deadline(),
-		Joint(),
-		Federation(),
-		Selftune(),
-		Partition(),
+		motivation(),
+		fig2(),
+		fig3(),
+		fig6(),
+		fig7(),
+		fig8(),
+		fig9(),
+		fig10a(),
+		fig10b(),
+		fig11(),
+		ablationV(),
+		ablationAlloc(),
+		ablationSolver(),
+		wildLinks(),
+		deadline(),
+		joint(),
 	}
 }
 

@@ -11,11 +11,11 @@ import (
 	"leime/internal/sim"
 )
 
-// Deadline extends the evaluation to the deadline requirements the paper
+// deadline extends the evaluation to the deadline requirements the paper
 // lists among the wild edge's application characteristics (§II-A) but never
 // measures: the fraction of tasks each scheme completes within a latency
 // budget, across budgets.
-func Deadline() Experiment {
+func deadline() Experiment {
 	return Experiment{
 		ID:    "ext-deadline",
 		Title: "Extension: deadline satisfaction — fraction of tasks completed within a latency budget, per scheme",

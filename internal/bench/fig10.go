@@ -12,11 +12,11 @@ import (
 	"leime/internal/sim"
 )
 
-// Fig10a reproduces the exit-setting ablation of Fig. 10(a): LEIME's exit
+// fig10a reproduces the exit-setting ablation of Fig. 10(a): LEIME's exit
 // setting vs min_comp, min_tran and mean, all using LEIME's offloading.
 // Paper: LEIME wins everywhere; the speedup is larger on big models
 // (Inception v3, ResNet-34) than small ones; min_tran is generally worst.
-func Fig10a() Experiment {
+func fig10a() Experiment {
 	return Experiment{
 		ID:    "fig10a",
 		Title: "Fig. 10(a): exit-setting ablation (LEIME vs min_comp/min_tran/mean)",
@@ -74,11 +74,11 @@ func runFig10a(w io.Writer, quick bool) error {
 	return nil
 }
 
-// Fig10b reproduces the offloading ablation of Fig. 10(b): LEIME's online
+// fig10b reproduces the offloading ablation of Fig. 10(b): LEIME's online
 // offloading vs D-only, E-only and cap_based, on a Jetson Nano across task
 // arrival rates. Paper: gains grow with load — ~1.1x/1.2x at rates 5 and 20,
 // ~1.8x at rate 100.
-func Fig10b() Experiment {
+func fig10b() Experiment {
 	return Experiment{
 		ID:    "fig10b",
 		Title: "Fig. 10(b): offloading ablation (LEIME vs D-only/E-only/cap_based) across arrival rates",

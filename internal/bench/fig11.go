@@ -11,12 +11,12 @@ import (
 	"leime/internal/sim"
 )
 
-// Fig11 reproduces the scalability simulation of Fig. 11: average TCT as the
+// fig11 reproduces the scalability simulation of Fig. 11: average TCT as the
 // number of connected (homogeneous) devices grows, for Inception v3 and
 // ResNet-34. Paper: LEIME grows almost linearly and supports the most
 // devices; baselines degrade much faster because their exit settings ignore
 // edge load.
-func Fig11() Experiment {
+func fig11() Experiment {
 	return Experiment{
 		ID:    "fig11",
 		Title: "Fig. 11: TCT vs number of connected devices (simulation, Inception v3 & ResNet-34)",

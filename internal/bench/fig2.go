@@ -11,10 +11,10 @@ import (
 	"leime/internal/model"
 )
 
-// Fig2 reproduces the exit-setting landscapes of Fig. 2: how the optimal
+// fig2 reproduces the exit-setting landscapes of Fig. 2: how the optimal
 // First and Second exits move with device capability, edge load, and DNN
 // architecture.
-func Fig2() Experiment {
+func fig2() Experiment {
 	return Experiment{
 		ID:    "fig2",
 		Title: "Fig. 2: optimal exit settings vs device capability, edge load and DNN type",

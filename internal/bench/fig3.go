@@ -14,11 +14,11 @@ import (
 	"leime/internal/sim"
 )
 
-// Fig3 reproduces the offloading-ratio landscapes of Fig. 3: TCT as a
+// fig3 reproduces the offloading-ratio landscapes of Fig. 3: TCT as a
 // function of the fixed offloading ratio under varying arrival rate, data
 // complexity, bandwidth and propagation delay — showing that the optimal
 // ratio moves with every dynamic factor.
-func Fig3() Experiment {
+func fig3() Experiment {
 	return Experiment{
 		ID:    "fig3",
 		Title: "Fig. 3: TCT vs offloading ratio under dynamic factors (arrival rate, complexity, bandwidth, delay)",

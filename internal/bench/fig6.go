@@ -10,13 +10,13 @@ import (
 	"leime/internal/model"
 )
 
-// Fig6 reproduces the ME-DNN accuracy-loss study of Fig. 6: the accuracy
+// fig6 reproduces the ME-DNN accuracy-loss study of Fig. 6: the accuracy
 // loss of every (First, Second) exit combination relative to the original
 // single-exit network, for all four architectures. Paper means: Inception v3
 // 1.62%, ResNet-34 0.55%, SqueezeNet-1.0 0.44%, VGG-16 1.14%; ResNet-34 and
 // SqueezeNet-1.0 show negative losses (accuracy gains) for many combinations
 // due to the "overthinking" effect.
-func Fig6() Experiment {
+func fig6() Experiment {
 	return Experiment{
 		ID:    "fig6",
 		Title: "Fig. 6: ME-DNN accuracy loss across exit combinations (paper means: 1.62/0.55/0.44/1.14%)",

@@ -11,12 +11,12 @@ import (
 	"leime/internal/sim"
 )
 
-// Fig7 reproduces the overall-performance network sweep of Fig. 7: average
+// fig7 reproduces the overall-performance network sweep of Fig. 7: average
 // TCT of LEIME vs Neurosurgeon, Edgent and DDNN on a Raspberry Pi running
 // ME-Inception v3, across bandwidths and propagation delays. Paper speedups:
 // 4.4x/6.5x/18.7x under bandwidth variation and 4.2x/5.7x/14.5x under delay
 // variation, with the largest gaps in poor networks (< 10 Mbps, > 100 ms).
-func Fig7() Experiment {
+func fig7() Experiment {
 	return Experiment{
 		ID:    "fig7",
 		Title: "Fig. 7: TCT vs bandwidth and propagation delay, LEIME vs Neurosurgeon/Edgent/DDNN",

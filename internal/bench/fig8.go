@@ -9,12 +9,12 @@ import (
 	"leime/internal/model"
 )
 
-// Fig8 reproduces the per-model comparison of Fig. 8: average TCT of the
+// fig8 reproduces the per-model comparison of Fig. 8: average TCT of the
 // four schemes under each DNN on the Raspberry Pi and the Jetson Nano.
 // Paper: LEIME achieves 1.6–13.2x speedup on the Pi and 1.1–10.3x on the
 // Nano; Neurosurgeon tracks LEIME's shape (same partition) but slower;
 // Edgent and DDNN fluctuate widely across models.
-func Fig8() Experiment {
+func fig8() Experiment {
 	return Experiment{
 		ID:    "fig8",
 		Title: "Fig. 8: TCT per DNN model on Raspberry Pi and Jetson Nano, four schemes",

@@ -12,12 +12,12 @@ import (
 	"leime/internal/trace"
 )
 
-// Fig9 reproduces the stability study of Fig. 9: average TCT over time under
+// fig9 reproduces the stability study of Fig. 9: average TCT over time under
 // a dynamically changing task arrival rate, on the Raspberry Pi (upper) and
 // the Jetson Nano (lower). Paper: LEIME shows the smallest TCT and the best
 // stability; DDNN blows past the axis on the Pi (queue backlog) but not on
 // the Nano; Neurosurgeon fluctuates the most.
-func Fig9() Experiment {
+func fig9() Experiment {
 	return Experiment{
 		ID:    "fig9",
 		Title: "Fig. 9: TCT over time under dynamic arrival rates (stability), Pi and Nano",

@@ -10,12 +10,12 @@ import (
 	"leime/internal/model"
 )
 
-// Joint measures the extension of §III beyond the paper: optimizing the exit
+// joint measures the extension of §III beyond the paper: optimizing the exit
 // setting and the steady-state offloading ratio *jointly* instead of the
 // paper's sequential pipeline (solve P0 at x=0, then let the controller pick
 // x for those fixed exits). The expected-cost model is shared, so the
 // comparison isolates the value of co-optimization.
-func Joint() Experiment {
+func joint() Experiment {
 	return Experiment{
 		ID:    "ext-joint",
 		Title: "Extension: joint exit-setting + offloading co-optimization vs the paper's sequential pipeline",

@@ -13,10 +13,10 @@ import (
 	"leime/internal/sim"
 )
 
-// Motivation reproduces the two headline degradation numbers of §II-B:
+// motivation reproduces the two headline degradation numbers of §II-B:
 // improper exit settings cause 4.47x average degradation; improper task
 // offloading causes 2.85x.
-func Motivation() Experiment {
+func motivation() Experiment {
 	return Experiment{
 		ID:    "motivation",
 		Title: "§II-B: degradation from improper exit settings (paper: 4.47x) and improper offloading (paper: 2.85x)",

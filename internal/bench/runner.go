@@ -15,7 +15,7 @@ import (
 )
 
 // workers is the shared worker-pool width (0 means runtime.NumCPU()); RunAll
-// and the heavy experiments' inner sweeps read it through Parallelism.
+// and the heavy experiments' inner sweeps read it through poolWidth.
 var workers atomic.Int64
 
 // SetParallelism sets the worker-pool width used by RunAll and by the
@@ -28,20 +28,20 @@ func SetParallelism(n int) {
 	workers.Store(int64(n))
 }
 
-// Parallelism returns the current worker-pool width.
-func Parallelism() int {
+// poolWidth returns the current worker-pool width.
+func poolWidth() int {
 	if n := int(workers.Load()); n > 0 {
 		return n
 	}
 	return runtime.NumCPU()
 }
 
-// parallelFor runs fn(i) for every i in [0, n) on up to Parallelism()
+// parallelFor runs fn(i) for every i in [0, n) on up to poolWidth()
 // workers and returns the lowest-index error. At width 1 it degenerates to
 // the plain serial loop (including early exit on error), so experiment
 // output and error behavior at -parallel 1 match the pre-parallel code.
 func parallelFor(n int, fn func(i int) error) error {
-	width := Parallelism()
+	width := poolWidth()
 	if width > n {
 		width = n
 	}

@@ -44,20 +44,9 @@ func TestParallelForReturnsLowestIndexError(t *testing.T) {
 	}
 }
 
-// stripNondeterministic drops everything from the federation experiment on:
-// it and the experiments after it drive real socket testbeds whose
-// wall-clock numbers vary run to run (even two serial runs differ), so
-// byte-identity is asserted over everything before them.
-func stripNondeterministic(out string) string {
-	if i := strings.Index(out, "=== federation"); i >= 0 {
-		return out[:i]
-	}
-	return out
-}
-
 // TestRunAllParallelMatchesSerial is the determinism contract of the
-// parallel runner: for every deterministic experiment the bytes emitted at
-// -parallel N>1 equal the serial run's.
+// parallel runner: the bytes emitted at -parallel N>1 equal the serial
+// run's, for the whole output.
 func TestRunAllParallelMatchesSerial(t *testing.T) {
 	var serial, par bytes.Buffer
 	if _, err := RunAll(&serial, true, 1); err != nil {
@@ -79,8 +68,8 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 			t.Errorf("%s: non-positive wall time %v", r.ID, r.WallSeconds)
 		}
 	}
-	s, p := stripNondeterministic(serial.String()), stripNondeterministic(par.String())
-	if len(s) < 1000 || !strings.Contains(serial.String(), "=== federation") {
+	s, p := serial.String(), par.String()
+	if len(s) < 1000 || !strings.Contains(s, "=== ext-joint") {
 		t.Fatalf("suspicious serial output (%d bytes)", serial.Len())
 	}
 	if s != p {

@@ -158,8 +158,8 @@ func Plan(tenants []TenantDemand, accuracy [3]float64, budgetFLOPS float64) []in
 // when offered demand exceeds the budget, every tenant is uniformly capped
 // to exit 2 regardless of its accuracy profile. Because 3->2 frees no edge
 // compute the plan sacrifices deep-exit accuracy without relieving the
-// overload — the dominated baseline the selftune experiment's frontier
-// quantifies.
+// overload — the dominated baseline of the degradation frontier that
+// `leime-loadgen -policy-degrade blind` measures.
 func BlindPlan(tenants []TenantDemand, budgetFLOPS float64) []int {
 	caps := make([]int, len(tenants))
 	full := 3

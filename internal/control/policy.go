@@ -53,7 +53,7 @@ type DegradePolicy struct {
 	Enabled bool
 	// Blind reproduces the legacy strawman instead: under overload every
 	// tenant is uniformly capped to exit 2. Kept as a comparison baseline
-	// for the selftune experiment; it frees no edge compute.
+	// (`leime-loadgen -policy-degrade blind`); it frees no edge compute.
 	Blind bool
 	// Accuracy is the per-exit conditional accuracy profile the planner
 	// maximizes; the zero value selects the runtime's default profile.

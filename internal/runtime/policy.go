@@ -2,11 +2,11 @@ package runtime
 
 import "leime/internal/control"
 
-// DefaultDegradeUtilization is the fraction of the edge's FLOPS the
+// defaultDegradeUtilization is the fraction of the edge's FLOPS the
 // degradation planner budgets tenants against when
 // DegradePolicy.Utilization is zero; the 10% headroom absorbs arrival
 // burstiness around the mean rates the plan is computed from.
-const DefaultDegradeUtilization = 0.9
+const defaultDegradeUtilization = 0.9
 
 // DefaultExitAccuracy is the per-exit conditional accuracy profile assumed
 // by the degradation planner when DegradePolicy.Accuracy is zero. The
@@ -29,10 +29,10 @@ type (
 
 // withDegradeDefaults resolves the zero fields of a policy's degradation to
 // the documented defaults: DefaultExitAccuracy and
-// DefaultDegradeUtilization.
+// defaultDegradeUtilization.
 func withDegradeDefaults(p ControlPolicy) ControlPolicy {
 	if p.Degrade.Utilization <= 0 || p.Degrade.Utilization > 1 {
-		p.Degrade.Utilization = DefaultDegradeUtilization
+		p.Degrade.Utilization = defaultDegradeUtilization
 	}
 	if p.Degrade.Accuracy == ([3]float64{}) {
 		p.Degrade.Accuracy = DefaultExitAccuracy
