@@ -186,8 +186,14 @@ func splitmix64(x uint64) uint64 {
 // emit for the sample: a logistic in (depth - difficulty) plus per-sample
 // noise. Scores are in (0, 1).
 func (m *Model) Confidence(s dataset.Sample, exit int) float64 {
+	return m.confidence(s, exit, m.sampleNoise(s.ID))
+}
+
+// confidence is Confidence with the sample's noise already drawn, so loops
+// over exits draw it once per sample.
+func (m *Model) confidence(s dataset.Sample, exit int, noise float64) float64 {
 	f := m.depths[exit-1]
-	margin := m.params.Slope*(f-s.Difficulty) + m.params.Bias + m.sampleNoise(s.ID)
+	margin := m.params.Slope*(f-s.Difficulty) + m.params.Bias + noise
 	return logistic(margin)
 }
 
@@ -197,12 +203,17 @@ func (m *Model) Confidence(s dataset.Sample, exit int) float64 {
 // degrades its prediction in proportion to the excess depth traversed and to
 // how easy the sample is (Kaya et al., reproduced in the paper's Fig. 6).
 func (m *Model) CorrectProb(s dataset.Sample, exit int) float64 {
+	return m.correctProb(s, exit, m.sampleNoise(s.ID))
+}
+
+// correctProb is CorrectProb with the sample's noise already drawn.
+func (m *Model) correctProb(s dataset.Sample, exit int, noise float64) float64 {
 	f := m.depths[exit-1]
 	// The same per-sample noise that raises confidence also raises
 	// correctness: calibrated networks' confidence is a strong predictor of
 	// being right, which is what makes threshold calibration able to admit
 	// large fractions of traffic at shallow exits.
-	p := logistic(m.params.AccSlope*(f-s.Difficulty) + m.params.AccBias + m.sampleNoise(s.ID))
+	p := logistic(m.params.AccSlope*(f-s.Difficulty) + m.params.AccBias + noise)
 	const slack = 0.05 // depth margin that never counts as overthinking
 	excess := f - s.Difficulty - slack
 	if excess > 0 && s.Difficulty < m.params.OverthinkCutoff {
@@ -288,9 +299,10 @@ func (m *Model) Sigma(ds *dataset.Dataset, th Thresholds) []float64 {
 	sigma := make([]float64, mExits)
 	n := ds.Len()
 	for _, s := range ds.Samples {
+		noise := m.sampleNoise(s.ID)
 		exited := false
 		for i := 1; i <= mExits; i++ {
-			if !exited && m.Confidence(s, i) >= th[i-1] {
+			if !exited && m.confidence(s, i, noise) >= th[i-1] {
 				exited = true
 			}
 			if exited {
@@ -341,18 +353,19 @@ func (m *Model) Evaluate(ds *dataset.Dataset, e1, e2 int, th Thresholds) (Eval, 
 	var out Eval
 	n := float64(ds.Len())
 	for _, s := range ds.Samples {
+		noise := m.sampleNoise(s.ID)
 		switch {
-		case m.Confidence(s, e1) >= th[e1-1]:
+		case m.confidence(s, e1, noise) >= th[e1-1]:
 			out.ExitFrac[0]++
-			out.Accuracy += m.CorrectProb(s, e1)
-		case m.Confidence(s, e2) >= th[e2-1]:
+			out.Accuracy += m.correctProb(s, e1, noise)
+		case m.confidence(s, e2, noise) >= th[e2-1]:
 			out.ExitFrac[1]++
-			out.Accuracy += m.CorrectProb(s, e2)
+			out.Accuracy += m.correctProb(s, e2, noise)
 		default:
 			out.ExitFrac[2]++
-			out.Accuracy += m.CorrectProb(s, mExits)
+			out.Accuracy += m.correctProb(s, mExits, noise)
 		}
-		out.BaselineAccuracy += m.CorrectProb(s, mExits)
+		out.BaselineAccuracy += m.correctProb(s, mExits, noise)
 	}
 	for i := range out.ExitFrac {
 		out.ExitFrac[i] /= n
@@ -387,9 +400,10 @@ func (m *Model) Report(ds *dataset.Dataset, th Thresholds) []ExitReport {
 	accSum := make([]float64, mExits)
 	count := make([]float64, mExits)
 	for _, s := range ds.Samples {
+		noise := m.sampleNoise(s.ID)
 		for i := 1; i <= mExits; i++ {
-			if i == mExits || m.Confidence(s, i) >= th[i-1] {
-				accSum[i-1] += m.CorrectProb(s, i)
+			if i == mExits || m.confidence(s, i, noise) >= th[i-1] {
+				accSum[i-1] += m.correctProb(s, i, noise)
 				count[i-1]++
 				break
 			}
@@ -417,44 +431,52 @@ func (m *Model) Report(ds *dataset.Dataset, th Thresholds) []ExitReport {
 // leave early as possible — the paper's "strictly set the threshold of each
 // exit ... while guaranteeing inference accuracy". It returns the thresholds
 // and the resulting sigma vector.
+//
+// Each exit's threshold is the smallest one, found by a 40-step bisection,
+// whose accepted samples have expected accuracy within lossBudget of what
+// the final exit scores on the full dataset. No score depends on the step,
+// so each exit scores every sample once and bisects over those scores: for
+// m exits and N samples that is m·N score evaluations plus 40·m·N
+// comparisons.
 func (m *Model) Calibrate(ds *dataset.Dataset, lossBudget float64) (Thresholds, []float64) {
 	mExits := m.profile.NumExits()
-	th := make(Thresholds, mExits)
-	for i := 1; i <= mExits; i++ {
-		th[i-1] = m.calibrateExit(ds, i, lossBudget)
-	}
-	return th, m.Sigma(ds, th)
-}
-
-// calibrateExit binary-searches the smallest threshold at exit i whose
-// accepted samples have expected accuracy within lossBudget of what the
-// final exit would score on the full dataset.
-func (m *Model) calibrateExit(ds *dataset.Dataset, exit int, lossBudget float64) float64 {
-	mExits := m.profile.NumExits()
+	n := ds.Len()
+	noise := make([]float64, n)
 	var fullAcc float64
-	for _, s := range ds.Samples {
-		fullAcc += m.CorrectProb(s, mExits)
+	for j, s := range ds.Samples {
+		noise[j] = m.sampleNoise(s.ID)
+		fullAcc += m.correctProb(s, mExits, noise[j])
 	}
-	fullAcc /= float64(ds.Len())
+	fullAcc /= float64(n)
 	target := fullAcc - lossBudget
 
-	lo, hi := 0.0, 1.0
-	for iter := 0; iter < 40; iter++ {
-		mid := (lo + hi) / 2
-		acc, count := 0.0, 0.0
-		for _, s := range ds.Samples {
-			if m.Confidence(s, exit) >= mid {
-				acc += m.CorrectProb(s, exit)
-				count++
+	conf := make([]float64, n)
+	correct := make([]float64, n)
+	th := make(Thresholds, mExits)
+	for i := 1; i <= mExits; i++ {
+		for j, s := range ds.Samples {
+			conf[j] = m.confidence(s, i, noise[j])
+			correct[j] = m.correctProb(s, i, noise[j])
+		}
+		lo, hi := 0.0, 1.0
+		for iter := 0; iter < 40; iter++ {
+			mid := (lo + hi) / 2
+			acc, count := 0.0, 0.0
+			for j, c := range conf {
+				if c >= mid {
+					acc += correct[j]
+					count++
+				}
+			}
+			if count == 0 || acc/count >= target {
+				hi = mid // accepted set accurate enough (or empty): can lower bar
+			} else {
+				lo = mid
 			}
 		}
-		if count == 0 || acc/count >= target {
-			hi = mid // accepted set accurate enough (or empty): can lower bar
-		} else {
-			lo = mid
-		}
+		th[i-1] = hi
 	}
-	return hi
+	return th, m.Sigma(ds, th)
 }
 
 func logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

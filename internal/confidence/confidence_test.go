@@ -268,3 +268,23 @@ func TestCalibrationArtifactRoundTrip(t *testing.T) {
 		t.Error("artifact with sigma_m != 1 accepted")
 	}
 }
+
+// BenchmarkCalibrate times one default-budget calibration of Inception v3
+// on 1000 samples, the offline step every system build runs.
+func BenchmarkCalibrate(b *testing.B) {
+	p := model.InceptionV3()
+	m, err := New(p, DefaultParams(p.Name), 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := dataset.Generate(dataset.CIFAR10Like, 1000, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	budget := DefaultLossBudget(p.Name)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Calibrate(ds, budget)
+	}
+}
