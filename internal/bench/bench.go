@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"leime/internal/cluster"
 	"leime/internal/confidence"
@@ -76,42 +75,14 @@ const (
 	calibSize = 1200
 )
 
-// calibEntry memoizes one architecture's calibration result; the sync.Once
-// guarantees dataset generation and threshold calibration run exactly once
-// per architecture per process, even when experiments race for it.
-type calibEntry struct {
-	once  sync.Once
-	sigma []float64
-	err   error
-}
-
-var (
-	calibMu    sync.Mutex
-	calibCache = make(map[string]*calibEntry)
-)
-
 // calibrated returns the profile's sigma vector on the standard workload.
-// Results are cached per profile name: the standard workload is fixed by
-// (calibSeed, calibSize), so any two profiles with the same name calibrate
-// identically. Callers must treat the returned slice as read-only — it is
-// shared across experiments and goroutines.
 func calibrated(p *model.Profile) ([]float64, error) {
-	calibMu.Lock()
-	e, ok := calibCache[p.Name]
-	if !ok {
-		e = &calibEntry{}
-		calibCache[p.Name] = e
+	ds, err := dataset.Generate(dataset.CIFAR10Like, calibSize, calibSeed)
+	if err != nil {
+		return nil, err
 	}
-	calibMu.Unlock()
-	e.once.Do(func() {
-		ds, err := dataset.Generate(dataset.CIFAR10Like, calibSize, calibSeed)
-		if err != nil {
-			e.err = err
-			return
-		}
-		_, _, e.sigma, e.err = confidence.Calibrated(p, ds, calibSeed)
-	})
-	return e.sigma, e.err
+	_, _, sigma, err := confidence.Calibrated(p, ds, calibSeed)
+	return sigma, err
 }
 
 // paramsFor builds the deployed ME-DNN parameters for an exit choice.

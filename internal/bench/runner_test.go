@@ -84,9 +84,9 @@ func TestRunAllParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestRunAllConcurrentWithCalibration exercises the parallel runner racing
-// the calibration cache from outside; run under -race it proves the new
-// concurrent paths are data-race free.
+// TestRunAllConcurrentWithCalibration runs the parallel runner while other
+// goroutines calibrate every architecture; run under -race it proves
+// calibration and the concurrent experiment paths share no mutable state.
 func TestRunAllConcurrentWithCalibration(t *testing.T) {
 	var wg sync.WaitGroup
 	errCh := make(chan error, 1)
