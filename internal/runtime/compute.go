@@ -30,13 +30,17 @@ type ExecOption func(*Executor)
 // seconds since construction), guarded by one mutex: it decides admission,
 // service order and batching exactly as it does for the simulator's
 // stations. The executor adds the wall clock: a dispatcher goroutine asks
-// the queue for work whenever the server is free and burns each batch's
-// amortized service (a sleep, or a spin below spinBelow), a CAS claim word
-// lets a submitter cancel a job still waiting, and Close drains what was
-// accepted. Without batching, a submitter that finds the executor idle
-// with nothing queued is handed its own job and burns it on its own
-// goroutine: the job arrived at an empty queue, so FIFO and EDF order are
-// unchanged and the dispatcher hop is skipped.
+// the queue for work whenever the server is free and burns each batch
+// from the start the queue names to that start plus its amortized service
+// (a sleep to that absolute instant, its last spinBelow spun), a CAS claim
+// word lets a submitter cancel a job still waiting, and Close drains what
+// was accepted. Service is paced: a burn that wakes late delays only its
+// own batch's result, and the next batch still starts at the modelled
+// finish, so sleep overshoot does not pile up in the queue. Without
+// batching, a submitter that finds the executor idle with nothing queued
+// is handed its own job and burns it on its own goroutine: the job arrived
+// at an empty queue, so FIFO and EDF order are unchanged and the
+// dispatcher hop is skipped.
 //
 // All capacity behaviour is configured through WithPolicy (ControlPolicy),
 // off by default: batching coalesces same-FLOPs jobs into amortized
@@ -59,6 +63,11 @@ type Executor struct {
 	q       *control.Queue[*job] // guarded by mu
 	pending int                  // guarded by mu: accepted, unfinished jobs
 	closed  bool                 // guarded by mu
+	free    time.Time            // guarded by mu: the last burn's modelled end
+
+	// burn holds the server from start until end; a test wraps it to watch
+	// the schedule or to wake late.
+	burn func(start, end time.Time)
 
 	// ready wakes the dispatcher (capacity 1: one token is enough, the
 	// dispatcher asks the queue afresh on every wake); timer wakes it when
@@ -91,9 +100,10 @@ func NewExecutor(rateFLOPS float64, scale Scale, opts ...ExecOption) (*Executor,
 	if rateFLOPS <= 0 {
 		return nil, fmt.Errorf("runtime: executor FLOPS %v must be positive", rateFLOPS)
 	}
-	e := &Executor{ready: make(chan struct{}, 1)}
+	e := &Executor{ready: make(chan struct{}, 1), burn: burnUntil}
 	e.scale = scale
 	e.start = time.Now()
+	e.free = e.start
 	atomic.StoreUint64(&e.rateBits, math.Float64bits(rateFLOPS))
 	for _, opt := range opts {
 		opt(e)
@@ -122,6 +132,36 @@ func (e *Executor) wake() {
 // modelSec places a wall-clock instant on the executor's model clock.
 func (e *Executor) modelSec(t time.Time) float64 {
 	return e.scale.ModelSeconds(t.Sub(e.start))
+}
+
+// wallAt places a model-clock instant on the wall clock.
+func (e *Executor) wallAt(sec float64) time.Time {
+	return e.start.Add(e.scale.Seconds(sec))
+}
+
+// next asks the queue, under mu, for a batch at the wall instant now and
+// places the batch's start on the wall clock: clamped into [the later of
+// its latest arrival and the last burn's end, now], against rounding
+// between the two clocks.
+func (e *Executor) next(now time.Time, modelNow float64) (batch []*job, start float64, at time.Time, wakeAt float64) {
+	batch, start, wakeAt = e.q.Next(modelNow)
+	if len(batch) == 0 {
+		return nil, 0, time.Time{}, wakeAt
+	}
+	at = e.wallAt(start)
+	lo := e.free
+	for _, j := range batch {
+		if j.enq.After(lo) {
+			lo = j.enq
+		}
+	}
+	if at.Before(lo) {
+		at = lo
+	}
+	if at.After(now) {
+		at = now
+	}
+	return batch, start, at, wakeAt
 }
 
 // Rate returns the current FLOPS rating.
@@ -242,10 +282,10 @@ func (e *Executor) DoTimedCtx(ctx context.Context, flops float64) (wait, service
 		// The server is idle and nothing waits ahead of this job: the queue
 		// hands it straight back, so serve it here. Registering in wg
 		// before releasing mu keeps it inside Close's drain.
-		batch, _ := e.q.Next(now)
+		batch, start, at, _ := e.next(j.enq, now)
 		e.wg.Add(1)
 		e.mu.Unlock()
-		if e.serve(batch, j.enq) {
+		if e.serve(batch, start, at) {
 			// Work queued behind this burn needs the dispatcher.
 			e.wake()
 		}
@@ -288,13 +328,22 @@ func (e *Executor) DoTimedCtx(ctx context.Context, flops float64) (wait, service
 // burns at a time.
 func (e *Executor) dispatcher() {
 	defer e.wg.Done()
+	wakeAt := math.Inf(1)
 	for {
 		e.mu.Lock()
 		now := time.Now()
-		batch, wakeAt := e.q.Next(e.modelSec(now))
+		modelNow := e.modelSec(now)
+		if !math.IsInf(wakeAt, 1) && !now.Before(e.wallAt(wakeAt)) {
+			// The timer fired at the held window's close on the wall
+			// clock: converted back, now may round below the close, and
+			// the queue would hold the window again.
+			modelNow = math.Max(modelNow, wakeAt)
+		}
+		batch, start, at, closes := e.next(now, modelNow)
+		wakeAt = closes
 		if len(batch) > 0 {
 			e.mu.Unlock()
-			e.serve(batch, now)
+			e.serve(batch, start, at)
 			continue
 		}
 		if e.closed && e.pending == 0 {
@@ -303,25 +352,37 @@ func (e *Executor) dispatcher() {
 		}
 		e.mu.Unlock()
 		if !math.IsInf(wakeAt, 1) {
-			e.timer.Reset(time.Until(e.start.Add(e.scale.Seconds(wakeAt))))
+			e.timer.Reset(time.Until(e.wallAt(wakeAt)))
 		}
 		<-e.ready
 	}
 }
 
-// spinBelow is the shortest service serve sleeps: about what parking and
-// waking a goroutine costs, so a shorter service is spun to its end
-// instead, and a sleep would burn several times the service it models.
+// spinBelow is how far short of a burn's end burnUntil stops sleeping:
+// about what parking and waking a goroutine costs, so a service shorter
+// than that is spun whole instead of slept.
 const spinBelow = time.Microsecond
 
-// serve burns one batch the queue handed out at start: it claims each job
-// against its submitter's cancel, burns one amortized service for the
-// survivors (spun to start plus the service when that is under spinBelow,
-// slept otherwise), publishes identical service observations to each and
-// reports the batch done. A batch of one degenerates exactly to the
-// unbatched single-job burn. It reports whether accepted work remains or
-// the executor closed — the dispatcher's cue after an inline burn.
-func (e *Executor) serve(batch []*job, start time.Time) bool {
+// burnUntil holds the server until end: it sleeps to spinBelow short of
+// end and spins the rest. A burn that starts late ends early.
+func burnUntil(_, end time.Time) {
+	if d := time.Until(end) - spinBelow; d > 0 {
+		time.Sleep(d)
+	}
+	for time.Now().Before(end) {
+	}
+}
+
+// serve burns one batch the queue handed out at the model instant start,
+// at on the wall clock: it claims each job against its submitter's cancel
+// and burns the survivors' one amortized service from at. Each survivor
+// is told the wait from its arrival to at and the service from at to the
+// burn's return, so service is never under the modelled one; the queue is
+// told the batch is done at its modelled end, however late the burn
+// returned. A batch of one degenerates exactly to the unbatched single-job
+// burn. It reports whether accepted work remains or the executor closed —
+// the dispatcher's cue after an inline burn.
+func (e *Executor) serve(batch []*job, start float64, at time.Time) bool {
 	var head *job
 	live := 0
 	for _, j := range batch {
@@ -332,29 +393,29 @@ func (e *Executor) serve(batch []*job, start time.Time) bool {
 			live++
 		}
 	}
-	var service time.Duration
+	finish, end := start, at
 	if live > 0 {
-		if d := e.scale.Seconds(e.batch.Amortized(head.flops, live) / e.Rate()); d >= spinBelow {
-			time.Sleep(d)
-		} else if d > 0 {
-			for end := start.Add(d); time.Now().Before(end); {
-			}
-		}
-		service = time.Since(start)
+		sec := e.batch.Amortized(head.flops, live) / e.Rate()
+		finish, end = start+sec, at.Add(e.scale.Seconds(sec))
+		e.burn(at, end)
 	}
+	now := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for _, j := range batch {
 		if claimed(j) {
-			j.wait = start.Sub(j.enq)
-			j.service = service
+			j.wait = at.Sub(j.enq)
+			j.service = now.Sub(at)
 		}
 		if j.done != nil { // nil for a job served inline
 			close(j.done)
 		}
 	}
 	e.pending -= len(batch)
-	e.q.Done(e.modelSec(start.Add(service)), claimed)
+	e.free = end
+	// The modelled end, but never past the clock, so no later Next is
+	// asked at an instant before the server came free.
+	e.q.Done(math.Min(finish, e.modelSec(now)), claimed)
 	return e.pending > 0 || e.closed
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -301,11 +302,26 @@ func TestExecutorBatchCoalescingPinned(t *testing.T) {
 // server was idle and nothing was queued) and by the dispatcher (it
 // queued). In each of 25 rounds eight goroutines submit a mixed-class
 // ~1ms job at once: the first to arrive finds the executor idle and
-// serves itself, the rest queue behind it. Burns that never overlap
-// report services summing to at most the run's wall time; a dispatcher
-// serving the queue beside the inline burn would exceed it.
+// serves itself, the rest queue behind it. Every burn's start and
+// modelled end, the schedule the executor reports waits from, is
+// recorded: each burn starts no earlier than the one before it ends. A
+// dispatcher serving the queue beside the inline burn would start a burn
+// inside another. (Reported services may overlap: a paced burn starts at
+// its predecessor's modelled end, however late that one woke.)
 func TestExecutorInlineKeepsOneServer(t *testing.T) {
-	e, err := NewExecutor(1e9, 1)
+	type span struct{ start, end time.Time }
+	var (
+		mu    sync.Mutex
+		burns []span
+	)
+	e, err := NewExecutor(1e9, 1, func(e *Executor) {
+		e.burn = func(start, end time.Time) {
+			mu.Lock()
+			burns = append(burns, span{start, end})
+			mu.Unlock()
+			burnUntil(start, end)
+		}
+	})
 	if err != nil {
 		t.Fatalf("NewExecutor: %v", err)
 	}
@@ -315,33 +331,83 @@ func TestExecutorInlineKeepsOneServer(t *testing.T) {
 		rounds  = 25
 	)
 	classes := []float64{1e6, 1.2e6, 0.8e6}
-	var serviceSum atomic.Int64
-	start := time.Now()
 	for r := 0; r < rounds; r++ {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(flops float64) {
 				defer wg.Done()
-				_, service, err := e.DoTimed(flops)
-				if err != nil {
+				if _, _, err := e.DoTimed(flops); err != nil {
 					t.Errorf("round %d: %v", r, err)
-					return
 				}
-				serviceSum.Add(int64(service))
 			}(classes[(r+w)%len(classes)])
 		}
 		wg.Wait()
 	}
-	wall := time.Since(start)
-	if sum := time.Duration(serviceSum.Load()); sum > wall {
-		t.Errorf("services sum to %v over a %v run: burns overlapped", sum, wall)
+	mu.Lock()
+	defer mu.Unlock()
+	if len(burns) != workers*rounds {
+		t.Fatalf("%d burns, want %d", len(burns), workers*rounds)
+	}
+	sort.Slice(burns, func(a, b int) bool { return burns[a].start.Before(burns[b].start) })
+	for k := 1; k < len(burns); k++ {
+		if prev := burns[k-1]; burns[k].start.Before(prev.end) {
+			t.Fatalf("burn %d starts %v before burn %d's modelled end: two burns at once", k, prev.end.Sub(burns[k].start), k-1)
+		}
 	}
 	if got := e.Pending(); got != 0 {
 		t.Errorf("Pending after run = %d, want 0", got)
 	}
 	if got := e.BacklogSeconds(); got < -1e-9 || got > 1e-9 {
 		t.Errorf("BacklogSeconds after run = %v, want 0", got)
+	}
+}
+
+// TestExecutorPacedWaitIgnoresWakeLateness pins paced service: every burn
+// here wakes 2 ms after its modelled end, yet the k-th job queued behind
+// a head job on an unbatched executor reports a wait of at most the
+// modelled service of the jobs ahead of it. The next burn starts at the
+// modelled end, so a late wake delays only its own job's result; the
+// lateness is the test's, not the host's, so the bound holds on any host.
+func TestExecutorPacedWaitIgnoresWakeLateness(t *testing.T) {
+	const (
+		late   = 2 * time.Millisecond
+		headD  = 50 * time.Millisecond
+		eachD  = 5 * time.Millisecond
+		queued = 5
+	)
+	e, err := NewExecutor(1e9, 1, func(e *Executor) { // one FLOP is one nanosecond
+		e.burn = func(start, end time.Time) { burnUntil(start, end.Add(late)) }
+	})
+	if err != nil {
+		t.Fatalf("NewExecutor: %v", err)
+	}
+	defer e.Close()
+	var wg sync.WaitGroup
+	run := func(d time.Duration, wait *time.Duration) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, _, err := e.DoTimed(float64(d.Nanoseconds()))
+			if err != nil {
+				t.Errorf("DoTimed(%v): %v", d, err)
+			}
+			*wait = w
+		}()
+	}
+	var headWait time.Duration
+	waits := make([]time.Duration, queued)
+	run(headD, &headWait)
+	waitUntil(t, "head accepted", func() bool { return e.Pending() == 1 })
+	for k := range waits {
+		run(eachD, &waits[k])
+		waitUntil(t, "job queued", func() bool { return e.Pending() >= k+2 })
+	}
+	wg.Wait()
+	for k, w := range waits {
+		if ahead := headD + time.Duration(k)*eachD; w > ahead {
+			t.Errorf("queued job %d waited %v, more than the %v modelled ahead of it", k, w, ahead)
+		}
 	}
 }
 

@@ -205,7 +205,7 @@ func (s *station) offer(e *engine, j control.Job, extraDelay float64, done func(
 // one amortized service and finishes together; a held window schedules a
 // wake at its close.
 func (s *station) serve(e *engine) {
-	batch, wakeAt := s.q.Next(e.Now())
+	batch, start, wakeAt := s.q.Next(e.Now())
 	if len(batch) == 0 {
 		if !math.IsInf(wakeAt, 1) && wakeAt != s.wakeAt {
 			s.wakeAt = wakeAt
@@ -218,7 +218,6 @@ func (s *station) serve(e *engine) {
 		return
 	}
 	jobs := append([]*stationJob(nil), batch...)
-	start := e.Now()
 	service := s.q.Policy().Batch.Amortized(jobs[0].dur, len(jobs))
 	finish := start + service
 	s.busyTotal += service
