@@ -33,15 +33,6 @@ func (n Node) Validate() error {
 	return nil
 }
 
-// ComputeSeconds returns the time in seconds the node needs to perform the
-// given number of floating point operations.
-func (n Node) ComputeSeconds(flops float64) float64 {
-	if flops <= 0 {
-		return 0
-	}
-	return flops / n.FLOPS
-}
-
 // Path is a network link between two tiers of the hierarchy.
 type Path struct {
 	// BandwidthBps is the usable bandwidth in bits per second.

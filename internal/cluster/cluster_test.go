@@ -15,16 +15,6 @@ func TestNodeValidate(t *testing.T) {
 	}
 }
 
-func TestComputeSeconds(t *testing.T) {
-	n := Node{Name: "x", FLOPS: 1e9}
-	if got := n.ComputeSeconds(5e8); got != 0.5 {
-		t.Errorf("ComputeSeconds = %v, want 0.5", got)
-	}
-	if got := n.ComputeSeconds(-1); got != 0 {
-		t.Errorf("negative FLOPs should cost 0, got %v", got)
-	}
-}
-
 func TestPathTransferSeconds(t *testing.T) {
 	p := Path{BandwidthBps: 8e6, LatencySec: 0.05}
 	if got := p.TransferSeconds(1e6); math.Abs(got-1.05) > 1e-12 {

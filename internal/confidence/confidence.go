@@ -280,15 +280,6 @@ func ReadArtifact(r io.Reader, p *model.Profile) (CalibrationArtifact, error) {
 	return a, nil
 }
 
-// UniformThresholds returns the same threshold at every exit.
-func (m *Model) UniformThresholds(theta float64) Thresholds {
-	t := make(Thresholds, m.profile.NumExits())
-	for i := range t {
-		t[i] = theta
-	}
-	return t
-}
-
 // Sigma returns the cumulative exit-rate vector sigma over the dataset: entry
 // i-1 is the fraction of samples whose confidence meets the threshold at exit
 // i or any shallower exit. The final entry is forced to 1 (every task exits

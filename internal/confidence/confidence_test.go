@@ -27,7 +27,7 @@ func TestSigmaMonotoneAndTerminal(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			m, ds := newModel(t, p)
-			sigma := m.Sigma(ds, m.UniformThresholds(0.6))
+			sigma := m.Sigma(ds, uniformThresholds(m, 0.6))
 			if len(sigma) != p.NumExits() {
 				t.Fatalf("sigma length %d, want %d", len(sigma), p.NumExits())
 			}
@@ -70,7 +70,7 @@ func TestEasierDatasetExitsEarlier(t *testing.T) {
 	m, _ := newModel(t, p)
 	easy, _ := dataset.Generate(dataset.CIFAR10Like.WithEasyFrac(0.9), 2000, 5)
 	hard, _ := dataset.Generate(dataset.CIFAR10Like.WithEasyFrac(0.05), 2000, 5)
-	th := m.UniformThresholds(0.6)
+	th := uniformThresholds(m, 0.6)
 	se := m.Sigma(easy, th)
 	sh := m.Sigma(hard, th)
 	mid := p.NumExits() / 2
@@ -84,7 +84,7 @@ func TestEvaluateExitFracsSumToOne(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			m, ds := newModel(t, p)
-			th := m.UniformThresholds(0.6)
+			th := uniformThresholds(m, 0.6)
 			ev, err := m.Evaluate(ds, 2, p.NumExits()-1, th)
 			if err != nil {
 				t.Fatalf("Evaluate: %v", err)
@@ -106,7 +106,7 @@ func TestEvaluateExitFracsSumToOne(t *testing.T) {
 func TestEvaluateRejectsBadExits(t *testing.T) {
 	p := model.VGG16()
 	m, ds := newModel(t, p)
-	th := m.UniformThresholds(0.6)
+	th := uniformThresholds(m, 0.6)
 	for _, c := range []struct{ e1, e2 int }{{0, 5}, {5, 5}, {5, p.NumExits()}} {
 		if _, err := m.Evaluate(ds, c.e1, c.e2, th); err == nil {
 			t.Errorf("Evaluate(%d,%d) expected error", c.e1, c.e2)
@@ -287,4 +287,13 @@ func BenchmarkCalibrate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.Calibrate(ds, budget)
 	}
+}
+
+// uniformThresholds returns theta at every exit of m.
+func uniformThresholds(m *Model, theta float64) Thresholds {
+	t := make(Thresholds, m.profile.NumExits())
+	for i := range t {
+		t[i] = theta
+	}
+	return t
 }

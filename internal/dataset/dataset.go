@@ -133,18 +133,6 @@ func (m Mixture) draw(rng *rand.Rand) float64 {
 	return clamp01(d)
 }
 
-// MeanDifficulty returns the dataset's empirical mean difficulty.
-func (d *Dataset) MeanDifficulty() float64 {
-	if len(d.Samples) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, s := range d.Samples {
-		sum += s.Difficulty
-	}
-	return sum / float64(len(d.Samples))
-}
-
 // Len returns the number of samples.
 func (d *Dataset) Len() int { return len(d.Samples) }
 

@@ -53,10 +53,17 @@ func TestDifficultyRange(t *testing.T) {
 func TestEasyFracShiftsMeanDifficulty(t *testing.T) {
 	easy, _ := Generate(CIFAR10Like.WithEasyFrac(0.9), 3000, 11)
 	hard, _ := Generate(CIFAR10Like.WithEasyFrac(0.1), 3000, 11)
-	if easy.MeanDifficulty() >= hard.MeanDifficulty() {
-		t.Errorf("easier mixture should have lower mean difficulty: %v vs %v",
-			easy.MeanDifficulty(), hard.MeanDifficulty())
+	if e, h := meanDifficulty(easy), meanDifficulty(hard); e >= h {
+		t.Errorf("easier mixture should have lower mean difficulty: %v vs %v", e, h)
 	}
+}
+
+func meanDifficulty(d *Dataset) float64 {
+	var sum float64
+	for _, s := range d.Samples {
+		sum += s.Difficulty
+	}
+	return sum / float64(len(d.Samples))
 }
 
 func TestWithEasyFracKeepsValid(t *testing.T) {

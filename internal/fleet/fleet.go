@@ -157,13 +157,6 @@ func (r *Registry) Join(addr string) {
 	r.members[addr] = &Member{Addr: addr, State: StateJoined}
 }
 
-// Leave removes an edge from the registry; unknown addresses are a no-op.
-func (r *Registry) Leave(addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.members, addr)
-}
-
 // Poll runs one synchronous heartbeat round: every member is probed once,
 // in sorted address order, and its state advanced from the outcome. The
 // caller's context bounds the whole round (each probe inherits it).
@@ -250,8 +243,8 @@ func (r *Registry) Member(addr string) (Member, bool) {
 	return *m, true
 }
 
-// Snapshot returns every member sorted by address.
-func (r *Registry) Snapshot() []Member {
+// snapshot returns every member sorted by address.
+func (r *Registry) snapshot() []Member {
 	out := make([]Member, 0)
 	for _, addr := range r.addrs() {
 		if m, ok := r.Member(addr); ok {
@@ -265,21 +258,8 @@ func (r *Registry) Snapshot() []Member {
 // by address.
 func (r *Registry) Ready() []Member {
 	var out []Member
-	for _, m := range r.Snapshot() {
+	for _, m := range r.snapshot() {
 		if m.State == StateReady {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// Alive returns the members answering heartbeats (StateJoined or
-// StateReady), sorted by address. Alive-but-not-ready edges may be selected
-// by devices — registering there warms them — but get no task traffic.
-func (r *Registry) Alive() []Member {
-	var out []Member
-	for _, m := range r.Snapshot() {
-		if m.State == StateJoined || m.State == StateReady {
 			out = append(out, m)
 		}
 	}

@@ -65,10 +65,6 @@ func (s *Summary) Add(v float64) {
 // longer retained in reservoir mode).
 func (s *Summary) Count() int { return s.seen }
 
-// SampleSize returns how many observations are retained; below Count once a
-// reservoir has wrapped.
-func (s *Summary) SampleSize() int { return len(s.values) }
-
 // Mean returns the arithmetic mean over every observation (0 when empty).
 func (s *Summary) Mean() float64 {
 	if s.seen == 0 {
@@ -245,32 +241,6 @@ func formatFloat(v float64) string {
 	default:
 		return fmt.Sprintf("%.4f", v)
 	}
-}
-
-// CSV renders the table as comma-separated values (header row first),
-// quoting cells that contain commas or quotes.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			if strings.ContainsAny(c, ",\"\n") {
-				b.WriteByte('"')
-				b.WriteString(strings.ReplaceAll(c, "\"", "\"\""))
-				b.WriteByte('"')
-			} else {
-				b.WriteString(c)
-			}
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	for _, row := range t.rows {
-		writeRow(row)
-	}
-	return b.String()
 }
 
 // String renders the table.

@@ -170,14 +170,3 @@ func TestHistogramEdgeCases(t *testing.T) {
 		t.Errorf("constant summary render: %q", out)
 	}
 }
-
-func TestTableCSV(t *testing.T) {
-	tb := NewTable("scheme", "note")
-	tb.AddRow("LEIME", "fast, stable")
-	tb.AddRow("DDNN", `says "deep"`)
-	got := tb.CSV()
-	want := "scheme,note\nLEIME,\"fast, stable\"\nDDNN,\"says \"\"deep\"\"\"\n"
-	if got != want {
-		t.Errorf("CSV:\n%q\nwant:\n%q", got, want)
-	}
-}

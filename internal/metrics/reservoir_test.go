@@ -17,8 +17,8 @@ func TestReservoirBoundsMemoryAndKeepsExactMoments(t *testing.T) {
 		r.Add(v)
 		exact.Add(v)
 	}
-	if r.SampleSize() != capacity {
-		t.Errorf("sample size %d, want pinned at capacity %d", r.SampleSize(), capacity)
+	if len(r.values) != capacity {
+		t.Errorf("sample size %d, want pinned at capacity %d", len(r.values), capacity)
 	}
 	if r.Count() != n {
 		t.Errorf("count %d, want %d (all observations)", r.Count(), n)

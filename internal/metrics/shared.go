@@ -57,15 +57,3 @@ func (s *SharedSummary) Percentile(p float64) float64 {
 	defer s.mu.Unlock()
 	return s.s.Percentile(p)
 }
-
-// Percentiles returns the requested percentiles under one lock acquisition
-// and one sort — the report-rendering path asks for p50/p95/p99 together.
-func (s *SharedSummary) Percentiles(ps ...float64) []float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]float64, len(ps))
-	for i, p := range ps {
-		out[i] = s.s.Percentile(p)
-	}
-	return out
-}

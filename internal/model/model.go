@@ -214,17 +214,6 @@ func (p *Profile) RangeFLOPs(lo, hi int) float64 {
 	return p.CumulativeFLOPs(hi) - p.CumulativeFLOPs(lo)
 }
 
-// DepthFraction returns the fraction of total backbone FLOPs completed after
-// the 1-based element index i. It is the depth coordinate the confidence
-// model uses.
-func (p *Profile) DepthFraction(i int) float64 {
-	total := p.TotalFLOPs()
-	if total == 0 {
-		return 0
-	}
-	return p.CumulativeFLOPs(i) / total
-}
-
 // Validate reports whether the profile is internally consistent: positive
 // FLOPs, consistent conv shapes, and positive data sizes.
 func (p *Profile) Validate() error {

@@ -140,14 +140,14 @@ func TestDepthFractionMonotone(t *testing.T) {
 	for _, p := range All() {
 		prev := 0.0
 		for i := 1; i <= p.NumExits(); i++ {
-			f := p.DepthFraction(i)
+			f := p.CumulativeFLOPs(i) / p.TotalFLOPs()
 			if f <= prev {
-				t.Errorf("%s: DepthFraction(%d)=%v not > DepthFraction(%d)=%v", p.Name, i, f, i-1, prev)
+				t.Errorf("%s: depth fraction at %d = %v not > %v at %d", p.Name, i, f, prev, i-1)
 			}
 			prev = f
 		}
 		if math.Abs(prev-1) > 1e-12 {
-			t.Errorf("%s: DepthFraction(m)=%v, want 1", p.Name, prev)
+			t.Errorf("%s: depth fraction at the last exit = %v, want 1", p.Name, prev)
 		}
 	}
 }

@@ -89,7 +89,7 @@ func (f Fault) Validate() error {
 // can black the link out, reset flows probabilistically or spike latency.
 // Its zero value is an unshaped, zero-latency, healthy link.
 type Shaper struct {
-	link Link
+	link Link // fixed at NewShaper
 
 	mu       sync.Mutex
 	fault    Fault
@@ -105,27 +105,6 @@ func NewShaper(link Link, seed int64) (*Shaper, error) {
 	return &Shaper{link: link, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Link returns the shaper's currently configured link.
-func (s *Shaper) Link() Link {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.link
-}
-
-// SetLink replaces the link conditions at runtime (a bandwidth/latency
-// change on a live connection — the wild-edge churn the paper motivates).
-// Messages already admitted keep their old pacing; later messages see the
-// new conditions.
-func (s *Shaper) SetLink(link Link) error {
-	if err := link.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.link = link
-	s.mu.Unlock()
-	return nil
-}
-
 // SetFault replaces the injected fault state at runtime: tests and chaos
 // harnesses flip blackouts, loss and latency spikes on a live connection.
 func (s *Shaper) SetFault(f Fault) error {
@@ -136,13 +115,6 @@ func (s *Shaper) SetFault(f Fault) error {
 	s.fault = f
 	s.mu.Unlock()
 	return nil
-}
-
-// Fault returns the currently injected fault state.
-func (s *Shaper) Fault() Fault {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fault
 }
 
 // inject decides one message's fate under the current fault: a non-nil

@@ -10,7 +10,7 @@ import (
 
 func benchServer(b *testing.B) *Server {
 	b.Helper()
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		req := body.(echoReq)
 		return echoResp{Text: req.Text, N: req.N}, nil
 	})
@@ -115,8 +115,8 @@ func BenchmarkCallConcurrent(b *testing.B) {
 
 // benchLarge round-trips one Bytes body of the given size per iteration
 // against handler, reporting payload bytes moved per call.
-func benchLarge(b *testing.B, size int, handler Handler) {
-	s, err := Serve("127.0.0.1:0", handler)
+func benchLarge(b *testing.B, size int, handler MetaHandler) {
+	s, err := ServeMeta("127.0.0.1:0", handler)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func benchLarge(b *testing.B, size int, handler Handler) {
 // body: the frame crosses the wire both ways, and the client's reply frame
 // is its one exact-size allocation per call.
 func BenchmarkLargePayload(b *testing.B) {
-	benchLarge(b, 64<<10, func(_ context.Context, body any) (any, error) { return body, nil })
+	benchLarge(b, 64<<10, func(_ context.Context, _ Meta, body any) (any, error) { return body, nil })
 }
 
 // BenchmarkCallLarge is the edge-to-cloud hop of an exit-3 task: a 192 KiB
@@ -149,7 +149,7 @@ func BenchmarkLargePayload(b *testing.B) {
 // buffer on this path is pooled, so steady-state B/op stays in the
 // kilobytes; CI holds it there (BENCH_13.json ci_budgets).
 func BenchmarkCallLarge(b *testing.B) {
-	benchLarge(b, 192<<10, func(_ context.Context, body any) (any, error) {
+	benchLarge(b, 192<<10, func(_ context.Context, _ Meta, body any) (any, error) {
 		return echoResp{N: len(body.(benchTaskReq).Payload)}, nil
 	})
 }

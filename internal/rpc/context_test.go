@@ -306,11 +306,11 @@ func TestRegisteredErrorCrossesWire(t *testing.T) {
 	leakCheck(t)
 	sentinel := errors.New("rpc_test: flaky storage")
 	RegisterError("rpc_test/flaky", sentinel)
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		return nil, &wrapErr{cause: sentinel, msg: "load shard 7"}
 	})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	defer s.Close()
 	c, err := Dial(s.Addr(), nil)

@@ -14,7 +14,7 @@ type panicReq struct{ Msg string }
 
 func startHardenedServer(t *testing.T) *Server {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		switch req := body.(type) {
 		case panicReq:
 			panic(req.Msg)
@@ -25,7 +25,7 @@ func startHardenedServer(t *testing.T) *Server {
 		}
 	})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	return s
@@ -103,7 +103,7 @@ func TestCorruptFrameClosesOnlyThatConnection(t *testing.T) {
 // its deadline, and the connection must keep serving.
 func TestUnencodableReplyAnswersCaller(t *testing.T) {
 	type unregistered struct{ X int }
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		switch body.(echoReq).Text {
 		case "huge":
 			return benchTaskReq{Payload: make([]byte, MaxMessageBytes)}, nil
@@ -113,7 +113,7 @@ func TestUnencodableReplyAnswersCaller(t *testing.T) {
 		return body, nil
 	})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	defer s.Close()
 	c, err := Dial(s.Addr(), nil)
@@ -184,7 +184,7 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 		t.Error("call to closed server hung")
 	}
 	// A fresh server on a fresh port accepts a fresh client.
-	s2, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) { return body, nil })
+	s2, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) { return body, nil })
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}

@@ -77,9 +77,9 @@ func checkPattern(p []byte, seed uint64) error {
 // reply is written makes the encoder write its header over the bytes it is
 // about to copy.
 func TestEchoedRequestOutlivesItsFrame(t *testing.T) {
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) { return body, nil })
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) { return body, nil })
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	defer s.Close()
 	c, err := Dial(s.Addr(), nil)
@@ -108,7 +108,7 @@ func TestEchoedRequestOutlivesItsFrame(t *testing.T) {
 // pattern and, under -race, as a write racing the read.
 func TestPooledFrameLifetimeStress(t *testing.T) {
 	var entered atomic.Uint64
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		req := body.(benchTaskReq)
 		if err := checkPattern(req.Payload, req.TaskID); err != nil {
 			return nil, fmt.Errorf("on entry: %w", err)
@@ -125,7 +125,7 @@ func TestPooledFrameLifetimeStress(t *testing.T) {
 		return req, nil
 	})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	defer s.Close()
 

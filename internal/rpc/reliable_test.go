@@ -167,7 +167,7 @@ func TestReliableRetriesIdempotentAfterReconnect(t *testing.T) {
 	_ = s.Close()
 	// Restart on the same port; a racing retry may land before the new
 	// listener is up, which the retry budget absorbs.
-	s2, err := Serve(addr, func(_ context.Context, body any) (any, error) { return body, nil })
+	s2, err := ServeMeta(addr, func(_ context.Context, _ Meta, body any) (any, error) { return body, nil })
 	if err != nil {
 		t.Fatalf("restart on %s: %v", addr, err)
 	}
@@ -254,7 +254,7 @@ func TestReliableBreakerOpensAndRecovers(t *testing.T) {
 	}
 	// Restart the peer; after the cooldown the next call is the half-open
 	// probe, succeeds, and the breaker closes.
-	s2, err := Serve(addr, func(_ context.Context, body any) (any, error) { return body, nil })
+	s2, err := ServeMeta(addr, func(_ context.Context, _ Meta, body any) (any, error) { return body, nil })
 	if err != nil {
 		t.Fatalf("restart: %v", err)
 	}
@@ -306,9 +306,9 @@ func TestReliableClosed(t *testing.T) {
 
 func TestReliableOnConnectFailureDiscardsConnection(t *testing.T) {
 	leakCheck(t)
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) { return body, nil })
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) { return body, nil })
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	defer s.Close()
 	fail := atomic.Bool{}

@@ -272,8 +272,9 @@ func readPooledFrame(r io.Reader) (*envelope, []byte, error) {
 	return env, buf, nil
 }
 
-// Handler processes one request body and returns a reply body or an error.
-// The context's Deadline is the caller's propagated envelope deadline (if
+// MetaHandler processes one request body, with the request's envelope
+// metadata (so servers can continue the caller's trace), and returns a reply
+// body or an error. The context's Deadline is the caller's propagated envelope deadline (if
 // any), carried as a value: no timer backs it, and Done closes only when the
 // server shuts down. A handler that blocks on the network arms its own
 // timer, context.WithDeadline(ctx, d); one that only computes reads the
@@ -282,10 +283,6 @@ func readPooledFrame(r io.Reader) (*envelope, []byte, error) {
 // encoded: a handler may read them, forward them synchronously and return
 // them in its reply, but must copy what it keeps. Strings are copies and
 // may be kept.
-type Handler func(ctx context.Context, body any) (any, error)
-
-// MetaHandler additionally receives the request's envelope metadata, so
-// servers can continue the caller's trace.
 type MetaHandler func(ctx context.Context, meta Meta, body any) (any, error)
 
 // ServeOption customizes a server.
@@ -317,20 +314,8 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// Serve starts a server on addr ("127.0.0.1:0" for an ephemeral port) and
-// returns it; the returned server is already accepting. Handlers that need
-// the envelope metadata use ServeMeta instead.
-func Serve(addr string, handler Handler, opts ...ServeOption) (*Server, error) {
-	if handler == nil {
-		return nil, errors.New("rpc: nil handler")
-	}
-	return ServeMeta(addr, func(ctx context.Context, _ Meta, body any) (any, error) {
-		return handler(ctx, body)
-	}, opts...)
-}
-
-// ServeMeta is Serve for handlers that consume the request metadata (the
-// caller's trace context).
+// ServeMeta starts a server on addr ("127.0.0.1:0" for an ephemeral port)
+// and returns it; the returned server is already accepting.
 func ServeMeta(addr string, handler MetaHandler, opts ...ServeOption) (*Server, error) {
 	if handler == nil {
 		return nil, errors.New("rpc: nil handler")

@@ -85,7 +85,7 @@ func init() {
 
 func startEcho(t *testing.T) *Server {
 	t.Helper()
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		switch req := body.(type) {
 		case echoReq:
 			if req.Text == "boom" {
@@ -100,7 +100,7 @@ func startEcho(t *testing.T) *Server {
 		}
 	})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	t.Cleanup(func() { _ = s.Close() })
 	return s
@@ -296,9 +296,6 @@ func TestDialUnreachable(t *testing.T) {
 }
 
 func TestServeNilHandler(t *testing.T) {
-	if _, err := Serve("127.0.0.1:0", nil); err == nil {
-		t.Error("nil handler accepted")
-	}
 	if _, err := ServeMeta("127.0.0.1:0", nil); err == nil {
 		t.Error("nil meta handler accepted")
 	}

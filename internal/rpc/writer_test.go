@@ -21,14 +21,14 @@ func TestWriteFailureFailsQueuedCalls(t *testing.T) {
 	leakCheck(t)
 	const n = 8
 	var active atomic.Int32
-	s, err := Serve("127.0.0.1:0", func(ctx context.Context, _ any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(ctx context.Context, _ Meta, _ any) (any, error) {
 		active.Add(1)
 		defer active.Add(-1)
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	defer s.Close()
 	shaper, err := netem.NewShaper(netem.Link{Latency: 500 * time.Millisecond}, 1)
@@ -99,13 +99,13 @@ func TestWriteFailureFailsQueuedCalls(t *testing.T) {
 // see the bytes as they were at the call.
 func TestAbandonedCallReturnsAfterItsEncode(t *testing.T) {
 	seen := make(chan error, 2)
-	s, err := Serve("127.0.0.1:0", func(_ context.Context, body any) (any, error) {
+	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		req := body.(benchTaskReq)
 		seen <- checkPattern(req.Payload, req.TaskID)
 		return nil, nil
 	})
 	if err != nil {
-		t.Fatalf("Serve: %v", err)
+		t.Fatalf("ServeMeta: %v", err)
 	}
 	defer s.Close()
 	shaper, err := netem.NewShaper(netem.Link{Latency: 100 * time.Millisecond}, 1)

@@ -208,7 +208,7 @@ func TestEdgeBatchingServesWorkload(t *testing.T) {
 // the device side of a connection.
 func TestOverloadedErrorCrossesWire(t *testing.T) {
 	RegisterMessages()
-	srv, err := rpc.Serve("127.0.0.1:0", func(ctx context.Context, body any) (any, error) {
+	srv, err := rpc.ServeMeta("127.0.0.1:0", func(ctx context.Context, _ rpc.Meta, body any) (any, error) {
 		return nil, ErrOverloaded
 	})
 	if err != nil {

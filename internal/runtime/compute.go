@@ -199,15 +199,6 @@ func (e *Executor) BacklogSeconds() float64 {
 	return e.q.Backlog() / e.Rate()
 }
 
-// predictedWaitSec returns the calibrated queueing-wait estimate (model
-// seconds) deadline admission would quote for a job arriving now. Without
-// deadline admission it returns the raw backlog.
-func (e *Executor) predictedWaitSec() float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.q.Quote()
-}
-
 // Do enqueues a job of the given FLOPs and blocks until it completes. It
 // returns an error if the executor is closed.
 func (e *Executor) Do(flops float64) error {

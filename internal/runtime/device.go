@@ -584,8 +584,8 @@ func degradable(err error) bool {
 }
 
 // backpressured reports whether the edge refused work because it is
-// saturated — the per-tenant pending cap (ErrBusy) or the backlog-budget
-// admission control (ErrOverloaded). Both are degrade-to-local signals: the
+// saturated — the backlog-budget admission control (ErrOverloaded) or the
+// legacy busy code (ErrBusy). Both are degrade-to-local signals: the
 // work never started, so the device re-runs the blocks itself rather than
 // retrying against an overloaded server. ErrDeadlineInfeasible also unwraps
 // to ErrOverloaded, so callers that shed deadline-doomed tasks instead of

@@ -17,22 +17,12 @@ import (
 	"leime/internal/telemetry"
 )
 
-// busyMessage is the error text the edge returns when admission control
-// rejects an offloaded task. Devices detect the condition with
-// errors.Is(err, ErrBusy) and fall back to local execution.
-const busyMessage = "edge busy: first-block backlog limit reached"
-
 // EdgeConfig configures the edge tier.
 type EdgeConfig struct {
 	// Addr is the listen address.
 	Addr string
 	// FLOPS is the edge capability F^e.
 	FLOPS float64
-	// MaxPendingPerTenant, when positive, caps each device's first-block
-	// backlog: offloads beyond it are rejected with ErrBusy (admission
-	// control / backpressure), and well-behaved devices fall back to local
-	// execution instead of piling onto a saturated edge.
-	MaxPendingPerTenant int
 	// Policy is the control policy applied to every tenant executor (and
 	// the steal slice): backlog budget, deadline admission, EDF ordering,
 	// static or adaptive batching, and overload degradation. The backlog
@@ -135,7 +125,6 @@ type edgeTelemetry struct {
 	stealsOut     *telemetry.Counter
 	stealsIn      *telemetry.Counter
 	stealFailed   *telemetry.Counter
-	busy          *telemetry.Counter
 	overload      *telemetry.Counter
 	sheds         *telemetry.Counter
 	degradedExit  *telemetry.Counter
@@ -166,7 +155,6 @@ func newEdgeTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) edgeTelemet
 		stealsOut:     reg.Counter("leime_edge_steals_total", "Tasks moved by work stealing, by direction.", telemetry.Label{Key: "dir", Value: "out"}),
 		stealsIn:      reg.Counter("leime_edge_steals_total", "Tasks moved by work stealing, by direction.", telemetry.Label{Key: "dir", Value: "in"}),
 		stealFailed:   reg.Counter("leime_edge_steal_failures_total", "Steal attempts that failed (peer rejection or transport error)."),
-		busy:          reg.Counter("leime_edge_busy_rejections_total", "Offloads rejected by the per-tenant pending-task cap."),
 		overload:      reg.Counter("leime_edge_overload_rejections_total", "Requests rejected by the backlog-budget admission control."),
 		sheds:         reg.Counter("leime_edge_deadline_shed_total", "Requests shed because their deadline passed (on arrival or while queued)."),
 		degradedExit:  reg.Counter("leime_edge_exit_degraded_total", "Tasks served at a shallower exit by the degradation policy."),
@@ -572,13 +560,6 @@ func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq)
 	if err != nil {
 		return nil, err
 	}
-	if limit := e.cfg.MaxPendingPerTenant; limit > 0 && int(atomic.LoadInt32(&t.h1)) >= limit {
-		if resp, ok := e.trySteal(ctx, meta, req, model); ok {
-			return resp, nil
-		}
-		e.tel.busy.Inc()
-		return nil, fmt.Errorf("%w (device %q, limit %d)", ErrBusy, req.DeviceID, limit)
-	}
 	atomic.AddInt32(&t.h1, 1)
 	wait, service, err := t.exec.DoTimedCtx(ctx, model.Mu[0])
 	atomic.AddInt32(&t.h1, -1)
@@ -681,15 +662,6 @@ func forwardCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 		return context.WithDeadline(ctx, d)
 	}
 	return ctx, func() {}
-}
-
-// CloudBreaker exposes the cloud path's circuit breaker; nil when no cloud
-// is configured.
-func (e *Edge) CloudBreaker() *rpc.Breaker {
-	if e.cloud == nil {
-		return nil
-	}
-	return e.cloud.Breaker()
 }
 
 // Close stops serving, releases tenant executors, the steal executor, the

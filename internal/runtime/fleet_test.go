@@ -74,12 +74,13 @@ func TestStealOneHopBound(t *testing.T) {
 		Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale,
 		Peers: []string{edgeC.Addr()}, Fleet: testFleetConfig(),
 	})
-	// A tiny per-tenant pending cap on a slow edge makes admission reject
-	// most of the burst below, forcing the steal path.
+	// A tiny backlog budget on a slow edge (about one first-block task at
+	// full share) makes admission reject most of the burst below with
+	// ErrOverloaded, forcing the steal path.
 	edgeA := startFederatedEdge(t, EdgeConfig{
 		Addr: "127.0.0.1:0", FLOPS: 2e9, Model: testModel(), TimeScale: testScale,
-		MaxPendingPerTenant: 1,
-		Peers:               []string{edgeB.Addr()}, Fleet: testFleetConfig(),
+		Policy: ControlPolicy{MaxBacklogSec: 0.15},
+		Peers:  []string{edgeB.Addr()}, Fleet: testFleetConfig(),
 	})
 
 	// Warm every edge's allocation so the fleet readiness gate opens.

@@ -165,7 +165,7 @@ func TestExecutorEDFConcurrentStress(t *testing.T) {
 				t.Errorf("SetRate: %v", err)
 			}
 			_ = e.Pending()
-			_ = e.predictedWaitSec()
+			_ = quotedWait(e)
 			time.Sleep(100 * time.Microsecond)
 		}
 	}()
@@ -244,7 +244,7 @@ func TestPredictorCalibratesOnExecutor(t *testing.T) {
 	}
 	wg.Wait()
 
-	if bias := e.predictedWaitSec(); bias != 0 {
+	if bias := quotedWait(e); bias != 0 {
 		t.Errorf("drained executor quotes wait %v, want 0", bias)
 	}
 
@@ -266,7 +266,7 @@ func TestPredictorCalibratesOnExecutor(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	time.Sleep(10 * time.Millisecond)
-	predicted := e.predictedWaitSec()
+	predicted := quotedWait(e)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	wait, _, err := e.DoTimedCtx(ctx, 1e6)
@@ -298,7 +298,7 @@ func TestOverloadReasonsCrossWire(t *testing.T) {
 		{"capacity", ErrOverloadCapacity, ErrDeadlineInfeasible},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			srv, err := rpc.Serve("127.0.0.1:0", func(ctx context.Context, body any) (any, error) {
+			srv, err := rpc.ServeMeta("127.0.0.1:0", func(ctx context.Context, _ rpc.Meta, body any) (any, error) {
 				return nil, tc.sentinel
 			})
 			if err != nil {
@@ -365,4 +365,12 @@ func TestDeviceShedsDeadlineInfeasibleTasks(t *testing.T) {
 	if stats.Completed != stats.Generated {
 		t.Errorf("conservation: completed %d != generated %d", stats.Completed, stats.Generated)
 	}
+}
+
+// quotedWait is the calibrated queueing-wait estimate (model seconds) that
+// deadline admission would quote a job arriving at e now.
+func quotedWait(e *Executor) float64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.q.Quote()
 }

@@ -129,45 +129,6 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the q-th quantile (q in [0,1]) by linear interpolation
-// within the containing bucket. Observations beyond the last bound clamp to
-// it. Returns 0 when empty or nil.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(total)
-	var cum, prev uint64
-	for i := range h.counts {
-		c := h.counts[i].Load()
-		cum += c
-		if float64(cum) >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = h.bounds[i-1]
-			}
-			hi := lo
-			if i < len(h.bounds) {
-				hi = h.bounds[i]
-			}
-			frac := (rank - float64(prev)) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		prev = cum
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // metric is one sample owner within a family.
 type metric struct {
 	labels string // rendered {k="v",...} suffix, "" for unlabelled
