@@ -71,13 +71,13 @@ type factKey struct {
 	symbol   string
 }
 
-// NewFacts returns an empty fact store.
-func NewFacts() *Facts { return &Facts{m: map[factKey]any{}} }
+// newFacts returns an empty fact store.
+func newFacts() *Facts { return &Facts{m: map[factKey]any{}} }
 
-// SymbolName canonicalizes obj into the cross-universe fact key: the
+// symbolName canonicalizes obj into the cross-universe fact key: the
 // FullName for functions and methods, package-path-qualified name for
 // everything else package-scoped.
-func SymbolName(obj types.Object) string {
+func symbolName(obj types.Object) string {
 	if fn, ok := obj.(*types.Func); ok {
 		return fn.FullName()
 	}
@@ -92,7 +92,7 @@ func (p *Pass) ExportFact(obj types.Object, v any) {
 	if p.Facts == nil || obj == nil {
 		return
 	}
-	p.Facts.m[factKey{p.Analyzer.Name, SymbolName(obj)}] = v
+	p.Facts.m[factKey{p.Analyzer.Name, symbolName(obj)}] = v
 }
 
 // ImportFact retrieves the fact this pass's analyzer exported about obj in
@@ -101,7 +101,7 @@ func (p *Pass) ImportFact(obj types.Object) (any, bool) {
 	if p.Facts == nil || obj == nil {
 		return nil, false
 	}
-	v, ok := p.Facts.m[factKey{p.Analyzer.Name, SymbolName(obj)}]
+	v, ok := p.Facts.m[factKey{p.Analyzer.Name, symbolName(obj)}]
 	return v, ok
 }
 

@@ -21,11 +21,11 @@ import (
 	"leime/internal/analysis"
 )
 
-// Packages lists the model-clock packages where reaching the wall clock
+// modelClockPackages lists the model-clock packages where reaching the wall clock
 // breaks same-seed replay. internal/loadgen is deliberately absent: its
 // live half paces real RPCs by design (the deterministic half is guarded
 // by determinism's PurePaths entry plus the file-level opt-out).
-var Packages = []string{
+var modelClockPackages = []string{
 	"leime/internal/control",
 	"leime/internal/sim",
 	"leime/internal/partition",
@@ -161,7 +161,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func isModelClock(path string) bool {
-	for _, p := range Packages {
+	for _, p := range modelClockPackages {
 		if path == p {
 			return true
 		}

@@ -27,12 +27,12 @@ import (
 	"leime/internal/analysis"
 )
 
-// PurePaths lists the packages that must stay free of wall clocks and
+// purePaths lists the packages that must stay free of wall clocks and
 // global randomness. Simulation, solver, model, schedule-synthesis and
 // metric code is pure; the runtime/rpc/telemetry substrate and the live
 // load driver are wall-clock by nature and are covered only by the
 // map-order tier.
-var PurePaths = []string{
+var purePaths = []string{
 	"leime/cmd/leime-sim",
 	"leime/internal/cluster",
 	"leime/internal/confidence",
@@ -85,7 +85,7 @@ func run(pass *analysis.Pass) (any, error) {
 }
 
 func isPure(path string) bool {
-	for _, p := range PurePaths {
+	for _, p := range purePaths {
 		if path == p {
 			return true
 		}

@@ -32,7 +32,7 @@ func (f Finding) String() string {
 // position. Packages are analyzed in dependency order so facts exported
 // about a package's symbols are in the store before any importer's pass.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
-	facts := NewFacts()
+	facts := newFacts()
 	var all []Finding
 	for _, pkg := range dependencyOrder(pkgs) {
 		for _, a := range analyzers {

@@ -31,9 +31,9 @@ import (
 	"leime/internal/analysis"
 )
 
-// RPCPaths names the import paths recognized as "the rpc layer"; the bare
+// rpcPaths names the import paths recognized as "the rpc layer"; the bare
 // "rpc" entry lets analysistest fixtures model it without the full module.
-var RPCPaths = []string{"leime/internal/rpc", "rpc"}
+var rpcPaths = []string{"leime/internal/rpc", "rpc"}
 
 // Analyzer flags ==/!= and message-string error classification and
 // unregistered wire sentinels.
@@ -272,7 +272,7 @@ func talksRPC(pass *analysis.Pass) bool {
 }
 
 func isRPCPath(path string) bool {
-	for _, p := range RPCPaths {
+	for _, p := range rpcPaths {
 		if path == p {
 			return true
 		}

@@ -68,7 +68,7 @@ func (e Entry) pkgPath() string {
 }
 
 func run(pass *analysis.Pass) (any, error) {
-	regs := Extract(pass)
+	regs := extract(pass)
 	if len(regs) == 0 || ManifestPath == "" {
 		return nil, nil
 	}
@@ -154,9 +154,9 @@ func run(pass *analysis.Pass) (any, error) {
 	return nil, nil
 }
 
-// Extract fingerprints every rpc.RegisterCodec call in the package's
+// extract fingerprints every rpc.RegisterCodec call in the package's
 // non-test files, in source order.
-func Extract(pass *analysis.Pass) []Entry {
+func extract(pass *analysis.Pass) []Entry {
 	decls := packageFuncs(pass)
 	var out []Entry
 	for _, f := range pass.Files {
@@ -455,12 +455,12 @@ func LoadManifest(path string) ([]Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ParseManifest(data)
+	return parseManifest(data)
 }
 
-// ParseManifest decodes manifest bytes: one tab-separated
+// parseManifest decodes manifest bytes: one tab-separated
 // id/type/hash/signature entry per line, #-comments and blanks skipped.
-func ParseManifest(data []byte) ([]Entry, error) {
+func parseManifest(data []byte) ([]Entry, error) {
 	var out []Entry
 	for i, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimRight(line, "\r")
@@ -515,7 +515,7 @@ func ExtractPackages(pkgs []*analysis.Package) []Entry {
 			TypesInfo: pkg.Info,
 			Report:    func(analysis.Diagnostic) {},
 		}
-		out = append(out, Extract(pass)...)
+		out = append(out, extract(pass)...)
 	}
 	return out
 }

@@ -34,7 +34,7 @@ func extractFixture(t *testing.T, path string) []Entry {
 		TypesInfo: pkg.Info,
 		Report:    func(analysis.Diagnostic) {},
 	}
-	return Extract(pass)
+	return extract(pass)
 }
 
 // withManifest points ManifestPath at a temp manifest holding entries for
@@ -91,7 +91,7 @@ func TestViolations(t *testing.T) {
 // TestManifestRoundTrip pins Format/Parse as inverses.
 func TestManifestRoundTrip(t *testing.T) {
 	entries := extractFixture(t, "wireok")
-	parsed, err := ParseManifest(FormatManifest(entries))
+	parsed, err := parseManifest(FormatManifest(entries))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,9 +139,9 @@ func Mbps(v float64) float64 { return v * 1e6 }
 
 // Paper-calibrated path presets.
 var (
-	// WiFiDefault is the default device–edge WiFi path. The paper sweeps
+	// wifiDefault is the default device–edge WiFi path. The paper sweeps
 	// 1–30 Mbps and 10–200 ms; this is a mid-range operating point.
-	WiFiDefault = Path{BandwidthBps: Mbps(10), LatencySec: 0.020}
+	wifiDefault = Path{BandwidthBps: Mbps(10), LatencySec: 0.020}
 	// InternetDefault is the default edge–cloud Internet path.
 	InternetDefault = Path{BandwidthBps: Mbps(50), LatencySec: 0.030}
 )
@@ -153,7 +153,7 @@ func TestbedEnv(device Node) Env {
 		DeviceFLOPS: device.FLOPS,
 		EdgeFLOPS:   EdgeDesktop.FLOPS,
 		CloudFLOPS:  CloudV100.FLOPS,
-		DeviceEdge:  WiFiDefault,
+		DeviceEdge:  wifiDefault,
 		EdgeCloud:   InternetDefault,
 	}
 }

@@ -52,8 +52,8 @@ type Params struct {
 	OverthinkCutoff float64
 }
 
-// Validate reports whether the parameters are usable.
-func (p Params) Validate() error {
+// validate reports whether the parameters are usable.
+func (p Params) validate() error {
 	if p.Slope <= 0 {
 		return fmt.Errorf("confidence: Slope %v must be positive", p.Slope)
 	}
@@ -142,7 +142,7 @@ type Model struct {
 
 // New builds a confidence model for the profile.
 func New(p *model.Profile, params Params, seed int64) (*Model, error) {
-	if err := params.Validate(); err != nil {
+	if err := params.validate(); err != nil {
 		return nil, err
 	}
 	m := &Model{profile: p, params: params, seed: seed}
@@ -250,9 +250,9 @@ func WriteArtifact(w io.Writer, a CalibrationArtifact) error {
 	return nil
 }
 
-// ReadArtifact loads a calibration result and validates it against the
+// readArtifact loads a calibration result and validates it against the
 // profile it claims to calibrate.
-func ReadArtifact(r io.Reader, p *model.Profile) (CalibrationArtifact, error) {
+func readArtifact(r io.Reader, p *model.Profile) (CalibrationArtifact, error) {
 	var a CalibrationArtifact
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -280,12 +280,12 @@ func ReadArtifact(r io.Reader, p *model.Profile) (CalibrationArtifact, error) {
 	return a, nil
 }
 
-// Sigma returns the cumulative exit-rate vector sigma over the dataset: entry
+// sigma returns the cumulative exit-rate vector sigma over the dataset: entry
 // i-1 is the fraction of samples whose confidence meets the threshold at exit
 // i or any shallower exit. The final entry is forced to 1 (every task exits
 // at the original exit, sigma_exit_m = 100%). The vector is non-decreasing by
 // construction.
-func (m *Model) Sigma(ds *dataset.Dataset, th Thresholds) []float64 {
+func (m *Model) sigma(ds *dataset.Dataset, th Thresholds) []float64 {
 	mExits := m.profile.NumExits()
 	sigma := make([]float64, mExits)
 	n := ds.Len()
@@ -366,8 +366,8 @@ func (m *Model) Evaluate(ds *dataset.Dataset, e1, e2 int, th Thresholds) (Eval, 
 	return out, nil
 }
 
-// ExitReport describes one candidate exit's calibrated behaviour.
-type ExitReport struct {
+// exitReport describes one candidate exit's calibrated behaviour.
+type exitReport struct {
 	// Exit is the 1-based exit index.
 	Exit int
 	// Threshold is the calibrated confidence threshold.
@@ -382,12 +382,12 @@ type ExitReport struct {
 	ConditionalAccuracy float64
 }
 
-// Report evaluates every candidate exit's calibrated behaviour on the
+// report evaluates every candidate exit's calibrated behaviour on the
 // dataset: exit rates and the conditional accuracy of accepted traffic. It
 // is the per-exit detail behind Fig. 6's aggregate losses.
-func (m *Model) Report(ds *dataset.Dataset, th Thresholds) []ExitReport {
+func (m *Model) report(ds *dataset.Dataset, th Thresholds) []exitReport {
 	mExits := m.profile.NumExits()
-	out := make([]ExitReport, mExits)
+	out := make([]exitReport, mExits)
 	accSum := make([]float64, mExits)
 	count := make([]float64, mExits)
 	for _, s := range ds.Samples {
@@ -404,7 +404,7 @@ func (m *Model) Report(ds *dataset.Dataset, th Thresholds) []ExitReport {
 	cum := 0.0
 	for i := range out {
 		cum += count[i]
-		out[i] = ExitReport{
+		out[i] = exitReport{
 			Exit:           i + 1,
 			Threshold:      th[i],
 			CumulativeRate: cum / n,
@@ -467,7 +467,7 @@ func (m *Model) Calibrate(ds *dataset.Dataset, lossBudget float64) (Thresholds, 
 		}
 		th[i-1] = hi
 	}
-	return th, m.Sigma(ds, th)
+	return th, m.sigma(ds, th)
 }
 
 func logistic(x float64) float64 { return 1 / (1 + math.Exp(-x)) }

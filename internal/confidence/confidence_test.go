@@ -27,7 +27,7 @@ func TestSigmaMonotoneAndTerminal(t *testing.T) {
 		p := p
 		t.Run(p.Name, func(t *testing.T) {
 			m, ds := newModel(t, p)
-			sigma := m.Sigma(ds, uniformThresholds(m, 0.6))
+			sigma := m.sigma(ds, uniformThresholds(m, 0.6))
 			if len(sigma) != p.NumExits() {
 				t.Fatalf("sigma length %d, want %d", len(sigma), p.NumExits())
 			}
@@ -71,8 +71,8 @@ func TestEasierDatasetExitsEarlier(t *testing.T) {
 	easy, _ := dataset.Generate(dataset.CIFAR10Like.WithEasyFrac(0.9), 2000, 5)
 	hard, _ := dataset.Generate(dataset.CIFAR10Like.WithEasyFrac(0.05), 2000, 5)
 	th := uniformThresholds(m, 0.6)
-	se := m.Sigma(easy, th)
-	sh := m.Sigma(hard, th)
+	se := m.sigma(easy, th)
+	sh := m.sigma(hard, th)
 	mid := p.NumExits() / 2
 	if se[mid] <= sh[mid] {
 		t.Errorf("easy dataset should exit earlier: sigma_easy[%d]=%v <= sigma_hard[%d]=%v", mid, se[mid], mid, sh[mid])
@@ -169,12 +169,12 @@ func TestParamsValidate(t *testing.T) {
 		{Slope: 1, AccSlope: 1, Overthink: 0.5},
 	}
 	for i, p := range bad {
-		if err := p.Validate(); err == nil {
+		if err := p.validate(); err == nil {
 			t.Errorf("case %d: expected validation error", i)
 		}
 	}
 	for _, name := range []string{"vgg-16", "resnet-34", "inception-v3", "squeezenet-1.0", "unknown"} {
-		if err := DefaultParams(name).Validate(); err != nil {
+		if err := DefaultParams(name).validate(); err != nil {
 			t.Errorf("DefaultParams(%q) invalid: %v", name, err)
 		}
 	}
@@ -198,7 +198,7 @@ func TestReportConsistentWithSigma(t *testing.T) {
 	p := model.InceptionV3()
 	m, ds := newModel(t, p)
 	th, sigma := m.Calibrate(ds, DefaultLossBudget(p.Name))
-	rep := m.Report(ds, th)
+	rep := m.report(ds, th)
 	if len(rep) != p.NumExits() {
 		t.Fatalf("report has %d entries, want %d", len(rep), p.NumExits())
 	}
@@ -239,7 +239,7 @@ func TestCalibrationArtifactRoundTrip(t *testing.T) {
 	if err := WriteArtifact(&buf, art); err != nil {
 		t.Fatalf("WriteArtifact: %v", err)
 	}
-	loaded, err := ReadArtifact(&buf, p)
+	loaded, err := readArtifact(&buf, p)
 	if err != nil {
 		t.Fatalf("ReadArtifact: %v", err)
 	}
@@ -253,7 +253,7 @@ func TestCalibrationArtifactRoundTrip(t *testing.T) {
 	if err := WriteArtifact(&buf2, art); err != nil {
 		t.Fatalf("WriteArtifact: %v", err)
 	}
-	if _, err := ReadArtifact(&buf2, model.VGG16()); err == nil {
+	if _, err := readArtifact(&buf2, model.VGG16()); err == nil {
 		t.Error("artifact accepted for the wrong profile")
 	}
 	// Corrupted sigma: rejected.
@@ -264,7 +264,7 @@ func TestCalibrationArtifactRoundTrip(t *testing.T) {
 	if err := WriteArtifact(&buf3, bad); err != nil {
 		t.Fatalf("WriteArtifact: %v", err)
 	}
-	if _, err := ReadArtifact(&buf3, p); err == nil {
+	if _, err := readArtifact(&buf3, p); err == nil {
 		t.Error("artifact with sigma_m != 1 accepted")
 	}
 }

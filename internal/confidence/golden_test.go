@@ -65,7 +65,7 @@ func calibrationGoldenRows(t *testing.T) []string {
 		rows = append(rows, fmt.Sprintf("evaluate %s exits=%d,%d\texit_frac=%s accuracy=%.17g baseline=%.17g",
 			p.Name, e1, e2, floats(ev.ExitFrac[:]), ev.Accuracy, ev.BaselineAccuracy))
 		var cum, marginal, acc []float64
-		for _, r := range m.Report(ds, th) {
+		for _, r := range m.report(ds, th) {
 			cum = append(cum, r.CumulativeRate)
 			marginal = append(marginal, r.MarginalRate)
 			acc = append(acc, r.ConditionalAccuracy)

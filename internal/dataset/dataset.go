@@ -26,8 +26,8 @@ type Sample struct {
 	Label int
 }
 
-// NumClasses is the label cardinality (CIFAR-10).
-const NumClasses = 10
+// numClasses is the label cardinality (CIFAR-10).
+const numClasses = 10
 
 // Mixture parameterizes a three-component difficulty distribution: a share
 // of easy samples (difficulty near EasyMode), a share of hard samples (near
@@ -48,8 +48,8 @@ type Mixture struct {
 	Spread float64
 }
 
-// Validate reports whether the mixture is a usable distribution.
-func (m Mixture) Validate() error {
+// validate reports whether the mixture is a usable distribution.
+func (m Mixture) validate() error {
 	if m.EasyFrac < 0 || m.HardFrac < 0 || m.EasyFrac+m.HardFrac > 1 {
 		return fmt.Errorf("dataset: fractions (easy=%v, hard=%v) must be non-negative and sum to at most 1", m.EasyFrac, m.HardFrac)
 	}
@@ -97,7 +97,7 @@ type Dataset struct {
 // Generate draws n samples from the mixture, deterministically for a given
 // seed.
 func Generate(mix Mixture, n int, seed int64) (*Dataset, error) {
-	if err := mix.Validate(); err != nil {
+	if err := mix.validate(); err != nil {
 		return nil, err
 	}
 	if n <= 0 {
@@ -109,7 +109,7 @@ func Generate(mix Mixture, n int, seed int64) (*Dataset, error) {
 		ds.Samples[i] = Sample{
 			ID:         i,
 			Difficulty: mix.draw(rng),
-			Label:      rng.Intn(NumClasses),
+			Label:      rng.Intn(numClasses),
 		}
 	}
 	return ds, nil

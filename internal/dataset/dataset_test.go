@@ -44,7 +44,7 @@ func TestDifficultyRange(t *testing.T) {
 		if s.Difficulty < 0 || s.Difficulty > 1 {
 			t.Fatalf("sample %d difficulty %v out of [0,1]", s.ID, s.Difficulty)
 		}
-		if s.Label < 0 || s.Label >= NumClasses {
+		if s.Label < 0 || s.Label >= numClasses {
 			t.Fatalf("sample %d label %d out of range", s.ID, s.Label)
 		}
 	}
@@ -70,7 +70,7 @@ func TestWithEasyFracKeepsValid(t *testing.T) {
 	f := func(raw uint8) bool {
 		frac := float64(raw) / 255
 		m := CIFAR10Like.WithEasyFrac(frac)
-		return m.Validate() == nil
+		return m.validate() == nil
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -85,7 +85,7 @@ func TestValidateRejectsBadMixtures(t *testing.T) {
 		{EasyFrac: 0.2, Spread: 0.1, EasyMode: 1.5},
 	}
 	for i, m := range cases {
-		if err := m.Validate(); err == nil {
+		if err := m.validate(); err == nil {
 			t.Errorf("case %d: expected validation error for %+v", i, m)
 		}
 	}

@@ -63,10 +63,10 @@ func TestPrefixSumCostMatchesNaive(t *testing.T) {
 				}
 			}
 			for e1 := 1; e1 < m-1; e1++ {
-				check(fmt.Sprintf("TwoExitCost(%d)", e1), fast.TwoExitCost(e1), slow.TwoExitCost(e1))
+				check(fmt.Sprintf("TwoExitCost(%d)", e1), fast.twoExitCost(e1), slow.twoExitCost(e1))
 				for e2 := e1 + 1; e2 < m; e2++ {
 					check(fmt.Sprintf("Cost(%d,%d)", e1, e2), fast.Cost(e1, e2), slow.Cost(e1, e2))
-					check(fmt.Sprintf("CostNoExits(%d,%d)", e1, e2), fast.CostNoExits(e1, e2), slow.CostNoExits(e1, e2))
+					check(fmt.Sprintf("CostNoExits(%d,%d)", e1, e2), fast.costNoExits(e1, e2), slow.costNoExits(e1, e2))
 				}
 			}
 		})

@@ -19,9 +19,9 @@ import (
 	"leime/internal/model"
 )
 
-// Costs breaks the expected completion time of an exit combination into the
+// costs breaks the expected completion time of an exit combination into the
 // paper's three stage terms.
-type Costs struct {
+type costs struct {
 	// Device is t^d (eq. 1): first-block layers plus the First-exit
 	// classifier on the device.
 	Device float64
@@ -134,12 +134,12 @@ func NewInstance(p *model.Profile, sigma []float64, env cluster.Env) (*Instance,
 	return in, nil
 }
 
-// StageCosts returns the three stage terms for the exit combination
+// stageCosts returns the three stage terms for the exit combination
 // {e1, e2, m} (1-based exits, e1 < e2 < m).
-func (in *Instance) StageCosts(e1, e2 int) Costs {
+func (in *Instance) stageCosts(e1, e2 int) costs {
 	p, env := in.Profile, in.Env
 	m := p.NumExits()
-	return Costs{
+	return costs{
 		Device: (p.RangeFLOPs(0, e1) + p.ExitClassifierFLOPs(e1)) / env.DeviceFLOPS,
 		Edge: (p.RangeFLOPs(e1, e2)+p.ExitClassifierFLOPs(e2))/env.EdgeFLOPS +
 			in.deviceEdgeXfer(e1),
@@ -161,16 +161,16 @@ func (in *Instance) Cost(e1, e2 int) float64 {
 		return in.devT[e1] + (1-in.Sigma[e1-1])*(in.edgeA[e2]+in.edgeB[e1]) +
 			(1-in.Sigma[e2-1])*in.cloudT[e2]
 	}
-	c := in.StageCosts(e1, e2)
+	c := in.stageCosts(e1, e2)
 	s1, s2 := in.Sigma[e1-1], in.Sigma[e2-1]
 	return (c.Device + c.Edge + c.Cloud) - (s1*c.Edge + s2*c.Cloud)
 }
 
-// CostNoExits returns the completion time of a partition-only deployment
+// costNoExits returns the completion time of a partition-only deployment
 // (Neurosurgeon): the chain is cut at the same (e1, e2) positions, but no
 // early-exit classifiers exist, so every task traverses all three blocks and
 // only the final classifier runs.
-func (in *Instance) CostNoExits(e1, e2 int) float64 {
+func (in *Instance) costNoExits(e1, e2 int) float64 {
 	p, env := in.Profile, in.Env
 	m := p.NumExits()
 	td := p.RangeFLOPs(0, e1) / env.DeviceFLOPS
@@ -179,10 +179,10 @@ func (in *Instance) CostNoExits(e1, e2 int) float64 {
 	return td + te + tc
 }
 
-// TwoExitCost returns T({exit_i, exit_m, -}) (eq. 5): the cost of a two-exit
+// twoExitCost returns T({exit_i, exit_m, -}) (eq. 5): the cost of a two-exit
 // network whose first block runs on the device and the rest on the edge. It
 // is the quantity Theorem 1's dominance test compares.
-func (in *Instance) TwoExitCost(i int) float64 {
+func (in *Instance) twoExitCost(i int) float64 {
 	p, env := in.Profile, in.Env
 	m := p.NumExits()
 	td := (p.RangeFLOPs(0, i) + p.ExitClassifierFLOPs(i)) / env.DeviceFLOPS
@@ -237,7 +237,7 @@ func (in *Instance) BranchAndBound() Setting {
 	evals := 0
 	costTwo := func(i int) float64 {
 		if !costed[i-1] {
-			twoExit[i-1] = in.TwoExitCost(i)
+			twoExit[i-1] = in.twoExitCost(i)
 			costed[i-1] = true
 			evals++
 		}

@@ -138,7 +138,7 @@ func TestCostMatchesHandComputation(t *testing.T) {
 	// Partition-only cost: no exit classifiers except the final one, no
 	// early-exit savings.
 	wantNoExit := 1e9/1e9 + (2e9/1e10 + 4000/1e6 + 0.01) + ((4e9+x3)/1e11 + 2000/1e7 + 0.02)
-	if got := in.CostNoExits(1, 2); math.Abs(got-wantNoExit) > 1e-12 {
+	if got := in.costNoExits(1, 2); math.Abs(got-wantNoExit) > 1e-12 {
 		t.Errorf("CostNoExits(1,2) = %v, want %v", got, wantNoExit)
 	}
 }
@@ -233,7 +233,7 @@ func TestTheorem1Dominance(t *testing.T) {
 		in := mustInstance(t, randomProfile(rng, m), randomSigma(rng, m), randomEnv(rng))
 		for i1 := 1; i1 < m-1; i1++ {
 			for i2 := i1 + 1; i2 < m-1; i2++ {
-				if in.TwoExitCost(i1) > in.TwoExitCost(i2) {
+				if in.twoExitCost(i1) > in.twoExitCost(i2) {
 					continue
 				}
 				for j := i2 + 1; j < m; j++ {

@@ -2,7 +2,7 @@ package exitsetting
 
 import "math"
 
-// CostWithRatio extends the P0 cost model with a steady-state offloading
+// costWithRatio extends the P0 cost model with a steady-state offloading
 // ratio: a fraction x of tasks ships its raw input to the edge and runs the
 // first block there, the rest runs it on the device. P0 is the x = 0 special
 // case (the paper solves exit setting assuming device-side first blocks and
@@ -14,7 +14,7 @@ import "math"
 //
 // Offloaded survivors of the First exit are already at the edge, so only
 // locally launched survivors pay the d1 transfer.
-func (in *Instance) CostWithRatio(e1, e2 int, x float64) float64 {
+func (in *Instance) costWithRatio(e1, e2 int, x float64) float64 {
 	p, env := in.Profile, in.Env
 	m := p.NumExits()
 	s1, s2 := in.Sigma[e1-1], in.Sigma[e2-1]
@@ -56,7 +56,7 @@ func (in *Instance) SolveJoint() JointSetting {
 	for _, x := range jointRatios {
 		for e1 := 1; e1 < m-1; e1++ {
 			for e2 := e1 + 1; e2 < m; e2++ {
-				if c := in.CostWithRatio(e1, e2, x); c < best.Cost {
+				if c := in.costWithRatio(e1, e2, x); c < best.Cost {
 					best = JointSetting{E1: e1, E2: e2, E3: m, Ratio: x, Cost: c}
 				}
 			}
@@ -72,7 +72,7 @@ func (in *Instance) SolveSequential() JointSetting {
 	base := in.BranchAndBound()
 	out := JointSetting{E1: base.E1, E2: base.E2, E3: base.E3, Cost: math.Inf(1)}
 	for _, x := range jointRatios {
-		if c := in.CostWithRatio(base.E1, base.E2, x); c < out.Cost {
+		if c := in.costWithRatio(base.E1, base.E2, x); c < out.Cost {
 			out.Cost, out.Ratio = c, x
 		}
 	}

@@ -18,7 +18,7 @@ func TestCostWithRatioZeroEqualsP0(t *testing.T) {
 		e1 := 1 + rng.Intn(m-2)
 		e2 := e1 + 1 + rng.Intn(m-e1-1)
 		p0 := in.Cost(e1, e2)
-		got := in.CostWithRatio(e1, e2, 0)
+		got := in.costWithRatio(e1, e2, 0)
 		if math.Abs(got-p0) > 1e-9*math.Abs(p0) {
 			t.Fatalf("trial %d: CostWithRatio(.., 0) = %v, P0 cost = %v", trial, got, p0)
 		}
@@ -66,9 +66,9 @@ func TestCostWithRatioInterpolatesLinearly(t *testing.T) {
 	// T(E, x) is affine in x: T(E, 0.5) must be the midpoint of the corners.
 	in := paperInstance(t, model.ResNet34(), cluster.TestbedEnv(cluster.JetsonNano))
 	e1, e2 := 2, 9
-	lo := in.CostWithRatio(e1, e2, 0)
-	hi := in.CostWithRatio(e1, e2, 1)
-	mid := in.CostWithRatio(e1, e2, 0.5)
+	lo := in.costWithRatio(e1, e2, 0)
+	hi := in.costWithRatio(e1, e2, 1)
+	mid := in.costWithRatio(e1, e2, 0.5)
 	if math.Abs(mid-(lo+hi)/2) > 1e-12*(lo+hi) {
 		t.Errorf("midpoint %v != (%v+%v)/2", mid, lo, hi)
 	}

@@ -18,10 +18,10 @@ type SweepPoint struct {
 	Setting Setting
 }
 
-// Sensitivity solves the exit setting across a set of environments — how
+// sensitivity solves the exit setting across a set of environments — how
 // the optimum migrates as one factor (bandwidth, latency, edge load, device
 // class) changes. It is the programmatic form of the paper's Fig. 2 study.
-func Sensitivity(p *model.Profile, sigma []float64, points []struct {
+func sensitivity(p *model.Profile, sigma []float64, points []struct {
 	Label string
 	Env   cluster.Env
 }) ([]SweepPoint, error) {
@@ -59,7 +59,7 @@ func BandwidthSweep(p *model.Profile, sigma []float64, base cluster.Env, mbps []
 			}),
 		})
 	}
-	return Sensitivity(p, sigma, points)
+	return sensitivity(p, sigma, points)
 }
 
 // EdgeLoadSweep solves the optimal setting across edge shares (each share in
@@ -78,5 +78,5 @@ func EdgeLoadSweep(p *model.Profile, sigma []float64, base cluster.Env, shares [
 			Env:   base.WithEdgeLoad(sh),
 		})
 	}
-	return Sensitivity(p, sigma, points)
+	return sensitivity(p, sigma, points)
 }

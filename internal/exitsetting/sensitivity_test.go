@@ -52,7 +52,7 @@ func TestEdgeLoadSweepShiftsSecondExit(t *testing.T) {
 
 func TestSensitivityRejectsBadEnv(t *testing.T) {
 	in := paperInstance(t, model.VGG16(), cluster.TestbedEnv(cluster.RaspberryPi3B))
-	_, err := Sensitivity(in.Profile, in.Sigma, []struct {
+	_, err := sensitivity(in.Profile, in.Sigma, []struct {
 		Label string
 		Env   cluster.Env
 	}{{Label: "broken", Env: cluster.Env{}}})

@@ -170,7 +170,7 @@ func EvalStrategy(in *Instance, s Strategy) (Setting, error) {
 		out.Cost = in.Cost(e1, e2)
 		return out, nil
 	}
-	out.Cost = in.CostNoExits(e1, e2)
+	out.Cost = in.costNoExits(e1, e2)
 	return out, nil
 }
 

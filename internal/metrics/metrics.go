@@ -27,13 +27,13 @@ type Summary struct {
 	min, max float64
 }
 
-// NewReservoir returns a Summary whose memory is bounded at capacity
+// newReservoir returns a Summary whose memory is bounded at capacity
 // observations: once full, each new observation replaces a uniformly random
 // slot with probability capacity/seen (Vitter's Algorithm R), leaving a
 // uniform sample of everything seen. Count, Mean and Max remain exact;
 // percentiles are estimated from the sample. Long-horizon runs use this to
 // keep per-task statistics from growing without bound.
-func NewReservoir(capacity int, seed int64) *Summary {
+func newReservoir(capacity int, seed int64) *Summary {
 	if capacity <= 0 {
 		capacity = 1024
 	}

@@ -9,7 +9,7 @@ import (
 func TestReservoirBoundsMemoryAndKeepsExactMoments(t *testing.T) {
 	const capacity = 2048
 	const n = 100000
-	r := NewReservoir(capacity, 1)
+	r := newReservoir(capacity, 1)
 	exact := &Summary{}
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < n; i++ {
@@ -38,7 +38,7 @@ func TestReservoirBoundsMemoryAndKeepsExactMoments(t *testing.T) {
 func TestReservoirPercentileErrorBounds(t *testing.T) {
 	const capacity = 2048
 	const n = 100000
-	r := NewReservoir(capacity, 7)
+	r := newReservoir(capacity, 7)
 	exact := &Summary{}
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < n; i++ {
@@ -57,7 +57,7 @@ func TestReservoirPercentileErrorBounds(t *testing.T) {
 }
 
 func TestReservoirBelowCapacityMatchesExact(t *testing.T) {
-	r := NewReservoir(100, 5)
+	r := newReservoir(100, 5)
 	exact := &Summary{}
 	for _, v := range []float64{5, 1, 4, 2, 3} {
 		r.Add(v)

@@ -16,7 +16,7 @@ type SharedSummary struct {
 // bounded at capacity observations (Vitter's Algorithm R, as NewReservoir).
 // capacity <= 0 selects the same default as NewReservoir.
 func NewSharedReservoir(capacity int, seed int64) *SharedSummary {
-	return &SharedSummary{s: NewReservoir(capacity, seed)}
+	return &SharedSummary{s: newReservoir(capacity, seed)}
 }
 
 // Add records one observation.

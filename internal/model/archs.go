@@ -24,8 +24,8 @@ func newChain(name string) *chain {
 
 // element appends one chain element whose internals are described by the
 // graph the build callback assembles (node 0 is the element's input).
-func (c *chain) element(name string, build func(b *GraphBuilder)) {
-	b := NewGraphBuilder(c.shape)
+func (c *chain) element(name string, build func(b *graphBuilder)) {
+	b := newGraphBuilder(c.shape)
 	build(b)
 	g := b.Finish()
 	c.p.Elements = append(c.p.Elements, elementFromGraph(name, g))
@@ -34,7 +34,7 @@ func (c *chain) element(name string, build func(b *GraphBuilder)) {
 
 // elementFromGraph derives every element field from its graph, so the
 // analytic numbers are exactly what executing the graph performs.
-func elementFromGraph(name string, g *Graph) Element {
+func elementFromGraph(name string, g *graph) Element {
 	convs := g.Convs()
 	var convSum float64
 	for _, cs := range convs {
@@ -53,7 +53,7 @@ func elementFromGraph(name string, g *Graph) Element {
 
 // conv appends one convolutional element (conv + ReLU).
 func (c *chain) conv(name string, outC, kernel, stride, pad int) {
-	c.element(name, func(b *GraphBuilder) {
+	c.element(name, func(b *graphBuilder) {
 		b.ReLU(b.Conv(0, outC, kernel, stride, pad))
 	})
 }
@@ -72,8 +72,8 @@ func (c *chain) pool(kernel, stride int) {
 	in := g.Nodes[last].Out
 	h := (in.H-kernel)/stride + 1
 	w := (in.W-kernel)/stride + 1
-	g.Nodes = append(g.Nodes, GraphNode{
-		Kind: OpMaxPool, Kernel: kernel, Stride: stride,
+	g.Nodes = append(g.Nodes, graphNode{
+		Kind: opMaxPool, Kernel: kernel, Stride: stride,
 		Inputs: []int{last}, Out: Shape{H: h, W: w, C: in.C},
 	})
 	*e = elementFromGraph(e.Name, g)
@@ -102,7 +102,7 @@ func VGG16() *Profile {
 // residual add (plus a 1x1 projection when the shape changes) and a final
 // ReLU.
 func (c *chain) basicBlock(name string, outC, stride int) {
-	c.element(name, func(b *GraphBuilder) {
+	c.element(name, func(b *graphBuilder) {
 		c1 := b.Conv(0, outC, 3, stride, 1)
 		c2 := b.Conv(c1, outC, 3, 1, 1)
 		skip := 0
@@ -137,7 +137,7 @@ func ResNet34() *Profile {
 // inceptionModule appends a four-branch inception element: 1x1, 1x1->5x5,
 // 1x1->3x3->3x3, and avg-pool->1x1 projection, concatenated on channels.
 func (c *chain) inceptionModule(name string, b1, b5red, b5, b3red, b3, poolProj int) {
-	c.element(name, func(b *GraphBuilder) {
+	c.element(name, func(b *graphBuilder) {
 		br1 := b.Conv(0, b1, 1, 1, 0)
 		m2 := b.Conv(0, b5red, 1, 1, 0)
 		br2 := b.Conv(m2, b5, 5, 1, 2)
@@ -153,7 +153,7 @@ func (c *chain) inceptionModule(name string, b1, b5red, b5, b3red, b3, poolProj 
 // reductionModule appends a spatial-reduction inception element: strided
 // 3x3, 1x1 -> 3x3 -> strided 3x3, and a strided max pool, concatenated.
 func (c *chain) reductionModule(name string, b3, dredIn, dred int) {
-	c.element(name, func(b *GraphBuilder) {
+	c.element(name, func(b *graphBuilder) {
 		o1 := b.Conv(0, b3, 3, 2, 1)
 		m := b.Conv(0, dredIn, 1, 1, 0)
 		m = b.Conv(m, dred, 3, 1, 1)
@@ -192,7 +192,7 @@ func InceptionV3() *Profile {
 // fireModule appends a SqueezeNet fire module: a 1x1 squeeze followed by
 // parallel 1x1 and 3x3 expands, concatenated.
 func (c *chain) fireModule(name string, squeeze, expand1, expand3 int) {
-	c.element(name, func(b *GraphBuilder) {
+	c.element(name, func(b *graphBuilder) {
 		sq := b.Conv(0, squeeze, 1, 1, 0)
 		e1 := b.Conv(sq, expand1, 1, 1, 0)
 		e3 := b.Conv(sq, expand3, 3, 1, 1)
@@ -223,7 +223,7 @@ func SqueezeNet10() *Profile {
 
 func (c *chain) done() *Profile {
 	out := c.p
-	return out.BuildCaches()
+	return out.buildCaches()
 }
 
 // All returns the four paper architectures, in the paper's evaluation order.

@@ -2,58 +2,58 @@ package model
 
 import "fmt"
 
-// OpKind enumerates the primitive operations a chain element's internal
+// opKind enumerates the primitive operations a chain element's internal
 // graph can contain.
-type OpKind int
+type opKind int
 
 // Primitive operation kinds.
 const (
-	// OpInput is the graph's single entry node.
-	OpInput OpKind = iota + 1
-	// OpConv is a 2D convolution.
-	OpConv
-	// OpReLU is an elementwise rectifier.
-	OpReLU
-	// OpMaxPool is a max pooling window.
-	OpMaxPool
-	// OpAvgPool is an average pooling window.
-	OpAvgPool
-	// OpAdd is an elementwise sum of two inputs (residual connections).
-	OpAdd
-	// OpConcat concatenates inputs on the channel axis (inception/fire).
-	OpConcat
+	// opInput is the graph's single entry node.
+	opInput opKind = iota + 1
+	// opConv is a 2D convolution.
+	opConv
+	// opReLU is an elementwise rectifier.
+	opReLU
+	// opMaxPool is a max pooling window.
+	opMaxPool
+	// opAvgPool is an average pooling window.
+	opAvgPool
+	// opAdd is an elementwise sum of two inputs (residual connections).
+	opAdd
+	// opConcat concatenates inputs on the channel axis (inception/fire).
+	opConcat
 )
 
 // String names the operation kind as it appears in profile tables.
-func (k OpKind) String() string {
+func (k opKind) String() string {
 	switch k {
-	case OpInput:
+	case opInput:
 		return "input"
-	case OpConv:
+	case opConv:
 		return "conv"
-	case OpReLU:
+	case opReLU:
 		return "relu"
-	case OpMaxPool:
+	case opMaxPool:
 		return "maxpool"
-	case OpAvgPool:
+	case opAvgPool:
 		return "avgpool"
-	case OpAdd:
+	case opAdd:
 		return "add"
-	case OpConcat:
+	case opConcat:
 		return "concat"
 	default:
 		return fmt.Sprintf("opkind(%d)", int(k))
 	}
 }
 
-// GraphNode is one primitive operation inside an element graph. Inputs
+// graphNode is one primitive operation inside an element graph. Inputs
 // reference earlier nodes only, so a Graph is a DAG by construction.
-type GraphNode struct {
+type graphNode struct {
 	// Kind selects the operation.
-	Kind OpKind
+	Kind opKind
 	// Conv holds the convolution parameters when Kind == OpConv; its In
 	// field records the expected input shape.
-	Conv ConvSpec
+	Conv convSpec
 	// Kernel, Stride and Pad parameterize pooling nodes.
 	Kernel, Stride, Pad int
 	// Inputs are the indices of the node's operands.
@@ -65,38 +65,38 @@ type GraphNode struct {
 // FLOPs returns the node's operation count: convolutions count multiply-adds
 // as 2, pools count one comparison/add per window element, elementwise and
 // concat nodes count one operation per output element.
-func (n GraphNode) FLOPs() float64 {
+func (n graphNode) FLOPs() float64 {
 	switch n.Kind {
-	case OpConv:
+	case opConv:
 		return n.Conv.FLOPs()
-	case OpMaxPool, OpAvgPool:
-		return float64(n.Kernel*n.Kernel) * float64(n.Out.Elems())
-	case OpReLU, OpAdd, OpConcat:
-		return float64(n.Out.Elems())
+	case opMaxPool, opAvgPool:
+		return float64(n.Kernel*n.Kernel) * float64(n.Out.elems())
+	case opReLU, opAdd, opConcat:
+		return float64(n.Out.elems())
 	default:
 		return 0
 	}
 }
 
-// Graph is the executable internal structure of one chain element: a DAG of
+// graph is the executable internal structure of one chain element: a DAG of
 // primitive operations from a single input node to a single output (the last
 // node). The analytic FLOPs of an element are defined as the sum over its
 // graph's nodes — so the numbers every LEIME decision consumes are exactly
 // what execution performs.
-type Graph struct {
+type graph struct {
 	// Nodes are in topological order; Nodes[0] is the OpInput node and the
 	// last node is the element's output.
-	Nodes []GraphNode
+	Nodes []graphNode
 }
 
 // In returns the graph's input shape.
-func (g *Graph) In() Shape { return g.Nodes[0].Out }
+func (g *graph) In() Shape { return g.Nodes[0].Out }
 
 // OutShape returns the graph's output shape.
-func (g *Graph) OutShape() Shape { return g.Nodes[len(g.Nodes)-1].Out }
+func (g *graph) OutShape() Shape { return g.Nodes[len(g.Nodes)-1].Out }
 
 // FLOPs returns the total operation count of the graph.
-func (g *Graph) FLOPs() float64 {
+func (g *graph) FLOPs() float64 {
 	var sum float64
 	for _, n := range g.Nodes {
 		sum += n.FLOPs()
@@ -105,10 +105,10 @@ func (g *Graph) FLOPs() float64 {
 }
 
 // Convs returns the graph's convolutions in topological order.
-func (g *Graph) Convs() []ConvSpec {
-	var out []ConvSpec
+func (g *graph) Convs() []convSpec {
+	var out []convSpec
 	for _, n := range g.Nodes {
-		if n.Kind == OpConv {
+		if n.Kind == opConv {
 			out = append(out, n.Conv)
 		}
 	}
@@ -117,11 +117,11 @@ func (g *Graph) Convs() []ConvSpec {
 
 // Validate checks structural soundness: topological input references, shape
 // agreement along every edge, and well-formed operands.
-func (g *Graph) Validate() error {
+func (g *graph) Validate() error {
 	if len(g.Nodes) == 0 {
 		return fmt.Errorf("model: empty graph")
 	}
-	if g.Nodes[0].Kind != OpInput {
+	if g.Nodes[0].Kind != opInput {
 		return fmt.Errorf("model: graph node 0 must be the input, got %v", g.Nodes[0].Kind)
 	}
 	for i, n := range g.Nodes {
@@ -134,7 +134,7 @@ func (g *Graph) Validate() error {
 			}
 		}
 		switch n.Kind {
-		case OpConv:
+		case opConv:
 			if len(n.Inputs) != 1 {
 				return fmt.Errorf("model: node %d: conv needs exactly 1 input", i)
 			}
@@ -144,11 +144,11 @@ func (g *Graph) Validate() error {
 			if n.Out != n.Conv.OutShape() {
 				return fmt.Errorf("model: node %d: conv output recorded as %v, spec yields %v", i, n.Out, n.Conv.OutShape())
 			}
-		case OpReLU:
+		case opReLU:
 			if len(n.Inputs) != 1 || g.Nodes[n.Inputs[0]].Out != n.Out {
 				return fmt.Errorf("model: node %d: relu must preserve its single input's shape", i)
 			}
-		case OpMaxPool, OpAvgPool:
+		case opMaxPool, opAvgPool:
 			if len(n.Inputs) != 1 {
 				return fmt.Errorf("model: node %d: pool needs exactly 1 input", i)
 			}
@@ -158,7 +158,7 @@ func (g *Graph) Validate() error {
 			if (n.Out != Shape{H: h, W: w, C: in.C}) {
 				return fmt.Errorf("model: node %d: pool output recorded as %v, want %v", i, n.Out, Shape{H: h, W: w, C: in.C})
 			}
-		case OpAdd:
+		case opAdd:
 			if len(n.Inputs) != 2 {
 				return fmt.Errorf("model: node %d: add needs exactly 2 inputs", i)
 			}
@@ -166,7 +166,7 @@ func (g *Graph) Validate() error {
 			if a != b || a != n.Out {
 				return fmt.Errorf("model: node %d: add shapes disagree (%v + %v -> %v)", i, a, b, n.Out)
 			}
-		case OpConcat:
+		case opConcat:
 			if len(n.Inputs) < 2 {
 				return fmt.Errorf("model: node %d: concat needs at least 2 inputs", i)
 			}
@@ -188,58 +188,58 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// GraphBuilder assembles a Graph incrementally; each method appends a node
+// graphBuilder assembles a Graph incrementally; each method appends a node
 // and returns its index for later reference.
-type GraphBuilder struct {
-	g Graph
+type graphBuilder struct {
+	g graph
 }
 
-// NewGraphBuilder starts a graph with the given input shape; the input node
+// newGraphBuilder starts a graph with the given input shape; the input node
 // has index 0.
-func NewGraphBuilder(in Shape) *GraphBuilder {
-	b := &GraphBuilder{}
-	b.g.Nodes = append(b.g.Nodes, GraphNode{Kind: OpInput, Out: in})
+func newGraphBuilder(in Shape) *graphBuilder {
+	b := &graphBuilder{}
+	b.g.Nodes = append(b.g.Nodes, graphNode{Kind: opInput, Out: in})
 	return b
 }
 
 // Conv appends a convolution reading from node in.
-func (b *GraphBuilder) Conv(in, outC, kernel, stride, pad int) int {
-	spec := ConvSpec{In: b.g.Nodes[in].Out, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad}
-	return b.add(GraphNode{Kind: OpConv, Conv: spec, Inputs: []int{in}, Out: spec.OutShape()})
+func (b *graphBuilder) Conv(in, outC, kernel, stride, pad int) int {
+	spec := convSpec{In: b.g.Nodes[in].Out, OutC: outC, Kernel: kernel, Stride: stride, Pad: pad}
+	return b.add(graphNode{Kind: opConv, Conv: spec, Inputs: []int{in}, Out: spec.OutShape()})
 }
 
 // ReLU appends a rectifier reading from node in.
-func (b *GraphBuilder) ReLU(in int) int {
-	return b.add(GraphNode{Kind: OpReLU, Inputs: []int{in}, Out: b.g.Nodes[in].Out})
+func (b *graphBuilder) ReLU(in int) int {
+	return b.add(graphNode{Kind: opReLU, Inputs: []int{in}, Out: b.g.Nodes[in].Out})
 }
 
 // MaxPool appends a max pool reading from node in.
-func (b *GraphBuilder) MaxPool(in, kernel, stride, pad int) int {
-	return b.pool(OpMaxPool, in, kernel, stride, pad)
+func (b *graphBuilder) MaxPool(in, kernel, stride, pad int) int {
+	return b.pool(opMaxPool, in, kernel, stride, pad)
 }
 
 // AvgPool appends an average pool reading from node in.
-func (b *GraphBuilder) AvgPool(in, kernel, stride, pad int) int {
-	return b.pool(OpAvgPool, in, kernel, stride, pad)
+func (b *graphBuilder) AvgPool(in, kernel, stride, pad int) int {
+	return b.pool(opAvgPool, in, kernel, stride, pad)
 }
 
-func (b *GraphBuilder) pool(kind OpKind, in, kernel, stride, pad int) int {
+func (b *graphBuilder) pool(kind opKind, in, kernel, stride, pad int) int {
 	s := b.g.Nodes[in].Out
 	h := (s.H+2*pad-kernel)/stride + 1
 	w := (s.W+2*pad-kernel)/stride + 1
-	return b.add(GraphNode{
+	return b.add(graphNode{
 		Kind: kind, Kernel: kernel, Stride: stride, Pad: pad,
 		Inputs: []int{in}, Out: Shape{H: h, W: w, C: s.C},
 	})
 }
 
 // Add appends an elementwise sum of nodes a and b.
-func (b *GraphBuilder) Add(a, c int) int {
-	return b.add(GraphNode{Kind: OpAdd, Inputs: []int{a, c}, Out: b.g.Nodes[a].Out})
+func (b *graphBuilder) Add(a, c int) int {
+	return b.add(graphNode{Kind: opAdd, Inputs: []int{a, c}, Out: b.g.Nodes[a].Out})
 }
 
 // Concat appends a channel concatenation of the given nodes.
-func (b *GraphBuilder) Concat(ins ...int) int {
+func (b *graphBuilder) Concat(ins ...int) int {
 	first := b.g.Nodes[ins[0]].Out
 	c := 0
 	for _, in := range ins {
@@ -247,16 +247,16 @@ func (b *GraphBuilder) Concat(ins ...int) int {
 	}
 	inputs := make([]int, len(ins))
 	copy(inputs, ins)
-	return b.add(GraphNode{Kind: OpConcat, Inputs: inputs, Out: Shape{H: first.H, W: first.W, C: c}})
+	return b.add(graphNode{Kind: opConcat, Inputs: inputs, Out: Shape{H: first.H, W: first.W, C: c}})
 }
 
-func (b *GraphBuilder) add(n GraphNode) int {
+func (b *graphBuilder) add(n graphNode) int {
 	b.g.Nodes = append(b.g.Nodes, n)
 	return len(b.g.Nodes) - 1
 }
 
 // Finish returns the built graph; the last appended node is the output.
-func (b *GraphBuilder) Finish() *Graph {
+func (b *graphBuilder) Finish() *graph {
 	out := b.g
 	return &out
 }

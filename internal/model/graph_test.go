@@ -7,7 +7,7 @@ import (
 )
 
 func TestGraphBuilderSimpleChain(t *testing.T) {
-	b := NewGraphBuilder(Shape{H: 8, W: 8, C: 3})
+	b := newGraphBuilder(Shape{H: 8, W: 8, C: 3})
 	c := b.Conv(0, 16, 3, 1, 1)
 	r := b.ReLU(c)
 	b.MaxPool(r, 2, 2, 0)
@@ -29,7 +29,7 @@ func TestGraphBuilderSimpleChain(t *testing.T) {
 
 func TestGraphBuilderBranches(t *testing.T) {
 	in := Shape{H: 4, W: 4, C: 8}
-	b := NewGraphBuilder(in)
+	b := newGraphBuilder(in)
 	left := b.Conv(0, 4, 1, 1, 0)
 	right := b.Conv(0, 12, 3, 1, 1)
 	b.Concat(left, right)
@@ -44,7 +44,7 @@ func TestGraphBuilderBranches(t *testing.T) {
 
 func TestGraphBuilderResidual(t *testing.T) {
 	in := Shape{H: 4, W: 4, C: 8}
-	b := NewGraphBuilder(in)
+	b := newGraphBuilder(in)
 	c1 := b.Conv(0, 8, 3, 1, 1)
 	sum := b.Add(c1, 0)
 	b.ReLU(sum)
@@ -58,23 +58,23 @@ func TestGraphBuilderResidual(t *testing.T) {
 }
 
 func TestGraphValidateCatchesCorruption(t *testing.T) {
-	build := func() *Graph {
-		b := NewGraphBuilder(Shape{H: 4, W: 4, C: 3})
+	build := func() *graph {
+		b := newGraphBuilder(Shape{H: 4, W: 4, C: 3})
 		c := b.Conv(0, 8, 3, 1, 1)
 		b.ReLU(c)
 		return b.Finish()
 	}
 	cases := []struct {
 		name    string
-		mutate  func(g *Graph)
+		mutate  func(g *graph)
 		wantSub string
 	}{
-		{"empty", func(g *Graph) { g.Nodes = nil }, "empty"},
-		{"no input head", func(g *Graph) { g.Nodes[0].Kind = OpReLU }, "input"},
-		{"forward reference", func(g *Graph) { g.Nodes[1].Inputs = []int{2} }, "not topological"},
-		{"conv shape lie", func(g *Graph) { g.Nodes[1].Out.C = 99 }, "conv output"},
-		{"conv input mismatch", func(g *Graph) { g.Nodes[1].Conv.In.C = 7 }, "expects input"},
-		{"relu shape change", func(g *Graph) { g.Nodes[2].Out.C = 1 }, "relu"},
+		{"empty", func(g *graph) { g.Nodes = nil }, "empty"},
+		{"no input head", func(g *graph) { g.Nodes[0].Kind = opReLU }, "input"},
+		{"forward reference", func(g *graph) { g.Nodes[1].Inputs = []int{2} }, "not topological"},
+		{"conv shape lie", func(g *graph) { g.Nodes[1].Out.C = 99 }, "conv output"},
+		{"conv input mismatch", func(g *graph) { g.Nodes[1].Conv.In.C = 7 }, "expects input"},
+		{"relu shape change", func(g *graph) { g.Nodes[2].Out.C = 1 }, "relu"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -93,7 +93,7 @@ func TestGraphValidateCatchesCorruption(t *testing.T) {
 
 func TestGraphValidatePoolAndAddAndConcatErrors(t *testing.T) {
 	// Pool with a lying output shape.
-	b := NewGraphBuilder(Shape{H: 4, W: 4, C: 3})
+	b := newGraphBuilder(Shape{H: 4, W: 4, C: 3})
 	p := b.MaxPool(0, 2, 2, 0)
 	_ = p
 	g := b.Finish()
@@ -102,14 +102,14 @@ func TestGraphValidatePoolAndAddAndConcatErrors(t *testing.T) {
 		t.Error("pool shape lie accepted")
 	}
 	// Add with mismatched operands.
-	b2 := NewGraphBuilder(Shape{H: 4, W: 4, C: 3})
+	b2 := newGraphBuilder(Shape{H: 4, W: 4, C: 3})
 	c := b2.Conv(0, 8, 3, 1, 1)
 	b2.Add(c, 0) // 8 channels + 3 channels
 	if err := b2.Finish().Validate(); err == nil {
 		t.Error("mismatched add accepted")
 	}
 	// Concat with a spatial mismatch.
-	b3 := NewGraphBuilder(Shape{H: 4, W: 4, C: 3})
+	b3 := newGraphBuilder(Shape{H: 4, W: 4, C: 3})
 	small := b3.MaxPool(0, 2, 2, 0)
 	b3.Concat(small, 0)
 	if err := b3.Finish().Validate(); err == nil {
@@ -137,10 +137,10 @@ func TestAllArchitectureGraphsValidate(t *testing.T) {
 }
 
 func TestOpKindString(t *testing.T) {
-	for kind, want := range map[OpKind]string{
-		OpInput: "input", OpConv: "conv", OpReLU: "relu",
-		OpMaxPool: "maxpool", OpAvgPool: "avgpool", OpAdd: "add", OpConcat: "concat",
-		OpKind(99): "opkind(99)",
+	for kind, want := range map[opKind]string{
+		opInput: "input", opConv: "conv", opReLU: "relu",
+		opMaxPool: "maxpool", opAvgPool: "avgpool", opAdd: "add", opConcat: "concat",
+		opKind(99): "opkind(99)",
 	} {
 		if got := kind.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", int(kind), got, want)
@@ -151,15 +151,15 @@ func TestOpKindString(t *testing.T) {
 func TestGraphNodeFLOPsPerKind(t *testing.T) {
 	shape := Shape{H: 2, W: 2, C: 4}
 	cases := []struct {
-		node GraphNode
+		node graphNode
 		want float64
 	}{
-		{GraphNode{Kind: OpInput, Out: shape}, 0},
-		{GraphNode{Kind: OpReLU, Out: shape}, 16},
-		{GraphNode{Kind: OpAdd, Out: shape}, 16},
-		{GraphNode{Kind: OpConcat, Out: shape}, 16},
-		{GraphNode{Kind: OpMaxPool, Kernel: 3, Out: shape}, 9 * 16},
-		{GraphNode{Kind: OpAvgPool, Kernel: 2, Out: shape}, 4 * 16},
+		{graphNode{Kind: opInput, Out: shape}, 0},
+		{graphNode{Kind: opReLU, Out: shape}, 16},
+		{graphNode{Kind: opAdd, Out: shape}, 16},
+		{graphNode{Kind: opConcat, Out: shape}, 16},
+		{graphNode{Kind: opMaxPool, Kernel: 3, Out: shape}, 9 * 16},
+		{graphNode{Kind: opAvgPool, Kernel: 2, Out: shape}, 4 * 16},
 	}
 	for i, c := range cases {
 		if got := c.node.FLOPs(); got != c.want {

@@ -22,19 +22,19 @@ type Shape struct {
 	H, W, C int
 }
 
-// Elems returns the number of scalar elements in the shape.
-func (s Shape) Elems() int { return s.H * s.W * s.C }
+// elems returns the number of scalar elements in the shape.
+func (s Shape) elems() int { return s.H * s.W * s.C }
 
-// Bytes returns the tensor size in bytes at float32 precision, which is what
+// bytes returns the tensor size in bytes at float32 precision, which is what
 // crosses the network when inference is partitioned after this tensor.
-func (s Shape) Bytes() float64 { return float64(s.Elems()) * 4 }
+func (s Shape) bytes() float64 { return float64(s.elems()) * 4 }
 
 // String renders the shape as HxWxC.
 func (s Shape) String() string { return fmt.Sprintf("%dx%dx%d", s.H, s.W, s.C) }
 
-// ConvSpec describes one primitive convolution inside an element, with its
+// convSpec describes one primitive convolution inside an element, with its
 // concrete input shape, so FLOPs are reconstructible.
-type ConvSpec struct {
+type convSpec struct {
 	In     Shape
 	OutC   int
 	Kernel int
@@ -43,7 +43,7 @@ type ConvSpec struct {
 }
 
 // OutShape returns the convolution's output shape.
-func (c ConvSpec) OutShape() Shape {
+func (c convSpec) OutShape() Shape {
 	h := (c.In.H+2*c.Pad-c.Kernel)/c.Stride + 1
 	w := (c.In.W+2*c.Pad-c.Kernel)/c.Stride + 1
 	return Shape{H: h, W: w, C: c.OutC}
@@ -51,9 +51,9 @@ func (c ConvSpec) OutShape() Shape {
 
 // FLOPs returns the multiply–add operation count of the convolution
 // (2 * K * K * Cin per output element).
-func (c ConvSpec) FLOPs() float64 {
+func (c convSpec) FLOPs() float64 {
 	out := c.OutShape()
-	return 2 * float64(c.Kernel) * float64(c.Kernel) * float64(c.In.C) * float64(out.Elems())
+	return 2 * float64(c.Kernel) * float64(c.Kernel) * float64(c.In.C) * float64(out.elems())
 }
 
 // Element is one atomic chain element: a convolutional layer or block, with
@@ -68,7 +68,7 @@ type Element struct {
 	Out Shape
 	// Convs lists the primitive convolutions the element comprises. May be
 	// empty for synthetic profiles.
-	Convs []ConvSpec
+	Convs []convSpec
 	// ExtraFLOPs is the non-convolutional cost folded into the element
 	// (activations, pooling, residual adds, concatenation); FLOPs is always
 	// the sum of the conv FLOPs and ExtraFLOPs.
@@ -77,29 +77,29 @@ type Element struct {
 	// synthetic profiles. When present, FLOPs, Out and Convs are derived
 	// from it, so the analytic numbers equal executed operation counts
 	// (pinned per element by testdata/executed_flops.txt).
-	Graph *Graph
+	Graph *graph
 }
 
-// OutBytes is the intermediate-data size (d_l_i) if the chain is cut after
+// outBytes is the intermediate-data size (d_l_i) if the chain is cut after
 // this element.
-func (e Element) OutBytes() float64 { return e.Out.Bytes() }
+func (e Element) outBytes() float64 { return e.Out.bytes() }
 
-// ExitHiddenUnits is the width of the first fully-connected layer in every
+// exitHiddenUnits is the width of the first fully-connected layer in every
 // early-exit classifier. The paper's exits are a pooling layer, two
 // fully-connected layers, and a softmax (§II-B Task model).
-const ExitHiddenUnits = 128
+const exitHiddenUnits = 128
 
-// NumClasses is the classifier output width (CIFAR-10).
-const NumClasses = 10
+// numClasses is the classifier output width (CIFAR-10).
+const numClasses = 10
 
 // ExitFLOPs returns the operation count of an early-exit classifier attached
 // to an activation of the given shape: global average pool + FC(C->128) +
 // FC(128->classes) + softmax.
 func ExitFLOPs(s Shape) float64 {
-	pool := float64(s.Elems())
-	fc1 := 2 * float64(s.C) * ExitHiddenUnits
-	fc2 := 2 * float64(ExitHiddenUnits) * NumClasses
-	softmax := 3 * float64(NumClasses)
+	pool := float64(s.elems())
+	fc1 := 2 * float64(s.C) * exitHiddenUnits
+	fc2 := 2 * float64(exitHiddenUnits) * numClasses
+	softmax := 3 * float64(numClasses)
 	return pool + fc1 + fc2 + softmax
 }
 
@@ -141,11 +141,11 @@ type Profile struct {
 	outBytes []float64
 }
 
-// BuildCaches (re)computes the profile's prefix-sum caches from Elements
+// buildCaches (re)computes the profile's prefix-sum caches from Elements
 // and InputBytes. Architecture constructors and ReadJSON call it; callers
 // only need it after mutating Elements in place. It returns the profile for
 // chaining.
-func (p *Profile) BuildCaches() *Profile {
+func (p *Profile) buildCaches() *Profile {
 	m := len(p.Elements)
 	p.prefixFLOPs = make([]float64, m+1)
 	p.exitFLOPs = make([]float64, m)
@@ -154,7 +154,7 @@ func (p *Profile) BuildCaches() *Profile {
 	for i, e := range p.Elements {
 		p.prefixFLOPs[i+1] = p.prefixFLOPs[i] + e.FLOPs
 		p.exitFLOPs[i] = ExitFLOPs(e.Out)
-		p.outBytes[i+1] = e.OutBytes()
+		p.outBytes[i+1] = e.outBytes()
 	}
 	return p
 }
@@ -179,7 +179,7 @@ func (p *Profile) DataBytes(i int) float64 {
 	if i == 0 {
 		return p.InputBytes
 	}
-	return p.Elements[i-1].OutBytes()
+	return p.Elements[i-1].outBytes()
 }
 
 // ExitClassifierFLOPs returns mu_exit_i for the 1-based exit index i.
@@ -227,7 +227,7 @@ func (p *Profile) Validate() error {
 		if e.FLOPs <= 0 {
 			return fmt.Errorf("model: profile %q element %d (%s) has non-positive FLOPs", p.Name, i+1, e.Name)
 		}
-		if e.Out.Elems() <= 0 {
+		if e.Out.elems() <= 0 {
 			return fmt.Errorf("model: profile %q element %d (%s) has empty output shape", p.Name, i+1, e.Name)
 		}
 		convSum := e.ExtraFLOPs

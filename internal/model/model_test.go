@@ -11,27 +11,27 @@ import (
 func TestConvSpecOutShape(t *testing.T) {
 	tests := []struct {
 		name string
-		spec ConvSpec
+		spec convSpec
 		want Shape
 	}{
 		{
 			name: "same-padding 3x3",
-			spec: ConvSpec{In: Shape{32, 32, 3}, OutC: 64, Kernel: 3, Stride: 1, Pad: 1},
+			spec: convSpec{In: Shape{32, 32, 3}, OutC: 64, Kernel: 3, Stride: 1, Pad: 1},
 			want: Shape{32, 32, 64},
 		},
 		{
 			name: "strided 3x3 halves spatial",
-			spec: ConvSpec{In: Shape{16, 16, 64}, OutC: 128, Kernel: 3, Stride: 2, Pad: 1},
+			spec: convSpec{In: Shape{16, 16, 64}, OutC: 128, Kernel: 3, Stride: 2, Pad: 1},
 			want: Shape{8, 8, 128},
 		},
 		{
 			name: "1x1 keeps spatial",
-			spec: ConvSpec{In: Shape{8, 8, 256}, OutC: 32, Kernel: 1, Stride: 1, Pad: 0},
+			spec: convSpec{In: Shape{8, 8, 256}, OutC: 32, Kernel: 1, Stride: 1, Pad: 0},
 			want: Shape{8, 8, 32},
 		},
 		{
 			name: "valid 5x5",
-			spec: ConvSpec{In: Shape{12, 12, 4}, OutC: 8, Kernel: 5, Stride: 1, Pad: 0},
+			spec: convSpec{In: Shape{12, 12, 4}, OutC: 8, Kernel: 5, Stride: 1, Pad: 0},
 			want: Shape{8, 8, 8},
 		},
 	}
@@ -46,7 +46,7 @@ func TestConvSpecOutShape(t *testing.T) {
 
 func TestConvSpecFLOPs(t *testing.T) {
 	// 2 * K*K*Cin * out elements.
-	spec := ConvSpec{In: Shape{32, 32, 3}, OutC: 64, Kernel: 3, Stride: 1, Pad: 1}
+	spec := convSpec{In: Shape{32, 32, 3}, OutC: 64, Kernel: 3, Stride: 1, Pad: 1}
 	want := 2.0 * 9 * 3 * 32 * 32 * 64
 	if got := spec.FLOPs(); got != want {
 		t.Errorf("FLOPs() = %v, want %v", got, want)
@@ -267,7 +267,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 			if err := p.WriteJSON(&buf); err != nil {
 				t.Fatalf("WriteJSON: %v", err)
 			}
-			loaded, err := ReadJSON(&buf)
+			loaded, err := readJSON(&buf)
 			if err != nil {
 				t.Fatalf("ReadJSON: %v", err)
 			}
@@ -302,7 +302,7 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 		  {"name":"b","flops":1,"out":{"H":1,"W":1,"C":1}},
 		  {"name":"c","flops":1,"out":{"H":1,"W":1,"C":1}}]}`,
 	} {
-		if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
+		if _, err := readJSON(strings.NewReader(bad)); err == nil {
 			t.Errorf("garbage accepted: %s", bad)
 		}
 	}
@@ -346,7 +346,7 @@ func TestStaleCacheFallsBackAfterAppend(t *testing.T) {
 	if got := p.TotalFLOPs(); got != want {
 		t.Fatalf("stale cache served: TotalFLOPs = %v, want %v", got, want)
 	}
-	if got := p.BuildCaches().TotalFLOPs(); got != want {
+	if got := p.buildCaches().TotalFLOPs(); got != want {
 		t.Fatalf("after BuildCaches: TotalFLOPs = %v, want %v", got, want)
 	}
 }

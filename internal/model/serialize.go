@@ -41,7 +41,7 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 			FLOPs:      e.FLOPs,
 			Out:        e.Out,
 			ExitFLOPs:  p.ExitClassifierFLOPs(i + 1),
-			OutBytes:   e.OutBytes(),
+			OutBytes:   e.outBytes(),
 			ConvLayers: len(e.Convs),
 		})
 	}
@@ -53,9 +53,9 @@ func (p *Profile) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// ReadJSON loads a profile previously written with WriteJSON. The loaded
+// readJSON loads a profile previously written with WriteJSON. The loaded
 // profile carries no executable graphs.
-func ReadJSON(r io.Reader) (*Profile, error) {
+func readJSON(r io.Reader) (*Profile, error) {
 	var in profileJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -77,5 +77,5 @@ func ReadJSON(r io.Reader) (*Profile, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return p.BuildCaches(), nil
+	return p.buildCaches(), nil
 }

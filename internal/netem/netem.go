@@ -42,9 +42,9 @@ func (l Link) Validate() error {
 	return nil
 }
 
-// SerializationDelay returns the time the link needs to clock out the given
+// serializationDelay returns the time the link needs to clock out the given
 // number of bytes (zero for an unshaped link).
-func (l Link) SerializationDelay(bytes int) time.Duration {
+func (l Link) serializationDelay(bytes int) time.Duration {
 	if l.BandwidthBps <= 0 || bytes <= 0 {
 		return 0
 	}
@@ -54,7 +54,7 @@ func (l Link) SerializationDelay(bytes int) time.Duration {
 // TransferDelay returns serialization plus propagation delay for one message
 // (excluding jitter).
 func (l Link) TransferDelay(bytes int) time.Duration {
-	return l.SerializationDelay(bytes) + l.Latency
+	return l.serializationDelay(bytes) + l.Latency
 }
 
 // Fault describes injectable link failures, applied per message on top of
@@ -72,8 +72,8 @@ type Fault struct {
 	SpikeLatency time.Duration
 }
 
-// Validate reports whether the fault description is usable.
-func (f Fault) Validate() error {
+// validate reports whether the fault description is usable.
+func (f Fault) validate() error {
 	if f.LossProb < 0 || f.LossProb > 1 {
 		return fmt.Errorf("netem: loss probability %v must be in [0, 1]", f.LossProb)
 	}
@@ -108,7 +108,7 @@ func NewShaper(link Link, seed int64) (*Shaper, error) {
 // SetFault replaces the injected fault state at runtime: tests and chaos
 // harnesses flip blackouts, loss and latency spikes on a live connection.
 func (s *Shaper) SetFault(f Fault) error {
-	if err := f.Validate(); err != nil {
+	if err := f.validate(); err != nil {
 		return err
 	}
 	s.mu.Lock()
@@ -149,7 +149,7 @@ func (s *Shaper) Acquire(bytes int) time.Duration {
 	if s.nextFree.After(start) {
 		start = s.nextFree
 	}
-	serialized := start.Add(s.link.SerializationDelay(bytes))
+	serialized := start.Add(s.link.serializationDelay(bytes))
 	s.nextFree = serialized
 	var jitter time.Duration
 	if s.link.Jitter > 0 {

@@ -26,13 +26,13 @@ func TestLinkValidate(t *testing.T) {
 
 func TestSerializationDelay(t *testing.T) {
 	l := Link{BandwidthBps: 8e6} // 1 MB/s
-	if got, want := l.SerializationDelay(1_000_000), time.Second; got != want {
+	if got, want := l.serializationDelay(1_000_000), time.Second; got != want {
 		t.Errorf("SerializationDelay = %v, want %v", got, want)
 	}
-	if got := (Link{}).SerializationDelay(1000); got != 0 {
+	if got := (Link{}).serializationDelay(1000); got != 0 {
 		t.Errorf("unshaped link delay = %v, want 0", got)
 	}
-	if got := l.SerializationDelay(0); got != 0 {
+	if got := l.serializationDelay(0); got != 0 {
 		t.Errorf("zero bytes delay = %v, want 0", got)
 	}
 }
@@ -134,16 +134,16 @@ func TestNewShaperRejectsBadLink(t *testing.T) {
 }
 
 func TestFaultValidate(t *testing.T) {
-	if err := (Fault{}).Validate(); err != nil {
+	if err := (Fault{}).validate(); err != nil {
 		t.Errorf("zero fault rejected: %v", err)
 	}
-	if err := (Fault{LossProb: 1.5}).Validate(); err == nil {
+	if err := (Fault{LossProb: 1.5}).validate(); err == nil {
 		t.Error("loss probability above 1 accepted")
 	}
-	if err := (Fault{LossProb: -0.1}).Validate(); err == nil {
+	if err := (Fault{LossProb: -0.1}).validate(); err == nil {
 		t.Error("negative loss probability accepted")
 	}
-	if err := (Fault{SpikeLatency: -time.Second}).Validate(); err == nil {
+	if err := (Fault{SpikeLatency: -time.Second}).validate(); err == nil {
 		t.Error("negative spike latency accepted")
 	}
 }

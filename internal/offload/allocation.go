@@ -105,9 +105,9 @@ func Allocate(devices []Device, edgeFLOPS float64) ([]float64, error) {
 	return p, nil
 }
 
-// MeanInferenceTime evaluates f(P) (eq. 26): the demand-weighted mean
+// meanInferenceTime evaluates f(P) (eq. 26): the demand-weighted mean
 // per-task processing time when device i works at F_i^d + p_i F^e.
-func MeanInferenceTime(devices []Device, edgeFLOPS float64, p []float64, m ModelParams) (float64, error) {
+func meanInferenceTime(devices []Device, edgeFLOPS float64, p []float64, m ModelParams) (float64, error) {
 	if len(p) != len(devices) {
 		return 0, fmt.Errorf("offload: allocation has %d entries for %d devices", len(p), len(devices))
 	}

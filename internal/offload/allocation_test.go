@@ -84,7 +84,7 @@ func TestAllocateOptimalAgainstAlternatives(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		fKKT, err := MeanInferenceTime(devices, edge, kkt, m)
+		fKKT, err := meanInferenceTime(devices, edge, kkt, m)
 		if err != nil {
 			t.Fatalf("MeanInferenceTime: %v", err)
 		}
@@ -94,8 +94,8 @@ func TestAllocateOptimalAgainstAlternatives(t *testing.T) {
 			uniform[i] = 1 / float64(n)
 			proportional[i] = devices[i].ArrivalMean / totalK
 		}
-		fUniform, _ := MeanInferenceTime(devices, edge, uniform, m)
-		fProp, _ := MeanInferenceTime(devices, edge, proportional, m)
+		fUniform, _ := meanInferenceTime(devices, edge, uniform, m)
+		fProp, _ := meanInferenceTime(devices, edge, proportional, m)
 		if fKKT > fUniform+1e-12 {
 			t.Errorf("trial %d: KKT (%v) lost to uniform (%v)", trial, fKKT, fUniform)
 		}
@@ -118,7 +118,7 @@ func TestAllocateErrors(t *testing.T) {
 }
 
 func TestMeanInferenceTimeLengthMismatch(t *testing.T) {
-	if _, err := MeanInferenceTime([]Device{testDevice()}, 1e10, []float64{0.5, 0.5}, testModel()); err == nil {
+	if _, err := meanInferenceTime([]Device{testDevice()}, 1e10, []float64{0.5, 0.5}, testModel()); err == nil {
 		t.Error("length mismatch accepted")
 	}
 }

@@ -115,8 +115,8 @@ type Config struct {
 	V float64
 }
 
-// Validate reports whether the configuration is usable.
-func (c Config) Validate() error {
+// validate reports whether the configuration is usable.
+func (c Config) validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
 	}
@@ -154,7 +154,7 @@ type Controller struct {
 
 // NewController validates the configuration and builds a controller.
 func NewController(cfg Config) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	return &Controller{cfg: cfg}, nil
@@ -224,11 +224,11 @@ func (c *Controller) Eval(dev Device, slot Slot, x float64) Costs {
 	return out
 }
 
-// BandwidthCap returns the largest offloading ratio the uplink admits
+// bandwidthCap returns the largest offloading ratio the uplink admits
 // (eq. 8): D(t) d_0 + A(t)(1 - sigma_1) d_1 <= B_i^e (tau - L_i^e), solved
 // for x. The returned value is clamped to [0, 1]; if even x = 0 violates the
 // constraint (the intermediate data alone overwhelms the link), it returns 0.
-func (c *Controller) BandwidthCap(dev Device, arrivals float64) float64 {
+func (c *Controller) bandwidthCap(dev Device, arrivals float64) float64 {
 	if arrivals == 0 {
 		return 1
 	}
@@ -261,7 +261,7 @@ func (c *Controller) Decide(dev Device, slot Slot) float64 {
 	if slot.Arrivals == 0 || slot.EdgeShareFLOPS <= 0 {
 		return 0
 	}
-	cap := c.BandwidthCap(dev, slot.Arrivals)
+	cap := c.bandwidthCap(dev, slot.Arrivals)
 	if cap == 0 {
 		return 0
 	}
@@ -303,15 +303,15 @@ func (c *Controller) Decide(dev Device, slot Slot) float64 {
 	return best
 }
 
-// DecideCentralized solves the per-slot P1' objective exactly by golden-
+// decideCentralized solves the per-slot P1' objective exactly by golden-
 // section search over [0, cap] (the objective is convex in x, §III-D4). It
 // is the comparator the close-to-optimal tests use; production code uses
 // Decide.
-func (c *Controller) DecideCentralized(dev Device, slot Slot) float64 {
+func (c *Controller) decideCentralized(dev Device, slot Slot) float64 {
 	if slot.Arrivals == 0 {
 		return 0
 	}
-	cap := c.BandwidthCap(dev, slot.Arrivals)
+	cap := c.bandwidthCap(dev, slot.Arrivals)
 	if cap == 0 {
 		return 0
 	}

@@ -35,7 +35,7 @@ func testController(t *testing.T, v float64) *Controller {
 
 func TestConfigValidate(t *testing.T) {
 	good := Config{Model: testModel(), TauSec: 1, V: 100}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := []Config{
@@ -44,7 +44,7 @@ func TestConfigValidate(t *testing.T) {
 		{Model: ModelParams{}, TauSec: 1, V: 1},
 	}
 	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
@@ -146,26 +146,26 @@ func TestBandwidthCap(t *testing.T) {
 
 	// Generous bandwidth: no cap.
 	dev.BandwidthBps = 1e9
-	if got := c.BandwidthCap(dev, 10); got != 1 {
+	if got := c.bandwidthCap(dev, 10); got != 1 {
 		t.Errorf("cap with generous bandwidth = %v, want 1", got)
 	}
 	// Starved link: everything capped out.
 	dev.BandwidthBps = 1e3
-	if got := c.BandwidthCap(dev, 10); got != 0 {
+	if got := c.bandwidthCap(dev, 10); got != 0 {
 		t.Errorf("cap with starved link = %v, want 0", got)
 	}
 	// Cap is non-decreasing in bandwidth.
 	prev := -1.0
 	for _, bw := range []float64{1e4, 1e5, 1e6, 1e7, 1e8} {
 		dev.BandwidthBps = bw
-		got := c.BandwidthCap(dev, 50)
+		got := c.bandwidthCap(dev, 50)
 		if got < prev {
 			t.Errorf("cap decreased with more bandwidth: %v < %v at %v bps", got, prev, bw)
 		}
 		prev = got
 	}
 	// Zero arrivals: vacuously uncapped.
-	if got := c.BandwidthCap(dev, 0); got != 1 {
+	if got := c.bandwidthCap(dev, 0); got != 1 {
 		t.Errorf("cap with zero arrivals = %v, want 1", got)
 	}
 }
@@ -189,7 +189,7 @@ func TestDecideRespectsCapAndRange(t *testing.T) {
 		if x < 0 || x > 1 {
 			t.Fatalf("trial %d: x=%v out of range", trial, x)
 		}
-		if cap := c.BandwidthCap(dev, slot.Arrivals); x > cap+1e-9 {
+		if cap := c.bandwidthCap(dev, slot.Arrivals); x > cap+1e-9 {
 			t.Fatalf("trial %d: x=%v exceeds bandwidth cap %v", trial, x, cap)
 		}
 	}
@@ -215,7 +215,7 @@ func TestDecideInteriorDecisionsBalanceOrBeatCorners(t *testing.T) {
 			EdgeShareFLOPS: 1e9 + 5e10*rng.Float64(),
 		}
 		x := c.Decide(dev, slot)
-		cap := c.BandwidthCap(dev, slot.Arrivals)
+		cap := c.bandwidthCap(dev, slot.Arrivals)
 		obj := c.Eval(dev, slot, x).Objective
 		for _, corner := range []float64{0, cap} {
 			if cObj := c.Eval(dev, slot, corner).Objective; obj > cObj+1e-9*math.Abs(cObj) {
@@ -254,7 +254,7 @@ func TestDecideCloseToCentralizedOptimum(t *testing.T) {
 			EdgeShareFLOPS: 1e9 + 5e10*rng.Float64(),
 		}
 		xd := c.Decide(dev, slot)
-		xc := c.DecideCentralized(dev, slot)
+		xc := c.decideCentralized(dev, slot)
 		od := c.Eval(dev, slot, xd).Objective
 		oc := c.Eval(dev, slot, xc).Objective
 		if oc <= 0 {

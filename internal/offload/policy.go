@@ -33,7 +33,7 @@ func Lyapunov() Policy {
 func LyapunovCentralized() Policy {
 	return Policy{
 		Name:   "LEIME-centralized",
-		Decide: func(c *Controller, dev Device, slot Slot) float64 { return c.DecideCentralized(dev, slot) },
+		Decide: func(c *Controller, dev Device, slot Slot) float64 { return c.decideCentralized(dev, slot) },
 	}
 }
 
@@ -52,7 +52,7 @@ func EdgeOnly() Policy {
 	return Policy{
 		Name: "E-only",
 		Decide: func(c *Controller, dev Device, slot Slot) float64 {
-			return c.BandwidthCap(dev, slot.Arrivals)
+			return c.bandwidthCap(dev, slot.Arrivals)
 		},
 	}
 }
@@ -69,7 +69,7 @@ func CapabilityBased() Policy {
 				return 0
 			}
 			x := slot.EdgeShareFLOPS / total
-			if cap := c.BandwidthCap(dev, slot.Arrivals); x > cap {
+			if cap := c.bandwidthCap(dev, slot.Arrivals); x > cap {
 				x = cap
 			}
 			return x

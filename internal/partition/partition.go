@@ -58,9 +58,9 @@ type Hop struct {
 	LatencySec float64
 }
 
-// DelaySec returns the time the hop needs to move one activation of the
+// delaySec returns the time the hop needs to move one activation of the
 // given byte size: serialization plus propagation.
-func (h Hop) DelaySec(bytes float64) float64 {
+func (h Hop) delaySec(bytes float64) float64 {
 	d := h.LatencySec
 	if h.BandwidthBps > 0 && bytes > 0 {
 		d += bytes * 8 / h.BandwidthBps
@@ -75,8 +75,8 @@ type Chain struct {
 	Hops []Hop
 }
 
-// Validate reports whether the chain is well-formed.
-func (c Chain) Validate() error {
+// validate reports whether the chain is well-formed.
+func (c Chain) validate() error {
 	if len(c.Workers) == 0 {
 		return fmt.Errorf("partition: chain has no workers")
 	}
@@ -266,7 +266,7 @@ func Solve(cfg Config) (*Plan, error) {
 		}
 	}
 	for i := 0; i <= m; i++ {
-		ingress := cfg.Chain.Hops[0].DelaySec(p.DataBytes(0)) // every task crosses
+		ingress := cfg.Chain.Hops[0].delaySec(p.DataBytes(0)) // every task crosses
 		if c := ws.stageCost(cfg, 0, 0, i); !math.IsInf(c, 1) {
 			dp[0][i] = ingress + c
 		}
@@ -278,7 +278,7 @@ func Solve(cfg Config) (*Plan, error) {
 				if math.IsInf(prev, 1) {
 					continue
 				}
-				hop := ws.surv[k] * cfg.Chain.Hops[j].DelaySec(p.DataBytes(k))
+				hop := ws.surv[k] * cfg.Chain.Hops[j].delaySec(p.DataBytes(k))
 				c := ws.stageCost(cfg, j, k, i)
 				if math.IsInf(c, 1) {
 					continue
@@ -413,10 +413,10 @@ func Evaluate(cfg Config, cuts []int) (*Plan, error) {
 	// hosted. Summing p_c * T_c reproduces the DP objective exactly (the
 	// survivor-weighted form is its rearrangement).
 	for c := 0; c < 3; c++ {
-		t := cfg.Chain.Hops[0].DelaySec(p.DataBytes(0))
+		t := cfg.Chain.Hops[0].delaySec(p.DataBytes(0))
 		for j, st := range plan.Stages {
 			if j > 0 {
-				t += cfg.Chain.Hops[j].DelaySec(st.InBytes)
+				t += cfg.Chain.Hops[j].delaySec(st.InBytes)
 			}
 			t += st.WaitSec + st.FLOPs[c]/cfg.Chain.Workers[st.Worker].FLOPS
 			if st.Hosted[c] {
@@ -433,7 +433,7 @@ func validate(cfg Config) error {
 	if cfg.Net == nil || cfg.Net.Profile == nil {
 		return fmt.Errorf("partition: nil network")
 	}
-	if err := cfg.Chain.Validate(); err != nil {
+	if err := cfg.Chain.validate(); err != nil {
 		return err
 	}
 	if cfg.ArrivalRate < 0 {

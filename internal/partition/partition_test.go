@@ -38,11 +38,11 @@ func naiveClassLatency(cfg Config, cuts []int, class int) float64 {
 	p := cfg.Net.Profile
 	exits := [3]int{cfg.Net.E1, cfg.Net.E2, cfg.Net.E3}
 	target := exits[class-1]
-	t := cfg.Chain.Hops[0].DelaySec(p.DataBytes(0))
+	t := cfg.Chain.Hops[0].delaySec(p.DataBytes(0))
 	lo := 0
 	for j, hi := range cuts {
 		if j > 0 {
-			t += cfg.Chain.Hops[j].DelaySec(p.DataBytes(lo))
+			t += cfg.Chain.Hops[j].delaySec(p.DataBytes(lo))
 		}
 		for l := lo + 1; l <= hi && l <= target; l++ {
 			t += p.LayerFLOPs(l) / cfg.Chain.Workers[j].FLOPS
@@ -281,7 +281,7 @@ func TestEarlyExitWeighting(t *testing.T) {
 		t.Fatalf("SingleWorker: %v", err)
 	}
 	p := net.Profile
-	want := chain.Hops[0].DelaySec(p.DataBytes(0)) +
+	want := chain.Hops[0].delaySec(p.DataBytes(0)) +
 		(p.CumulativeFLOPs(net.E1)+p.ExitClassifierFLOPs(net.E1))/1e9
 	if math.Abs(plan.ExpectedLatencySec-want) > 1e-9 {
 		t.Fatalf("all-exit-1 latency %.12g, want %.12g", plan.ExpectedLatencySec, want)

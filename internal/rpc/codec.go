@@ -167,8 +167,8 @@ func (e *Encoder) grow(n int) {
 	e.buf = next
 }
 
-// Byte appends one raw byte.
-func (e *Encoder) Byte(b byte) {
+// byte1 appends one raw byte.
+func (e *Encoder) byte1(b byte) {
 	e.reserve(1)
 	e.buf = append(e.buf, b)
 }
@@ -176,9 +176,9 @@ func (e *Encoder) Byte(b byte) {
 // Bool appends a bool as one byte.
 func (e *Encoder) Bool(b bool) {
 	if b {
-		e.Byte(1)
+		e.byte1(1)
 	} else {
-		e.Byte(0)
+		e.byte1(0)
 	}
 }
 
@@ -188,13 +188,13 @@ func (e *Encoder) Uvarint(v uint64) {
 	e.buf = binary.AppendUvarint(e.buf, v)
 }
 
-// Varint appends a signed varint (zigzag).
-func (e *Encoder) Varint(v int64) {
+// varint appends a signed varint (zigzag).
+func (e *Encoder) varint(v int64) {
 	e.Uvarint(uint64(v)<<1 ^ uint64(v>>63))
 }
 
 // Int appends an int as a signed varint.
-func (e *Encoder) Int(v int) { e.Varint(int64(v)) }
+func (e *Encoder) Int(v int) { e.varint(int64(v)) }
 
 // Float64 appends the IEEE-754 bits as 8 fixed little-endian bytes —
 // floats are profile constants and shares, where varint buys nothing.
@@ -227,9 +227,9 @@ type Decoder struct {
 	err  error
 }
 
-// NewDecoder wraps data for decoding. The decoder and every Bytes value it
+// newDecoder wraps data for decoding. The decoder and every Bytes value it
 // returns alias data; callers must not mutate it afterwards.
-func NewDecoder(data []byte) *Decoder { return &Decoder{data: data} }
+func newDecoder(data []byte) *Decoder { return &Decoder{data: data} }
 
 // Err returns the first decode failure, nil if none so far.
 func (d *Decoder) Err() error { return d.err }
@@ -243,8 +243,8 @@ func (d *Decoder) fail(format string, args ...any) {
 	}
 }
 
-// Byte consumes one raw byte.
-func (d *Decoder) Byte() byte {
+// byte1 consumes one raw byte.
+func (d *Decoder) byte1() byte {
 	if d.err != nil || d.off >= len(d.data) {
 		d.fail("rpc: decode: truncated byte at offset %d", d.off)
 		return 0
@@ -256,7 +256,7 @@ func (d *Decoder) Byte() byte {
 
 // Bool consumes one byte as a bool; values other than 0/1 are corruption.
 func (d *Decoder) Bool() bool {
-	switch d.Byte() {
+	switch d.byte1() {
 	case 0:
 		return false
 	case 1:
@@ -297,15 +297,15 @@ func (d *Decoder) Uvarint() uint64 {
 	}
 }
 
-// Varint consumes a signed (zigzag) varint.
-func (d *Decoder) Varint() int64 {
+// varint consumes a signed (zigzag) varint.
+func (d *Decoder) varint() int64 {
 	u := d.Uvarint()
 	return int64(u>>1) ^ -int64(u&1)
 }
 
 // Int consumes an int-sized signed varint.
 func (d *Decoder) Int() int {
-	v := d.Varint()
+	v := d.varint()
 	if int64(int(v)) != v {
 		d.fail("rpc: decode: varint %d overflows int", v)
 		return 0

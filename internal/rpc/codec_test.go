@@ -21,7 +21,7 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 		e.Uvarint(v)
 	}
 	for _, v := range ivals {
-		e.Varint(v)
+		e.varint(v)
 	}
 	for _, v := range fvals {
 		e.Float64(v)
@@ -34,17 +34,17 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	}
 	e.Bool(true)
 	e.Bool(false)
-	e.Byte(0xAB)
+	e.byte1(0xAB)
 	e.Int(-12345)
 
-	d := NewDecoder(e.buf)
+	d := newDecoder(e.buf)
 	for _, want := range uvals {
 		if got := d.Uvarint(); got != want {
 			t.Errorf("Uvarint = %d, want %d", got, want)
 		}
 	}
 	for _, want := range ivals {
-		if got := d.Varint(); got != want {
+		if got := d.varint(); got != want {
 			t.Errorf("Varint = %d, want %d", got, want)
 		}
 	}
@@ -66,7 +66,7 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	if !d.Bool() || d.Bool() {
 		t.Error("Bool round-trip failed")
 	}
-	if got := d.Byte(); got != 0xAB {
+	if got := d.byte1(); got != 0xAB {
 		t.Errorf("Byte = %#x, want 0xAB", got)
 	}
 	if got := d.Int(); got != -12345 {
@@ -85,7 +85,7 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 func TestDecoderNaN(t *testing.T) {
 	var e Encoder
 	e.Float64(math.NaN())
-	d := NewDecoder(e.buf)
+	d := newDecoder(e.buf)
 	if got := d.Float64(); !math.IsNaN(got) {
 		t.Errorf("NaN decoded as %v", got)
 	}
@@ -99,7 +99,7 @@ func TestDecoderErrorsAreSticky(t *testing.T) {
 		feed func(d *Decoder)
 		data []byte
 	}{
-		{"truncated byte", func(d *Decoder) { d.Byte() }, nil},
+		{"truncated byte", func(d *Decoder) { d.byte1() }, nil},
 		{"truncated varint", func(d *Decoder) { d.Uvarint() }, []byte{0x80}},
 		{"overlong varint", func(d *Decoder) { d.Uvarint() }, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}},
 		{"truncated float", func(d *Decoder) { d.Float64() }, []byte{1, 2, 3}},
@@ -109,7 +109,7 @@ func TestDecoderErrorsAreSticky(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			d := NewDecoder(c.data)
+			d := newDecoder(c.data)
 			c.feed(d)
 			if d.Err() == nil {
 				t.Fatal("no error on malformed input")

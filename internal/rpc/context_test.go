@@ -288,7 +288,7 @@ func TestDeadlinePropagatesToServer(t *testing.T) {
 	if !errors.Is(err, ErrDeadlineExceeded) {
 		t.Fatalf("expired call = %v, want ErrDeadlineExceeded", err)
 	}
-	var remote *RemoteError
+	var remote *remoteErr
 	if !errors.As(err, &remote) {
 		t.Error("shed error should arrive as a RemoteError")
 	}
@@ -323,7 +323,7 @@ func TestRegisteredErrorCrossesWire(t *testing.T) {
 		t.Errorf("remote error %v lost its sentinel across the wire", err)
 	}
 	// Unregistered errors still travel as plain RemoteErrors.
-	var remote *RemoteError
+	var remote *remoteErr
 	if !errors.As(err, &remote) {
 		t.Error("expected a RemoteError wrapper")
 	}

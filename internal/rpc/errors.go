@@ -98,10 +98,10 @@ func sentinelFor(code string) error {
 	return sentinels[code]
 }
 
-// RemoteError is an error returned by the remote handler, reconstructed on
+// remoteErr is an error returned by the remote handler, reconstructed on
 // the caller side. It unwraps to the registered sentinel matching the wire
 // code, so errors.Is classifies remote failures exactly like local ones.
-type RemoteError struct {
+type remoteErr struct {
 	// Msg is the remote handler's error text.
 	Msg string
 	// sentinel is the decoded typed cause; nil for uncoded errors.
@@ -109,13 +109,13 @@ type RemoteError struct {
 }
 
 // Error returns the remote message prefixed with the transport's tag.
-func (e *RemoteError) Error() string { return "rpc: remote: " + e.Msg }
+func (e *remoteErr) Error() string { return "rpc: remote: " + e.Msg }
 
 // Unwrap exposes the typed cause for errors.Is/errors.As.
-func (e *RemoteError) Unwrap() error { return e.sentinel }
+func (e *remoteErr) Unwrap() error { return e.sentinel }
 
 // remoteError builds the caller-side error for a reply envelope carrying an
 // error, resolving its wire code to a sentinel when one is registered.
 func remoteError(msg, code string) error {
-	return &RemoteError{Msg: msg, sentinel: sentinelFor(code)}
+	return &remoteErr{Msg: msg, sentinel: sentinelFor(code)}
 }

@@ -106,7 +106,7 @@ func TestUnencodableReplyAnswersCaller(t *testing.T) {
 	s, err := ServeMeta("127.0.0.1:0", func(_ context.Context, _ Meta, body any) (any, error) {
 		switch body.(echoReq).Text {
 		case "huge":
-			return benchTaskReq{Payload: make([]byte, MaxMessageBytes)}, nil
+			return benchTaskReq{Payload: make([]byte, maxMessageBytes)}, nil
 		case "uncodable":
 			return unregistered{X: 1}, nil
 		}
@@ -128,7 +128,7 @@ func TestUnencodableReplyAnswersCaller(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		_, err := c.Call(ctx, echoReq{Text: text})
 		cancel()
-		var remote *RemoteError
+		var remote *remoteErr
 		if !errors.As(err, &remote) || !strings.Contains(remote.Msg, want) {
 			t.Errorf("%s reply: call error %v, want a RemoteError containing %q", text, err, want)
 		}
@@ -146,7 +146,7 @@ func TestOversizedFrameRejected(t *testing.T) {
 	}
 	defer raw.Close()
 	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], MaxMessageBytes+1)
+	binary.BigEndian.PutUint32(lenBuf[:], maxMessageBytes+1)
 	if _, err := raw.Write(lenBuf[:]); err != nil {
 		t.Fatalf("write: %v", err)
 	}

@@ -21,7 +21,7 @@ const (
 	classesPerDoubling = 4
 	// maxFrameBuf is the largest buffer a legal frame needs: the encoder
 	// holds the length prefix in front of a MaxMessageBytes payload.
-	maxFrameBuf = MaxMessageBytes + 4
+	maxFrameBuf = maxMessageBytes + 4
 )
 
 // frameClasses holds one pool per class, the last being the first class

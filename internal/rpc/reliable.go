@@ -10,18 +10,18 @@ import (
 	"leime/internal/netem"
 )
 
-// Idempotent marks request types that are safe to send more than once: a
+// idempotent marks request types that are safe to send more than once: a
 // retried delivery (after a transport failure that may or may not have
 // reached the server) leaves the system in the same state as a single one.
 // Control-plane requests (register, queue stats, rate updates) qualify;
 // task executions do not — re-running a block would burn compute twice, so
 // the runtime degrades those locally instead of retrying.
-type Idempotent interface {
+type idempotent interface {
 	Idempotent() bool
 }
 
 func isIdempotent(body any) bool {
-	i, ok := body.(Idempotent)
+	i, ok := body.(idempotent)
 	return ok && i.Idempotent()
 }
 
@@ -141,9 +141,9 @@ type Breaker struct {
 	probing  bool      // half-open: a probe is in flight
 }
 
-// NewBreaker builds a breaker; onChange (optional) observes state
+// newBreaker builds a breaker; onChange (optional) observes state
 // transitions and is invoked without internal locks held.
-func NewBreaker(cfg BreakerConfig, onChange func(BreakerState)) *Breaker {
+func newBreaker(cfg BreakerConfig, onChange func(BreakerState)) *Breaker {
 	return &Breaker{cfg: cfg.withDefaults(), onChange: onChange}
 }
 
@@ -158,10 +158,10 @@ func (b *Breaker) State() BreakerState {
 	return b.state
 }
 
-// Allow reports whether a call may proceed. Open: ErrCircuitOpen until the
+// allow reports whether a call may proceed. Open: ErrCircuitOpen until the
 // cooldown elapses, then the first caller becomes the half-open probe and
 // every other caller keeps failing fast until the probe resolves.
-func (b *Breaker) Allow() error {
+func (b *Breaker) allow() error {
 	b.mu.Lock()
 	switch b.state {
 	case BreakerClosed:
@@ -188,8 +188,8 @@ func (b *Breaker) Allow() error {
 	}
 }
 
-// Success records a completed call and closes the breaker.
-func (b *Breaker) Success() {
+// success records a completed call and closes the breaker.
+func (b *Breaker) success() {
 	b.mu.Lock()
 	b.failures = 0
 	b.probing = false
@@ -201,9 +201,9 @@ func (b *Breaker) Success() {
 	}
 }
 
-// Failure records a transport failure; enough consecutive ones (or a failed
+// failure records a transport failure; enough consecutive ones (or a failed
 // half-open probe) trip the breaker open for the cooldown.
-func (b *Breaker) Failure() {
+func (b *Breaker) failure() {
 	b.mu.Lock()
 	b.failures++
 	b.probing = false
@@ -288,7 +288,7 @@ func DialReliable(addr string, shaper *netem.Shaper, opts ReliableOptions) *Reli
 		addr:    addr,
 		shaper:  shaper,
 		retry:   opts.Retry.withDefaults(),
-		breaker: NewBreaker(opts.Breaker, opts.OnBreakerChange),
+		breaker: newBreaker(opts.Breaker, opts.OnBreakerChange),
 		opts:    opts,
 		rng:     rand.New(rand.NewSource(seed)),
 	}
@@ -309,7 +309,7 @@ func (r *ReliableClient) conn(ctx context.Context) (*Client, error) {
 	if r.cur != nil {
 		return r.cur, nil
 	}
-	c, err := DialContext(ctx, r.addr, r.shaper)
+	c, err := dialContext(ctx, r.addr, r.shaper)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +363,7 @@ func (r *ReliableClient) CallMeta(ctx context.Context, meta Meta, body any) (any
 				return nil, ctxError(err)
 			}
 		}
-		if err := r.breaker.Allow(); err != nil {
+		if err := r.breaker.allow(); err != nil {
 			// Open breaker: fail fast, never spin the retry loop against it.
 			if lastErr == nil {
 				lastErr = err
@@ -376,7 +376,7 @@ func (r *ReliableClient) CallMeta(ctx context.Context, meta Meta, body any) (any
 				return nil, err // this reliable client was closed
 			}
 			lastErr = err
-			r.breaker.Failure()
+			r.breaker.failure()
 			if idem {
 				continue
 			}
@@ -384,13 +384,13 @@ func (r *ReliableClient) CallMeta(ctx context.Context, meta Meta, body any) (any
 		}
 		got, err := c.CallMeta(ctx, meta, body)
 		if err == nil {
-			r.breaker.Success()
+			r.breaker.success()
 			return got, nil
 		}
 		lastErr = err
 		switch {
 		case isTransport(err):
-			r.breaker.Failure()
+			r.breaker.failure()
 			r.invalidate(c)
 			if idem {
 				continue
@@ -406,7 +406,7 @@ func (r *ReliableClient) CallMeta(ctx context.Context, meta Meta, body any) (any
 			// Remote application error: the peer is alive and answered. A
 			// request that failed to encode lands here too; it never left
 			// this process, and retrying cannot make it encode.
-			r.breaker.Success()
+			r.breaker.success()
 			return nil, err
 		}
 	}

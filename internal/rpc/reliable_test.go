@@ -56,7 +56,7 @@ func TestRetryPolicyDefaultsAndBackoff(t *testing.T) {
 func TestBreakerLifecycle(t *testing.T) {
 	var transitions []BreakerState
 	var mu sync.Mutex
-	b := NewBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: 40 * time.Millisecond}, func(s BreakerState) {
+	b := newBreaker(BreakerConfig{FailureThreshold: 2, Cooldown: 40 * time.Millisecond}, func(s BreakerState) {
 		mu.Lock()
 		transitions = append(transitions, s)
 		mu.Unlock()
@@ -64,18 +64,18 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != BreakerClosed {
 		t.Fatalf("fresh breaker state = %v", b.State())
 	}
-	if err := b.Allow(); err != nil {
+	if err := b.allow(); err != nil {
 		t.Fatalf("closed breaker refused a call: %v", err)
 	}
-	b.Failure()
+	b.failure()
 	if b.State() != BreakerClosed {
 		t.Error("breaker tripped below the threshold")
 	}
-	b.Failure()
+	b.failure()
 	if b.State() != BreakerOpen {
 		t.Fatal("breaker did not trip at the threshold")
 	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
+	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker allowed a call (err=%v)", err)
 	}
 	// After the cooldown, exactly one caller becomes the half-open probe.
@@ -83,22 +83,22 @@ func TestBreakerLifecycle(t *testing.T) {
 	if b.State() != BreakerHalfOpen {
 		t.Fatalf("state after cooldown = %v, want half-open", b.State())
 	}
-	if err := b.Allow(); err != nil {
+	if err := b.allow(); err != nil {
 		t.Fatalf("half-open breaker refused the probe: %v", err)
 	}
-	if err := b.Allow(); !errors.Is(err, ErrCircuitOpen) {
+	if err := b.allow(); !errors.Is(err, ErrCircuitOpen) {
 		t.Error("second concurrent probe allowed")
 	}
 	// A failed probe re-opens; a successful one closes.
-	b.Failure()
+	b.failure()
 	if b.State() != BreakerOpen {
 		t.Error("failed probe did not re-open the breaker")
 	}
 	time.Sleep(50 * time.Millisecond)
-	if err := b.Allow(); err != nil {
+	if err := b.allow(); err != nil {
 		t.Fatalf("second probe refused: %v", err)
 	}
-	b.Success()
+	b.success()
 	if b.State() != BreakerClosed {
 		t.Error("successful probe did not close the breaker")
 	}
@@ -116,16 +116,16 @@ func TestBreakerLifecycle(t *testing.T) {
 }
 
 func TestBreakerReleaseProbe(t *testing.T) {
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: 10 * time.Millisecond}, nil)
-	b.Failure()
+	b := newBreaker(BreakerConfig{FailureThreshold: 1, Cooldown: 10 * time.Millisecond}, nil)
+	b.failure()
 	time.Sleep(20 * time.Millisecond)
-	if err := b.Allow(); err != nil {
+	if err := b.allow(); err != nil {
 		t.Fatalf("probe refused: %v", err)
 	}
 	// The probe's call ran out of deadline — inconclusive. Releasing it
 	// must let the next caller probe instead of wedging half-open forever.
 	b.releaseProbe()
-	if err := b.Allow(); err != nil {
+	if err := b.allow(); err != nil {
 		t.Errorf("probe slot wedged after release: %v", err)
 	}
 }
@@ -358,7 +358,7 @@ func TestReliableEncodeFailureIsNotTransport(t *testing.T) {
 		Seed: 1,
 	})
 	defer r.Close()
-	_, err := r.Call(context.Background(), idemReq{N: 1, Pad: make([]byte, MaxMessageBytes)})
+	_, err := r.Call(context.Background(), idemReq{N: 1, Pad: make([]byte, maxMessageBytes)})
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit") {
 		t.Fatalf("over-limit request = %v, want an exceeds-limit encode error", err)
 	}

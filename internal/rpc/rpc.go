@@ -30,9 +30,9 @@ import (
 	"leime/internal/netem"
 )
 
-// MaxMessageBytes bounds a single message; larger frames indicate protocol
+// maxMessageBytes bounds a single message; larger frames indicate protocol
 // corruption.
-const MaxMessageBytes = 16 << 20
+const maxMessageBytes = 16 << 20
 
 // DialTimeout bounds one TCP connection attempt.
 const DialTimeout = 5 * time.Second
@@ -98,7 +98,7 @@ func encodeEnvelope(e *Encoder, env *envelope, entry *codecEntry) {
 	if entry != nil {
 		flags |= flagHasBody
 	}
-	e.Byte(flags)
+	e.byte1(flags)
 	if hasErr {
 		e.String(env.Err)
 		e.String(env.Code)
@@ -106,7 +106,7 @@ func encodeEnvelope(e *Encoder, env *envelope, entry *codecEntry) {
 	if hasMeta {
 		e.Uvarint(env.Meta.TraceID)
 		e.Uvarint(env.Meta.SpanID)
-		e.Varint(env.Meta.Deadline)
+		e.varint(env.Meta.Deadline)
 	}
 	if entry != nil {
 		e.Uvarint(uint64(entry.id))
@@ -130,7 +130,7 @@ func decodeBinaryEnvelope(payload []byte) (*envelope, error) {
 	d := &f.dec
 	env := &f.env
 	env.ID = d.Uvarint()
-	flags := d.Byte()
+	flags := d.byte1()
 	if flags&^(flagIsReply|flagHasErr|flagHasMeta|flagHasBody) != 0 {
 		return nil, fmt.Errorf("rpc: decode: unknown envelope flags %#x", flags)
 	}
@@ -142,7 +142,7 @@ func decodeBinaryEnvelope(payload []byte) (*envelope, error) {
 	if flags&flagHasMeta != 0 {
 		env.Meta.TraceID = d.Uvarint()
 		env.Meta.SpanID = d.Uvarint()
-		env.Meta.Deadline = d.Varint()
+		env.Meta.Deadline = d.varint()
 	}
 	if flags&flagHasBody != 0 {
 		id := d.Uvarint()
@@ -189,7 +189,7 @@ func encodeFrame(env *envelope) (*Encoder, error) {
 	e.buf = append(e.buf, 0, 0, 0, 0, wireVersion, codecBinary)
 	encodeEnvelope(e, env, entry)
 	payload := len(e.buf) - 4
-	if payload > MaxMessageBytes {
+	if payload > maxMessageBytes {
 		putEncoder(e)
 		return nil, fmt.Errorf("rpc: message of %d bytes exceeds limit", payload)
 	}
@@ -206,7 +206,7 @@ func readFrameLen(r io.Reader) (int, error) {
 		return 0, err
 	}
 	n := binary.BigEndian.Uint32(lenBuf[:])
-	if n > MaxMessageBytes {
+	if n > maxMessageBytes {
 		return 0, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
 	if n < 2 {
@@ -483,13 +483,13 @@ type Client struct {
 func Dial(addr string, shaper *netem.Shaper) (*Client, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), DialTimeout)
 	defer cancel()
-	return DialContext(ctx, addr, shaper)
+	return dialContext(ctx, addr, shaper)
 }
 
-// DialContext is Dial bounded by a context: the attempt stops at the
+// dialContext is Dial bounded by a context: the attempt stops at the
 // context's deadline or cancellation, or after DialTimeout, whichever comes
 // first. Dial failures wrap ErrPeerUnavailable.
-func DialContext(ctx context.Context, addr string, shaper *netem.Shaper) (*Client, error) {
+func dialContext(ctx context.Context, addr string, shaper *netem.Shaper) (*Client, error) {
 	d := net.Dialer{Timeout: DialTimeout}
 	conn, err := d.DialContext(ctx, "tcp", addr)
 	if err != nil {

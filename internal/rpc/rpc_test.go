@@ -58,8 +58,8 @@ func init() {
 			return benchTaskReq{DeviceID: d.String(), TaskID: d.Uvarint(), Payload: d.Bytes(), Exit: d.Int()}
 		})
 	registerTestCodec(60004,
-		func(e *Encoder, r slowReq) { e.Varint(int64(r.Delay)); e.Int(r.Tag) },
-		func(d *Decoder) slowReq { return slowReq{Delay: time.Duration(d.Varint()), Tag: d.Int()} })
+		func(e *Encoder, r slowReq) { e.varint(int64(r.Delay)); e.Int(r.Tag) },
+		func(d *Decoder) slowReq { return slowReq{Delay: time.Duration(d.varint()), Tag: d.Int()} })
 	registerTestCodec(60005,
 		func(e *Encoder, r slowResp) { e.Int(r.Tag) },
 		func(d *Decoder) slowResp { return slowResp{Tag: d.Int()} })

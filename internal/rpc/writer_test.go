@@ -184,7 +184,7 @@ func TestBatchedEncodeFailureFailsOnlyItsCall(t *testing.T) {
 	wg.Add(small + 1)
 	go func() {
 		defer wg.Done()
-		_, hugeErr = r.Call(context.Background(), echoReq{Text: strings.Repeat("x", MaxMessageBytes)})
+		_, hugeErr = r.Call(context.Background(), echoReq{Text: strings.Repeat("x", maxMessageBytes)})
 	}()
 	for i := 0; i < small; i++ {
 		go func(i int) {

@@ -164,8 +164,8 @@ func (e *Executor) next(now time.Time, modelNow float64) (batch []*job, start fl
 	return batch, start, at, wakeAt
 }
 
-// Rate returns the current FLOPS rating.
-func (e *Executor) Rate() float64 {
+// rate returns the current FLOPS rating.
+func (e *Executor) rate() float64 {
 	return math.Float64frombits(atomic.LoadUint64(&e.rateBits))
 }
 
@@ -196,7 +196,7 @@ func (e *Executor) Pending() int {
 func (e *Executor) BacklogSeconds() float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.q.Backlog() / e.Rate()
+	return e.q.Backlog() / e.rate()
 }
 
 // Do enqueues a job of the given FLOPs and blocks until it completes. It
@@ -263,7 +263,7 @@ func (e *Executor) DoTimedCtx(ctx context.Context, flops float64) (wait, service
 	switch {
 	case v.Infeasible:
 		e.mu.Unlock()
-		return 0, 0, fmt.Errorf("%w (needs %.3gs, deadline in %v)", ErrDeadlineInfeasible, v.WaitSec+flops/e.Rate(), time.Until(deadline))
+		return 0, 0, fmt.Errorf("%w (needs %.3gs, deadline in %v)", ErrDeadlineInfeasible, v.WaitSec+flops/e.rate(), time.Until(deadline))
 	case v.OverBudget:
 		e.mu.Unlock()
 		return 0, 0, fmt.Errorf("%w (backlog %.3gs over budget %.3gs)", ErrOverloadCapacity, v.BacklogSec, e.q.Policy().MaxBacklogSec)
@@ -386,7 +386,7 @@ func (e *Executor) serve(batch []*job, start float64, at time.Time) bool {
 	}
 	finish, end := start, at
 	if live > 0 {
-		sec := e.batch.Amortized(head.flops, live) / e.Rate()
+		sec := e.batch.Amortized(head.flops, live) / e.rate()
 		finish, end = start+sec, at.Add(e.scale.Seconds(sec))
 		e.burn(at, end)
 	}

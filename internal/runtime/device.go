@@ -111,8 +111,8 @@ type DeviceConfig struct {
 	Ready func()
 }
 
-// Validate reports whether the configuration is runnable.
-func (c DeviceConfig) Validate() error {
+// validate reports whether the configuration is runnable.
+func (c DeviceConfig) validate() error {
 	if c.ID == "" {
 		return fmt.Errorf("runtime: device needs an ID")
 	}
@@ -198,7 +198,7 @@ func RunDevice(cfg DeviceConfig) (*DeviceStats, error) {
 	if len(cfg.EdgeAddrs) == 1 {
 		cfg.EdgeAddr, cfg.EdgeAddrs = cfg.EdgeAddrs[0], nil
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	RegisterMessages()

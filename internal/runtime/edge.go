@@ -270,8 +270,8 @@ func scaleLink(l netem.Link, s Scale) netem.Link {
 	if out.BandwidthBps > 0 {
 		out.BandwidthBps /= float64(s)
 	}
-	out.Latency = s.D(out.Latency)
-	out.Jitter = s.D(out.Jitter)
+	out.Latency = s.scaled(out.Latency)
+	out.Jitter = s.scaled(out.Jitter)
 	return out
 }
 

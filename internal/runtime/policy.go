@@ -47,6 +47,6 @@ func withDegradeDefaults(p ControlPolicy) ControlPolicy {
 // unconditionally.
 func WithPolicy(p ControlPolicy) ExecOption {
 	return func(e *Executor) {
-		e.q = control.NewQueue[*job](p, e.Rate())
+		e.q = control.NewQueue[*job](p, e.rate())
 	}
 }

@@ -296,8 +296,8 @@ func (StageInstallReq) Idempotent() bool { return true }
 // ordering and ratios are preserved exactly.
 type Scale float64
 
-// D scales a duration.
-func (s Scale) D(d time.Duration) time.Duration {
+// scaled scales a duration.
+func (s Scale) scaled(d time.Duration) time.Duration {
 	if s <= 0 {
 		return d
 	}
@@ -306,7 +306,7 @@ func (s Scale) D(d time.Duration) time.Duration {
 
 // Seconds scales a duration expressed in seconds.
 func (s Scale) Seconds(sec float64) time.Duration {
-	return s.D(time.Duration(sec * float64(time.Second)))
+	return s.scaled(time.Duration(sec * float64(time.Second)))
 }
 
 // ModelSeconds converts a measured wall-clock duration back into model

@@ -76,7 +76,7 @@ func TestExecutorFIFOAndRate(t *testing.T) {
 		t.Fatalf("NewExecutor: %v", err)
 	}
 	defer e.Close()
-	if got := e.Rate(); got != 1e9 {
+	if got := e.rate(); got != 1e9 {
 		t.Errorf("Rate() = %v", got)
 	}
 	start := time.Now()
@@ -147,13 +147,13 @@ func TestExecutorValidation(t *testing.T) {
 
 func TestScaleHelpers(t *testing.T) {
 	s := Scale(0.5)
-	if got := s.D(time.Second); got != 500*time.Millisecond {
+	if got := s.scaled(time.Second); got != 500*time.Millisecond {
 		t.Errorf("D = %v", got)
 	}
 	if got := s.Seconds(2); got != time.Second {
 		t.Errorf("Seconds = %v", got)
 	}
-	if got := Scale(0).D(time.Second); got != time.Second {
+	if got := Scale(0).scaled(time.Second); got != time.Second {
 		t.Errorf("zero scale should pass through, got %v", got)
 	}
 }
@@ -302,7 +302,7 @@ func TestEdgeWithoutCloudCapsAtSecondExit(t *testing.T) {
 
 func TestDeviceConfigValidation(t *testing.T) {
 	good := testDeviceConfig("127.0.0.1:9", "x")
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	cases := []func(*DeviceConfig){
@@ -317,7 +317,7 @@ func TestDeviceConfigValidation(t *testing.T) {
 	for i, mutate := range cases {
 		cfg := testDeviceConfig("127.0.0.1:9", "x")
 		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		if err := cfg.validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}

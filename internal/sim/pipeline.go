@@ -55,8 +55,8 @@ type PipelineConfig struct {
 	KillAtSec float64
 }
 
-// Validate reports whether the configuration is runnable.
-func (c PipelineConfig) Validate() error {
+// validate reports whether the configuration is runnable.
+func (c PipelineConfig) validate() error {
 	if c.Net == nil {
 		return fmt.Errorf("sim: pipeline needs a profiled network")
 	}
@@ -101,7 +101,7 @@ type PipelineResult struct {
 
 // RunPipeline executes the pipelined-chain simulation.
 func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	plan, err := partition.Evaluate(partition.Config{Net: cfg.Net, Chain: cfg.Chain}, cfg.Cuts)

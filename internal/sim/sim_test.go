@@ -44,22 +44,22 @@ func baseSlotConfig(nDevices int, rate float64) SlotConfig {
 
 func TestSlotConfigValidate(t *testing.T) {
 	good := baseSlotConfig(2, 5)
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
 	bad := good
 	bad.Devices = nil
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("no devices accepted")
 	}
 	bad = good
 	bad.EdgeFLOPS = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("zero edge accepted")
 	}
 	bad = good
 	bad.WarmupSlots = bad.Slots
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Error("warmup >= slots accepted")
 	}
 }

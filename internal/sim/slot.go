@@ -87,8 +87,8 @@ type SlotConfig struct {
 	Seed int64
 }
 
-// Validate reports whether the configuration is runnable.
-func (c SlotConfig) Validate() error {
+// validate reports whether the configuration is runnable.
+func (c SlotConfig) validate() error {
 	if len(c.Devices) == 0 {
 		return fmt.Errorf("sim: no devices configured")
 	}
@@ -143,7 +143,7 @@ type SlotResult struct {
 // RunSlots executes the paper's time-slotted model and returns per-device
 // and aggregate statistics.
 func RunSlots(cfg SlotConfig) (*SlotResult, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	n := len(cfg.Devices)

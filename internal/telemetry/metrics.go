@@ -16,9 +16,9 @@ type Label struct {
 	Key, Value string
 }
 
-// DefBuckets are the default latency histogram bounds in seconds, spanning
+// defBuckets are the default latency histogram bounds in seconds, spanning
 // sub-millisecond compute bursts to multi-second queue blowups.
-var DefBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+var defBuckets = []float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // Counter is a monotonically increasing event count. Increments are a
 // single atomic add; a nil counter (from a nil registry) is a no-op.
@@ -235,7 +235,7 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 		return nil
 	}
 	if len(buckets) == 0 {
-		buckets = DefBuckets
+		buckets = defBuckets
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

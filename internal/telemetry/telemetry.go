@@ -57,9 +57,9 @@ type SpanContext struct {
 // Valid reports whether the context references a live trace.
 func (c SpanContext) Valid() bool { return c.Trace != 0 }
 
-// DefaultSpanCapacity bounds the tracer's finished-span ring buffer when no
+// defaultSpanCapacity bounds the tracer's finished-span ring buffer when no
 // capacity is configured.
-const DefaultSpanCapacity = 1 << 16
+const defaultSpanCapacity = 1 << 16
 
 // Tracer collects finished spans into a fixed-capacity ring buffer; when
 // full, the oldest spans are overwritten (Dropped counts them). All methods
@@ -92,7 +92,7 @@ func NewTracer(capacity int) *Tracer {
 // with empty high bits falls back to 1<<40 to keep IDs nonzero.
 func NewTracerWithBase(capacity int, base uint64) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultSpanCapacity
+		capacity = defaultSpanCapacity
 	}
 	// Keep the low 40 bits for the counter; the high 24 bits distinguish
 	// processes so a device trace ID cannot collide with an edge span ID.

@@ -29,8 +29,8 @@ func NewRecorded(counts []int) (*Recorded, error) {
 	return &Recorded{counts: out}, nil
 }
 
-// Record draws n slots from any process into a replayable trace.
-func Record(p Process, n int) (*Recorded, error) {
+// record draws n slots from any process into a replayable trace.
+func record(p Process, n int) (*Recorded, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("trace: record length %d must be positive", n)
 	}

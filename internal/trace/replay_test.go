@@ -42,7 +42,7 @@ func TestRecordFromProcess(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewPoisson: %v", err)
 	}
-	r, err := Record(p, 500)
+	r, err := record(p, 500)
 	if err != nil {
 		t.Fatalf("Record: %v", err)
 	}
@@ -60,7 +60,7 @@ func TestRecordFromProcess(t *testing.T) {
 			t.Fatalf("replay diverged at slot %d", i)
 		}
 	}
-	if _, err := Record(p, 0); err == nil {
+	if _, err := record(p, 0); err == nil {
 		t.Error("zero-length record accepted")
 	}
 }

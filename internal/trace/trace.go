@@ -182,8 +182,8 @@ func (p *Piecewise) Mean() float64 {
 	return weighted / float64(slots)
 }
 
-// CurrentRate returns the rate of the phase the process is currently in.
-func (p *Piecewise) CurrentRate() float64 { return p.phases[p.idx].Rate }
+// currentRate returns the rate of the phase the process is currently in.
+func (p *Piecewise) currentRate() float64 { return p.phases[p.idx].Rate }
 
 // Diurnal modulates a Poisson process sinusoidally around a mean rate —
 // the day/night load cycle of a deployed edge application.
@@ -217,15 +217,15 @@ func NewDiurnal(meanRate, amplitude float64, periodSlots int, seed int64) (*Diur
 	}, nil
 }
 
-// CurrentRate returns the instantaneous rate at the process's position.
-func (d *Diurnal) CurrentRate() float64 {
+// currentRate returns the instantaneous rate at the process's position.
+func (d *Diurnal) currentRate() float64 {
 	phase := 2 * math.Pi * float64(d.slot%d.PeriodSlots) / float64(d.PeriodSlots)
 	return d.MeanRate * (1 + d.Amplitude*math.Sin(phase))
 }
 
 // Next draws arrivals at the cycle's current rate and advances the phase.
 func (d *Diurnal) Next() int {
-	v := poissonDraw(d.rng, d.CurrentRate())
+	v := poissonDraw(d.rng, d.currentRate())
 	d.slot++
 	return v
 }

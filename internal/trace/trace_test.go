@@ -108,14 +108,14 @@ func TestPiecewiseFollowsSchedule(t *testing.T) {
 	}
 	var first, second float64
 	for i := 0; i < 100; i++ {
-		if p.CurrentRate() != 5 {
-			t.Fatalf("slot %d: in wrong phase (rate %v)", i, p.CurrentRate())
+		if p.currentRate() != 5 {
+			t.Fatalf("slot %d: in wrong phase (rate %v)", i, p.currentRate())
 		}
 		first += float64(p.Next())
 	}
 	for i := 0; i < 100; i++ {
-		if p.CurrentRate() != 50 {
-			t.Fatalf("slot %d of phase 2: wrong phase (rate %v)", i, p.CurrentRate())
+		if p.currentRate() != 50 {
+			t.Fatalf("slot %d of phase 2: wrong phase (rate %v)", i, p.currentRate())
 		}
 		second += float64(p.Next())
 	}
@@ -132,8 +132,8 @@ func TestPiecewiseCycles(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		p.Next()
 	}
-	if p.CurrentRate() != 1 {
-		t.Errorf("after a full cycle the process should be back in phase 1, got rate %v", p.CurrentRate())
+	if p.currentRate() != 1 {
+		t.Errorf("after a full cycle the process should be back in phase 1, got rate %v", p.currentRate())
 	}
 }
 
@@ -157,7 +157,7 @@ func TestDiurnalCycle(t *testing.T) {
 	// Quarter-cycle (peak) rate must exceed three-quarter-cycle (trough).
 	var peakRate, troughRate float64
 	for i := 0; i < 100; i++ {
-		r := d.CurrentRate()
+		r := d.currentRate()
 		if i == 25 {
 			peakRate = r
 		}
