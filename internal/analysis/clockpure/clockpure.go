@@ -24,7 +24,7 @@ import (
 // modelClockPackages lists the model-clock packages where reaching the wall clock
 // breaks same-seed replay. internal/loadgen is deliberately absent: its
 // live half paces real RPCs by design (the deterministic half is guarded
-// by determinism's PurePaths entry plus the file-level opt-out).
+// by determinism's purePaths entry plus the file-level opt-out).
 var modelClockPackages = []string{
 	"leime/internal/control",
 	"leime/internal/sim",

@@ -6,7 +6,7 @@
 //
 // Two invariant tiers:
 //
-//   - In the pure packages (PurePaths): no time.Now/Since/Sleep/timers, and
+//   - In the pure packages (purePaths): no time.Now/Since/Sleep/timers, and
 //     no math/rand package-level functions — randomness must flow through a
 //     seed-injected *rand.Rand so the same seed replays the same run.
 //   - Everywhere: a range over a map must not feed an ordered sink — no

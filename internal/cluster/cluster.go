@@ -25,8 +25,8 @@ type Node struct {
 	FLOPS float64
 }
 
-// Validate reports whether the node is usable.
-func (n Node) Validate() error {
+// validate reports whether the node is usable.
+func (n Node) validate() error {
 	if n.FLOPS <= 0 {
 		return fmt.Errorf("cluster: node %q has non-positive FLOPS %v", n.Name, n.FLOPS)
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 func TestNodeValidate(t *testing.T) {
-	if err := RaspberryPi3B.Validate(); err != nil {
+	if err := RaspberryPi3B.validate(); err != nil {
 		t.Errorf("preset invalid: %v", err)
 	}
-	if err := (Node{Name: "x", FLOPS: 0}).Validate(); err == nil {
+	if err := (Node{Name: "x", FLOPS: 0}).validate(); err == nil {
 		t.Error("zero FLOPS accepted")
 	}
 }

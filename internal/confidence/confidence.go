@@ -160,9 +160,6 @@ func New(p *model.Profile, params Params, seed int64) (*Model, error) {
 	return m, nil
 }
 
-// Profile returns the underlying chain profile.
-func (m *Model) Profile() *model.Profile { return m.profile }
-
 // sampleNoise returns the per-sample confidence noise, deterministic in the
 // sample identity so repeated evaluations agree. It uses a splitmix64 hash
 // and Box–Muller rather than math/rand so the hot path allocates nothing.
@@ -182,31 +179,20 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Confidence returns the confidence score the exit at 1-based index would
-// emit for the sample: a logistic in (depth - difficulty) plus per-sample
-// noise. Scores are in (0, 1).
-func (m *Model) Confidence(s dataset.Sample, exit int) float64 {
-	return m.confidence(s, exit, m.sampleNoise(s.ID))
-}
-
-// confidence is Confidence with the sample's noise already drawn, so loops
-// over exits draw it once per sample.
+// confidence returns the confidence score the exit at 1-based index emits
+// for the sample: a logistic in (depth - difficulty) plus the sample's
+// noise, drawn once per sample by the caller. Scores are in (0, 1).
 func (m *Model) confidence(s dataset.Sample, exit int, noise float64) float64 {
 	f := m.depths[exit-1]
 	margin := m.params.Slope*(f-s.Difficulty) + m.params.Bias + noise
 	return logistic(margin)
 }
 
-// CorrectProb returns the probability that the exit's prediction for the
+// correctProb returns the probability that the exit's prediction for the
 // sample is correct, including the overthinking penalty for deep exits on
 // easy samples: redundant computation beyond the depth a sample needs
 // degrades its prediction in proportion to the excess depth traversed and to
 // how easy the sample is (Kaya et al., reproduced in the paper's Fig. 6).
-func (m *Model) CorrectProb(s dataset.Sample, exit int) float64 {
-	return m.correctProb(s, exit, m.sampleNoise(s.ID))
-}
-
-// correctProb is CorrectProb with the sample's noise already drawn.
 func (m *Model) correctProb(s dataset.Sample, exit int, noise float64) float64 {
 	f := m.depths[exit-1]
 	// The same per-sample noise that raises confidence also raises

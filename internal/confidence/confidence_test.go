@@ -56,7 +56,7 @@ func TestDeeperExitMoreConfident(t *testing.T) {
 	for _, s := range ds.Samples[:200] {
 		prev := -1.0
 		for e := 1; e <= p.NumExits(); e++ {
-			c := m.Confidence(s, e)
+			c := m.confidence(s, e, m.sampleNoise(s.ID))
 			if c < prev {
 				t.Fatalf("sample %d: confidence decreased with depth at exit %d: %v < %v", s.ID, e, c, prev)
 			}
@@ -186,7 +186,7 @@ func TestCorrectProbBounds(t *testing.T) {
 	f := func(rawD uint16, rawE uint8) bool {
 		s := dataset.Sample{ID: int(rawE), Difficulty: float64(rawD) / 65535}
 		e := 1 + int(rawE)%p.NumExits()
-		pc := m.CorrectProb(s, e)
+		pc := m.correctProb(s, e, m.sampleNoise(s.ID))
 		return pc >= 0 && pc <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -241,7 +241,7 @@ func TestCalibrationArtifactRoundTrip(t *testing.T) {
 	}
 	loaded, err := readArtifact(&buf, p)
 	if err != nil {
-		t.Fatalf("ReadArtifact: %v", err)
+		t.Fatalf("readArtifact: %v", err)
 	}
 	for i := range th {
 		if loaded.Thresholds[i] != th[i] || loaded.Sigma[i] != sigma[i] {

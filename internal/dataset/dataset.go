@@ -22,7 +22,7 @@ type Sample struct {
 	// Difficulty in [0, 1]: the fraction of network depth the sample needs
 	// before a confident prediction is possible.
 	Difficulty float64
-	// Label is the ground-truth class in [0, NumClasses).
+	// Label is the ground-truth class in [0, numClasses).
 	Label int
 }
 

@@ -47,7 +47,7 @@ func naiveInstanceFor(p *model.Profile) *Instance {
 
 // TestPrefixSumCostMatchesNaive is the differential test for the O(1) cost
 // model: for every architecture and every admissible (e1, e2) pair, the
-// prefix-sum-backed Cost/CostNoExits/TwoExitCost must match the naive
+// prefix-sum-backed Cost/costNoExits/twoExitCost must match the naive
 // loop-sum implementation to within 1e-12 relative.
 func TestPrefixSumCostMatchesNaive(t *testing.T) {
 	for _, p := range model.All() {
@@ -63,10 +63,10 @@ func TestPrefixSumCostMatchesNaive(t *testing.T) {
 				}
 			}
 			for e1 := 1; e1 < m-1; e1++ {
-				check(fmt.Sprintf("TwoExitCost(%d)", e1), fast.twoExitCost(e1), slow.twoExitCost(e1))
+				check(fmt.Sprintf("twoExitCost(%d)", e1), fast.twoExitCost(e1), slow.twoExitCost(e1))
 				for e2 := e1 + 1; e2 < m; e2++ {
 					check(fmt.Sprintf("Cost(%d,%d)", e1, e2), fast.Cost(e1, e2), slow.Cost(e1, e2))
-					check(fmt.Sprintf("CostNoExits(%d,%d)", e1, e2), fast.costNoExits(e1, e2), slow.costNoExits(e1, e2))
+					check(fmt.Sprintf("costNoExits(%d,%d)", e1, e2), fast.costNoExits(e1, e2), slow.costNoExits(e1, e2))
 				}
 			}
 		})

@@ -139,7 +139,7 @@ func TestCostMatchesHandComputation(t *testing.T) {
 	// early-exit savings.
 	wantNoExit := 1e9/1e9 + (2e9/1e10 + 4000/1e6 + 0.01) + ((4e9+x3)/1e11 + 2000/1e7 + 0.02)
 	if got := in.costNoExits(1, 2); math.Abs(got-wantNoExit) > 1e-12 {
-		t.Errorf("CostNoExits(1,2) = %v, want %v", got, wantNoExit)
+		t.Errorf("costNoExits(1,2) = %v, want %v", got, wantNoExit)
 	}
 }
 

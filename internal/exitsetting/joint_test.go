@@ -20,7 +20,7 @@ func TestCostWithRatioZeroEqualsP0(t *testing.T) {
 		p0 := in.Cost(e1, e2)
 		got := in.costWithRatio(e1, e2, 0)
 		if math.Abs(got-p0) > 1e-9*math.Abs(p0) {
-			t.Fatalf("trial %d: CostWithRatio(.., 0) = %v, P0 cost = %v", trial, got, p0)
+			t.Fatalf("trial %d: costWithRatio(.., 0) = %v, P0 cost = %v", trial, got, p0)
 		}
 	}
 }

@@ -18,8 +18,7 @@
 //	           │                             │
 //	           └──heartbeat ok───── Down ◀───┘ (SuspectAfter misses)
 //
-// Leave removes the member outright. A Down member keeps being probed and
-// rejoins as Joined/Ready on its next successful heartbeat — edges restart.
+// A Down member keeps being probed and rejoins as Joined/Ready on its next successful heartbeat — edges restart.
 package fleet
 
 import (

@@ -12,13 +12,13 @@ import (
 
 // Summary accumulates scalar observations (task completion times, queue
 // lengths) and reports order statistics. The zero value retains every
-// observation; NewReservoir builds a bounded-memory variant.
+// observation; newReservoir builds a bounded-memory variant.
 type Summary struct {
 	values []float64
 	sum    float64
 	sorted bool
 
-	// Reservoir mode (NewReservoir): capacity bounds values, seen counts all
+	// Reservoir mode (newReservoir): capacity bounds values, seen counts all
 	// observations, rng drives Algorithm R replacement, and min/max stay
 	// exact. capacity == 0 means unbounded (the zero value).
 	capacity int

@@ -13,8 +13,8 @@ type SharedSummary struct {
 }
 
 // NewSharedReservoir returns a concurrency-safe Summary whose memory is
-// bounded at capacity observations (Vitter's Algorithm R, as NewReservoir).
-// capacity <= 0 selects the same default as NewReservoir.
+// bounded at capacity observations (Vitter's Algorithm R, as newReservoir).
+// capacity <= 0 selects the same default as newReservoir.
 func NewSharedReservoir(capacity int, seed int64) *SharedSummary {
 	return &SharedSummary{s: newReservoir(capacity, seed)}
 }

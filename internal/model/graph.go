@@ -51,7 +51,7 @@ func (k opKind) String() string {
 type graphNode struct {
 	// Kind selects the operation.
 	Kind opKind
-	// Conv holds the convolution parameters when Kind == OpConv; its In
+	// Conv holds the convolution parameters when Kind == opConv; its In
 	// field records the expected input shape.
 	Conv convSpec
 	// Kernel, Stride and Pad parameterize pooling nodes.
@@ -84,13 +84,10 @@ func (n graphNode) FLOPs() float64 {
 // graph's nodes — so the numbers every LEIME decision consumes are exactly
 // what execution performs.
 type graph struct {
-	// Nodes are in topological order; Nodes[0] is the OpInput node and the
+	// Nodes are in topological order; Nodes[0] is the opInput node and the
 	// last node is the element's output.
 	Nodes []graphNode
 }
-
-// In returns the graph's input shape.
-func (g *graph) In() Shape { return g.Nodes[0].Out }
 
 // OutShape returns the graph's output shape.
 func (g *graph) OutShape() Shape { return g.Nodes[len(g.Nodes)-1].Out }

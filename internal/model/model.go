@@ -108,11 +108,11 @@ func ExitFLOPs(s Shape) float64 {
 // are addressed with 1-based indices exit-1..exit-m to match the paper.
 //
 // Profiles built by this package (the architecture constructors and
-// ReadJSON) carry prefix-sum caches that make CumulativeFLOPs, RangeFLOPs,
+// readJSON) carry prefix-sum caches that make CumulativeFLOPs, RangeFLOPs,
 // DataBytes, ExitClassifierFLOPs and TotalFLOPs O(1); the exit-setting cost
 // model and both solvers depend on this for their advertised complexity.
 // The caches are derived from Elements and InputBytes: any code that
-// mutates either after construction must call BuildCaches again, or the
+// mutates either after construction must call buildCaches again, or the
 // cached accessors will serve stale numbers. A cache whose length no longer
 // matches len(Elements) is ignored (the accessors fall back to the naive
 // O(m) loops), so appending or truncating elements degrades to correct but
@@ -142,7 +142,7 @@ type Profile struct {
 }
 
 // buildCaches (re)computes the profile's prefix-sum caches from Elements
-// and InputBytes. Architecture constructors and ReadJSON call it; callers
+// and InputBytes. Architecture constructors and readJSON call it; callers
 // only need it after mutating Elements in place. It returns the profile for
 // chaining.
 func (p *Profile) buildCaches() *Profile {

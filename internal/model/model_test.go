@@ -269,7 +269,7 @@ func TestProfileJSONRoundTrip(t *testing.T) {
 			}
 			loaded, err := readJSON(&buf)
 			if err != nil {
-				t.Fatalf("ReadJSON: %v", err)
+				t.Fatalf("readJSON: %v", err)
 			}
 			if loaded.Name != p.Name || loaded.NumExits() != p.NumExits() {
 				t.Fatalf("header mismatch: %s/%d vs %s/%d", loaded.Name, loaded.NumExits(), p.Name, p.NumExits())
@@ -347,6 +347,6 @@ func TestStaleCacheFallsBackAfterAppend(t *testing.T) {
 		t.Fatalf("stale cache served: TotalFLOPs = %v, want %v", got, want)
 	}
 	if got := p.buildCaches().TotalFLOPs(); got != want {
-		t.Fatalf("after BuildCaches: TotalFLOPs = %v, want %v", got, want)
+		t.Fatalf("after buildCaches: TotalFLOPs = %v, want %v", got, want)
 	}
 }

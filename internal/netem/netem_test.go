@@ -27,7 +27,7 @@ func TestLinkValidate(t *testing.T) {
 func TestSerializationDelay(t *testing.T) {
 	l := Link{BandwidthBps: 8e6} // 1 MB/s
 	if got, want := l.serializationDelay(1_000_000), time.Second; got != want {
-		t.Errorf("SerializationDelay = %v, want %v", got, want)
+		t.Errorf("serializationDelay = %v, want %v", got, want)
 	}
 	if got := (Link{}).serializationDelay(1000); got != 0 {
 		t.Errorf("unshaped link delay = %v, want 0", got)

@@ -86,7 +86,7 @@ func TestAllocateOptimalAgainstAlternatives(t *testing.T) {
 		}
 		fKKT, err := meanInferenceTime(devices, edge, kkt, m)
 		if err != nil {
-			t.Fatalf("MeanInferenceTime: %v", err)
+			t.Fatalf("meanInferenceTime: %v", err)
 		}
 		uniform := make([]float64, n)
 		proportional := make([]float64, n)

@@ -160,9 +160,6 @@ func NewController(cfg Config) (*Controller, error) {
 	return &Controller{cfg: cfg}, nil
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // edgeBlockShare returns F^e_{i,1} (eq. 9): the part of the device's edge
 // share that serves first-block tasks; the rest serves second-block work
 // arriving from the First exit. Equation 9 splits by this slot's workload

@@ -55,9 +55,6 @@ type Meta struct {
 	Deadline int64
 }
 
-// Valid reports whether the metadata carries a live trace.
-func (m Meta) Valid() bool { return m.TraceID != 0 }
-
 // envelope is the wire frame. Body carries a value whose type has a
 // registered codec (RegisterCodec), or nil; Code carries the typed cause of
 // Err (see RegisterError).

@@ -356,9 +356,6 @@ func TestMetaRoundTrip(t *testing.T) {
 	if resp.TraceID != 0 || resp.SpanID != 0 {
 		t.Errorf("untraced call leaked metadata: %+v", resp)
 	}
-	if (Meta{}).Valid() || !(Meta{TraceID: 1}).Valid() {
-		t.Error("Meta.Valid wrong")
-	}
 }
 
 // TestGracefulShutdownWithInFlightMeta closes the server while many

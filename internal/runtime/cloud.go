@@ -83,13 +83,6 @@ func StartCloud(cfg CloudConfig) (*Cloud, error) {
 // Addr returns the cloud's listen address.
 func (c *Cloud) Addr() string { return c.srv.Addr() }
 
-// Pending returns the number of third-block jobs accepted but unfinished.
-func (c *Cloud) Pending() int { return c.exec.Pending() }
-
-// DeadlineSheds returns the number of requests the cloud's server shed on
-// arrival because their propagated deadline had already passed.
-func (c *Cloud) DeadlineSheds() uint64 { return c.srv.DeadlineSheds() }
-
 // Close stops serving and releases the executor.
 func (c *Cloud) Close() error {
 	err := c.srv.Close()

@@ -273,15 +273,10 @@ func DialPipeline(cfg PipelineClientConfig) (*PipelineClient, error) {
 	}, nil
 }
 
-// Do runs one task of the given predetermined exit class through the chain
-// and returns where it actually exited (which may be shallower than asked
-// when a mid-chain stage degraded it).
-func (pc *PipelineClient) Do(ctx context.Context, taskID uint64, exitStage int) (TaskResp, error) {
-	return pc.DoMeta(ctx, rpc.Meta{}, taskID, exitStage)
-}
-
-// DoMeta is Do with caller-supplied metadata (trace context; the deadline
-// field is still filled from ctx by the rpc layer).
+// DoMeta runs one task of the given predetermined exit class through the
+// chain and returns where it actually exited (which may be shallower than
+// asked when a mid-chain stage degraded it). meta carries the caller's
+// trace context; its deadline field is filled from ctx by the rpc layer.
 func (pc *PipelineClient) DoMeta(ctx context.Context, meta rpc.Meta, taskID uint64, exitStage int) (TaskResp, error) {
 	got, err := pc.c.CallMeta(ctx, meta, ActivationReq{
 		PipelineID: pc.cfg.PipelineID,

@@ -10,6 +10,7 @@ import (
 	"leime/internal/model"
 	"leime/internal/netem"
 	"leime/internal/partition"
+	"leime/internal/rpc"
 	"leime/internal/sim"
 )
 
@@ -128,7 +129,7 @@ func TestPipelineRuntimeMatchesSolverAndSim(t *testing.T) {
 	// One untimed full-depth task establishes every hop's connection so
 	// the timed tasks measure the chain, not the dials.
 	warmCtx, warmCancel := context.WithTimeout(context.Background(), 30*time.Second)
-	if _, err := pc.Do(warmCtx, 1, 3); err != nil {
+	if _, err := pc.DoMeta(warmCtx, rpc.Meta{}, 1, 3); err != nil {
 		warmCancel()
 		t.Fatalf("warmup: %v", err)
 	}
@@ -142,7 +143,7 @@ func TestPipelineRuntimeMatchesSolverAndSim(t *testing.T) {
 			taskID++
 			start := time.Now()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-			resp, err := pc.Do(ctx, taskID, class)
+			resp, err := pc.DoMeta(ctx, rpc.Meta{}, taskID, class)
 			cancel()
 			if err != nil {
 				t.Fatalf("class %d task %d: %v", class, i, err)
@@ -218,7 +219,7 @@ func TestPipelineChaosMidChainKill(t *testing.T) {
 	defer pc.Close()
 
 	// Healthy chain first: a class-3 task reaches the terminal stage.
-	resp, err := pc.Do(ctx, 1, 3)
+	resp, err := pc.DoMeta(ctx, rpc.Meta{}, 1, 3)
 	if err != nil || resp.ExitStage != 3 {
 		t.Fatalf("healthy chain: exit=%d err=%v", resp.ExitStage, err)
 	}
@@ -228,7 +229,7 @@ func TestPipelineChaosMidChainKill(t *testing.T) {
 	_ = edges[1].Close()
 	for i := 0; i < 3; i++ {
 		taskCtx, taskCancel := context.WithTimeout(context.Background(), 15*time.Second)
-		resp, err := pc.Do(taskCtx, uint64(10+i), 3)
+		resp, err := pc.DoMeta(taskCtx, rpc.Meta{}, uint64(10+i), 3)
 		taskCancel()
 		if err != nil {
 			t.Fatalf("post-kill task %d: %v", i, err)
@@ -255,7 +256,7 @@ func TestPipelineChaosMidChainKill(t *testing.T) {
 	if err := InstallPipeline(ctx, "chaos", addrs, PipelineFromPlan(plan)); err != nil {
 		t.Fatalf("re-InstallPipeline: %v", err)
 	}
-	resp, err = pc.Do(ctx, 99, 3)
+	resp, err = pc.DoMeta(ctx, rpc.Meta{}, 99, 3)
 	if err != nil || resp.ExitStage != 3 {
 		t.Fatalf("repaired chain: exit=%d err=%v", resp.ExitStage, err)
 	}
@@ -287,7 +288,7 @@ func TestPipelineUnknownPipelineTyped(t *testing.T) {
 	defer pc.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if _, err := pc.Do(ctx, 1, 2); !errors.Is(err, ErrUnknownPipeline) {
+	if _, err := pc.DoMeta(ctx, rpc.Meta{}, 1, 2); !errors.Is(err, ErrUnknownPipeline) {
 		t.Fatalf("want ErrUnknownPipeline across the wire, got %v", err)
 	}
 }

@@ -215,7 +215,7 @@ func RunPipeline(cfg PipelineConfig) (*PipelineResult, error) {
 
 // serializeSec is the link-occupying part of a hop crossing; propagation
 // rides as trailing delay so back-to-back activations pipeline on the wire
-// exactly as partition.Hop.DelaySec prices a lone one.
+// exactly as partition's Hop.delaySec prices a lone one.
 func serializeSec(h partition.Hop, bytes float64) float64 {
 	if h.BandwidthBps <= 0 || bytes <= 0 {
 		return 0

@@ -60,20 +60,6 @@ func (g *Gauge) Set(v float64) {
 	}
 }
 
-// Add adjusts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		cur := math.Float64frombits(old)
-		if g.bits.CompareAndSwap(old, math.Float64bits(cur+delta)) {
-			return
-		}
-	}
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -354,10 +340,10 @@ func writeHistogram(w io.Writer, name string, m *metric) error {
 	return err
 }
 
-// Sample is one flattened metric value from a registry snapshot; histograms
+// sample is one flattened metric value from a registry snapshot; histograms
 // flatten to _count and _sum samples. Used by machine-readable reports
 // (leime-bench -json).
-type Sample struct {
+type sample struct {
 	// Name is the metric name, with _count/_sum suffixes for histograms.
 	Name string `json:"name"`
 	// Labels is the rendered {k="v"} suffix ("" when unlabelled).
@@ -366,28 +352,28 @@ type Sample struct {
 	Value float64 `json:"value"`
 }
 
-// Samples snapshots every metric as flattened samples, in registration
+// samples snapshots every metric as flattened samples, in registration
 // order.
-func (r *Registry) Samples() []Sample {
+func (r *Registry) samples() []sample {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []Sample
+	var out []sample
 	for _, name := range r.order {
 		f := r.families[name]
 		for _, m := range f.metrics {
 			switch {
 			case m.c != nil:
-				out = append(out, Sample{Name: f.name, Labels: m.labels, Value: float64(m.c.Value())})
+				out = append(out, sample{Name: f.name, Labels: m.labels, Value: float64(m.c.Value())})
 			case m.g != nil:
-				out = append(out, Sample{Name: f.name, Labels: m.labels, Value: m.g.Value()})
+				out = append(out, sample{Name: f.name, Labels: m.labels, Value: m.g.Value()})
 			case m.fn != nil:
-				out = append(out, Sample{Name: f.name, Labels: m.labels, Value: m.fn()})
+				out = append(out, sample{Name: f.name, Labels: m.labels, Value: m.fn()})
 			case m.h != nil:
-				out = append(out, Sample{Name: f.name + "_count", Labels: m.labels, Value: float64(m.h.Count())})
-				out = append(out, Sample{Name: f.name + "_sum", Labels: m.labels, Value: m.h.Sum()})
+				out = append(out, sample{Name: f.name + "_count", Labels: m.labels, Value: float64(m.h.Count())})
+				out = append(out, sample{Name: f.name + "_sum", Labels: m.labels, Value: m.h.Sum()})
 			}
 		}
 	}

@@ -19,7 +19,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(1)
-	g.Add(2)
 	h.Observe(0.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil registry handles accumulated state")
@@ -27,7 +26,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if err := r.WritePrometheus(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil WritePrometheus: %v", err)
 	}
-	if r.Samples() != nil {
+	if r.samples() != nil {
 		t.Error("nil registry has samples")
 	}
 }
@@ -50,8 +49,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Error("label variants share state")
 	}
 	g := r.Gauge("tenants", "Tenants.")
-	g.Set(3)
-	g.Add(-1)
+	g.Set(2)
 	if g.Value() != 2 {
 		t.Errorf("gauge = %v, want 2", g.Value())
 	}
@@ -256,7 +254,7 @@ func TestSamplesFlattening(t *testing.T) {
 	h := r.Histogram("c_seconds", "", nil)
 	h.Observe(0.2)
 	h.Observe(0.4)
-	got := r.Samples()
+	got := r.samples()
 	want := map[string]float64{"a_total": 2, "b": 1.5, "c_seconds_count": 2, "c_seconds_sum": 0.6}
 	if len(got) != len(want) {
 		t.Fatalf("got %d samples, want %d: %+v", len(got), len(want), got)
@@ -336,7 +334,7 @@ func TestGaugeFunc(t *testing.T) {
 	v := 1.5
 	r.GaugeFunc("wire_frames", "Frames by codec.", func() float64 { return v }, Label{"codec", "binary"})
 	r.GaugeFunc("wire_frames", "Frames by codec.", func() float64 { return -1 }, Label{"codec", "binary"}) // loser
-	samples := r.Samples()
+	samples := r.samples()
 	if len(samples) != 1 || samples[0].Value != 1.5 {
 		t.Fatalf("Samples = %+v, want one sample of 1.5", samples)
 	}
@@ -353,7 +351,7 @@ func TestGaugeFunc(t *testing.T) {
 	g := r.Gauge("depth", "Queue depth.")
 	g.Set(3)
 	r.GaugeFunc("depth", "Queue depth.", func() float64 { return 9 })
-	for _, s := range r.Samples() {
+	for _, s := range r.samples() {
 		if s.Name == "depth" && s.Value != 3 {
 			t.Errorf("GaugeFunc displaced stored gauge: %v", s.Value)
 		}

@@ -245,8 +245,8 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Reset discards all recorded spans (the ID space is not reset).
-func (t *Tracer) Reset() {
+// reset discards all recorded spans (the ID space is not reset).
+func (t *Tracer) reset() {
 	if t == nil {
 		return
 	}

@@ -27,7 +27,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr.Dropped() != 0 || tr.Now() != 0 {
 		t.Error("nil tracer reports non-zero state")
 	}
-	tr.Reset()
+	tr.reset()
 	if err := tr.WriteJSONL(&bytes.Buffer{}); err != nil {
 		t.Errorf("nil WriteJSONL: %v", err)
 	}
@@ -83,7 +83,7 @@ func TestTracerRingOverwritesOldest(t *testing.T) {
 	if got := tr.Dropped(); got != 2 {
 		t.Errorf("Dropped = %d, want 2", got)
 	}
-	tr.Reset()
+	tr.reset()
 	if len(tr.Spans()) != 0 || tr.Dropped() != 0 {
 		t.Error("Reset did not clear the ring")
 	}
