@@ -333,3 +333,46 @@ func TestDevicePipelinedMode(t *testing.T) {
 		}
 	}
 }
+
+// TestHeartbeatBacklogCountsPipelineStages holds one activation in a slow
+// pipeline stage and requires the edge's heartbeat to advertise the same
+// backlog its own leime_edge_backlog_seconds gauge sums, so peers picking a
+// steal target and federated devices see the pipeline work too.
+func TestHeartbeatBacklogCountsPipelineStages(t *testing.T) {
+	edge, err := StartEdge(EdgeConfig{Addr: "127.0.0.1:0", FLOPS: 1e9, Model: testModel(), TimeScale: 1})
+	if err != nil {
+		t.Fatalf("StartEdge: %v", err)
+	}
+	defer edge.Close()
+	c, err := rpc.Dial(edge.Addr(), nil)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// A terminal stage that burns 0.3 s on this edge for every class.
+	stage := StageInstallReq{PipelineID: "hb", FLOPs: [3]float64{3e8, 3e8, 3e8}, Hosted: [3]bool{true, true, true}, Deepest: 3}
+	if _, err := c.Call(ctx, stage); err != nil {
+		t.Fatalf("install stage: %v", err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Call(ctx, ActivationReq{PipelineID: "hb", DeviceID: "d", TaskID: 1, ExitStage: 1, Payload: []byte{1}})
+		done <- err
+	}()
+	for edge.pipeExec.BacklogSeconds() == 0 {
+		select {
+		case err := <-done:
+			t.Fatalf("activation finished before it was observed in service: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+	hb := edge.healthResp("")
+	if want := edge.backlogSeconds(); hb.BacklogSec != want {
+		t.Errorf("heartbeat BacklogSec = %v, want the gauge's %v", hb.BacklogSec, want)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("activation: %v", err)
+	}
+}

@@ -79,8 +79,10 @@ func (e *Edge) StealStats() (in, out, failed uint64) {
 	return atomic.LoadUint64(&e.stealsIn), atomic.LoadUint64(&e.stealsOut), atomic.LoadUint64(&e.stealFailed)
 }
 
-// backlogSeconds sums queued work across every tenant executor and the
-// steal executor, in seconds at their current rates.
+// backlogSeconds sums queued work across every tenant executor, the steal
+// executor and the pipeline-stage executor, in seconds at their current
+// rates. The leime_edge_backlog_seconds gauge and the heartbeat both read
+// it, so peers and federated devices see the load the edge reports.
 func (e *Edge) backlogSeconds() float64 {
 	e.mu.Lock()
 	var sum float64
@@ -102,18 +104,14 @@ func (e *Edge) healthResp(deviceID string) HeartbeatResp {
 	}
 	var maxBacklog float64
 	for _, t := range e.tenants {
-		b := t.exec.BacklogSeconds()
-		resp.BacklogSec += b
-		if b > maxBacklog {
-			maxBacklog = b
-		}
+		maxBacklog = max(maxBacklog, t.exec.BacklogSeconds())
 	}
 	if t, ok := e.tenants[deviceID]; ok {
 		resp.PendingFirstBlock = int(atomic.LoadInt32(&t.h1))
 		resp.ShareFLOPS = t.share * e.cfg.FLOPS
 	}
 	e.mu.Unlock()
-	resp.BacklogSec += e.stealExec.BacklogSeconds()
+	resp.BacklogSec = e.backlogSeconds()
 	resp.Saturated = e.policy.MaxBacklogSec > 0 && maxBacklog >= e.policy.MaxBacklogSec
 	return resp
 }
