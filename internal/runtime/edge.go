@@ -553,6 +553,22 @@ func (e *Edge) execErr(err error) error {
 	return err
 }
 
+// serveBlock burns one block of flops for a task on x and records it: the
+// queue-wait histogram, the block's service histogram hist, and an
+// edge.queue span plus a span named name under the caller's trace. An
+// executor failure comes back unmapped, so firstBlock can try a steal
+// before execErr counts the rejection.
+func (e *Edge) serveBlock(ctx context.Context, meta rpc.Meta, x *Executor, flops float64, hist *telemetry.Histogram, name, device string, task uint64) error {
+	wait, service, err := x.DoTimedCtx(ctx, flops)
+	if err != nil {
+		return err
+	}
+	e.tel.queueWait.Observe(wait.Seconds())
+	hist.Observe(service.Seconds())
+	recordTimedSpans(e.tel.tracer, metaContext(meta), "edge.queue", name, device, task, wait, service)
+	return nil
+}
+
 // firstBlock runs block 1 (and onward) for an offloaded raw task, applying
 // admission control on the tenant's backlog.
 func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq) (any, error) {
@@ -561,7 +577,7 @@ func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq)
 		return nil, err
 	}
 	atomic.AddInt32(&t.h1, 1)
-	wait, service, err := t.exec.DoTimedCtx(ctx, model.Mu[0])
+	err = e.serveBlock(ctx, meta, t.exec, model.Mu[0], e.tel.block1, "edge.block1", req.DeviceID, req.TaskID)
 	atomic.AddInt32(&t.h1, -1)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
@@ -575,9 +591,6 @@ func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq)
 		}
 		return nil, e.execErr(err)
 	}
-	e.tel.queueWait.Observe(wait.Seconds())
-	e.tel.block1.Observe(service.Seconds())
-	recordTimedSpans(e.tel.tracer, metaContext(meta), "edge.queue", "edge.block1", req.DeviceID, req.TaskID, wait, service)
 	// The degradation plan may cap this tenant's exits: a capped task is
 	// answered by the cap's classifier (an accuracy sacrifice, never an
 	// error), a cap of 2 skips the cloud forward, and a cap of 1 skips
@@ -610,13 +623,9 @@ func (e *Edge) secondBlock(ctx context.Context, meta rpc.Meta, req SecondBlockRe
 // an availability hit — the multi-exit architecture's graceful-degradation
 // dividend.
 func (e *Edge) continueSecond(ctx context.Context, meta rpc.Meta, t *tenant, model offload.ModelParams, deviceID string, taskID uint64, exitStage int) (any, error) {
-	wait, service, err := t.exec.DoTimedCtx(ctx, model.Mu[1])
-	if err != nil {
+	if err := e.serveBlock(ctx, meta, t.exec, model.Mu[1], e.tel.block2, "edge.block2", deviceID, taskID); err != nil {
 		return nil, e.execErr(err)
 	}
-	e.tel.queueWait.Observe(wait.Seconds())
-	e.tel.block2.Observe(service.Seconds())
-	recordTimedSpans(e.tel.tracer, metaContext(meta), "edge.queue", "edge.block2", deviceID, taskID, wait, service)
 	if exitStage <= 2 || e.cloud == nil {
 		return TaskResp{TaskID: taskID, ExitStage: 2}, nil
 	}

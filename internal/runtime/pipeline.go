@@ -122,13 +122,9 @@ func (e *Edge) activation(ctx context.Context, meta rpc.Meta, req ActivationReq)
 	if req.ExitStage < 1 || req.ExitStage > 3 {
 		return nil, fmt.Errorf("edge: activation exit stage %d out of range", req.ExitStage)
 	}
-	wait, service, err := e.pipeExec.DoTimedCtx(ctx, st.spec.FLOPs[req.ExitStage-1])
-	if err != nil {
+	if err := e.serveBlock(ctx, meta, e.pipeExec, st.spec.FLOPs[req.ExitStage-1], e.tel.stage, fmt.Sprintf("edge.stage%d", req.Stage), req.DeviceID, req.TaskID); err != nil {
 		return nil, e.execErr(err)
 	}
-	e.tel.queueWait.Observe(wait.Seconds())
-	e.tel.stage.Observe(service.Seconds())
-	recordTimedSpans(e.tel.tracer, metaContext(meta), "edge.queue", fmt.Sprintf("edge.stage%d", req.Stage), req.DeviceID, req.TaskID, wait, service)
 	if st.spec.Hosted[req.ExitStage-1] {
 		return TaskResp{TaskID: req.TaskID, ExitStage: req.ExitStage}, nil
 	}

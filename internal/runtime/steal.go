@@ -193,23 +193,15 @@ func (e *Edge) handleSteal(ctx context.Context, meta rpc.Meta, req StealReq) (an
 	if model.Validate() != nil {
 		model = e.cfg.Model
 	}
-	wait, service, err := e.stealExec.DoTimedCtx(ctx, model.Mu[0])
-	if err != nil {
+	if err := e.serveBlock(ctx, meta, e.stealExec, model.Mu[0], e.tel.block1, "edge.block1", req.DeviceID, req.TaskID); err != nil {
 		return nil, e.execErr(err)
 	}
-	e.tel.queueWait.Observe(wait.Seconds())
-	e.tel.block1.Observe(service.Seconds())
-	recordTimedSpans(e.tel.tracer, metaContext(meta), "edge.queue", "edge.block1", req.DeviceID, req.TaskID, wait, service)
 	if req.ExitStage <= 1 {
 		return TaskResp{TaskID: req.TaskID, ExitStage: 1}, nil
 	}
-	wait, service, err = e.stealExec.DoTimedCtx(ctx, model.Mu[1])
-	if err != nil {
+	if err := e.serveBlock(ctx, meta, e.stealExec, model.Mu[1], e.tel.block2, "edge.block2", req.DeviceID, req.TaskID); err != nil {
 		return nil, e.execErr(err)
 	}
-	e.tel.queueWait.Observe(wait.Seconds())
-	e.tel.block2.Observe(service.Seconds())
-	recordTimedSpans(e.tel.tracer, metaContext(meta), "edge.queue", "edge.block2", req.DeviceID, req.TaskID, wait, service)
 	if req.ExitStage <= 2 || e.cloud == nil {
 		return TaskResp{TaskID: req.TaskID, ExitStage: 2}, nil
 	}
