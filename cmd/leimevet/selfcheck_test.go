@@ -72,6 +72,12 @@ func TestRepoIsInvariantClean(t *testing.T) {
 	}
 }
 
+// mutationLoader is shared by the wirefrozen mutation tests. Only
+// internal/runtime differs between mutations and Load type-checks its
+// target afresh every time, so the dependencies the first test
+// type-checks are cached for the others.
+var mutationLoader *analysis.Loader
+
 // mutateRuntime copies internal/runtime into an overlay with one textual
 // mutation applied to codec.go and loads it against the real module (all
 // other imports resolve normally).
@@ -116,12 +122,15 @@ func mutateRuntime(t *testing.T, old, new string) []*analysis.Package {
 	if !mutated {
 		t.Fatal("internal/runtime/codec.go not found")
 	}
-	loader := analysis.NewLoader()
-	if err := loader.SetModule(root); err != nil {
-		t.Fatalf("SetModule: %v", err)
+	if mutationLoader == nil {
+		loader := analysis.NewLoader()
+		if err := loader.SetModule(root); err != nil {
+			t.Fatalf("SetModule: %v", err)
+		}
+		mutationLoader = loader
 	}
-	loader.Overlay = overlay
-	pkgs, err := loader.Load("leime/internal/runtime")
+	mutationLoader.Overlay = overlay
+	pkgs, err := mutationLoader.Load("leime/internal/runtime")
 	if err != nil {
 		t.Fatalf("Load mutated runtime: %v", err)
 	}
