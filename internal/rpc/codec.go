@@ -167,8 +167,8 @@ func (e *Encoder) grow(n int) {
 	e.buf = next
 }
 
-// byte1 appends one raw byte.
-func (e *Encoder) byte1(b byte) {
+// rawByte appends one raw byte.
+func (e *Encoder) rawByte(b byte) {
 	e.reserve(1)
 	e.buf = append(e.buf, b)
 }
@@ -176,9 +176,9 @@ func (e *Encoder) byte1(b byte) {
 // Bool appends a bool as one byte.
 func (e *Encoder) Bool(b bool) {
 	if b {
-		e.byte1(1)
+		e.rawByte(1)
 	} else {
-		e.byte1(0)
+		e.rawByte(0)
 	}
 }
 
@@ -243,8 +243,8 @@ func (d *Decoder) fail(format string, args ...any) {
 	}
 }
 
-// byte1 consumes one raw byte.
-func (d *Decoder) byte1() byte {
+// rawByte consumes one raw byte.
+func (d *Decoder) rawByte() byte {
 	if d.err != nil || d.off >= len(d.data) {
 		d.fail("rpc: decode: truncated byte at offset %d", d.off)
 		return 0
@@ -256,7 +256,7 @@ func (d *Decoder) byte1() byte {
 
 // Bool consumes one byte as a bool; values other than 0/1 are corruption.
 func (d *Decoder) Bool() bool {
-	switch d.byte1() {
+	switch d.rawByte() {
 	case 0:
 		return false
 	case 1:

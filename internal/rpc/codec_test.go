@@ -34,7 +34,7 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	}
 	e.Bool(true)
 	e.Bool(false)
-	e.byte1(0xAB)
+	e.rawByte(0xAB)
 	e.Int(-12345)
 
 	d := newDecoder(e.buf)
@@ -66,7 +66,7 @@ func TestEncoderDecoderPrimitives(t *testing.T) {
 	if !d.Bool() || d.Bool() {
 		t.Error("Bool round-trip failed")
 	}
-	if got := d.byte1(); got != 0xAB {
+	if got := d.rawByte(); got != 0xAB {
 		t.Errorf("Byte = %#x, want 0xAB", got)
 	}
 	if got := d.Int(); got != -12345 {
@@ -99,7 +99,7 @@ func TestDecoderErrorsAreSticky(t *testing.T) {
 		feed func(d *Decoder)
 		data []byte
 	}{
-		{"truncated byte", func(d *Decoder) { d.byte1() }, nil},
+		{"truncated byte", func(d *Decoder) { d.rawByte() }, nil},
 		{"truncated varint", func(d *Decoder) { d.Uvarint() }, []byte{0x80}},
 		{"overlong varint", func(d *Decoder) { d.Uvarint() }, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}},
 		{"truncated float", func(d *Decoder) { d.Float64() }, []byte{1, 2, 3}},

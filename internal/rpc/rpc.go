@@ -95,7 +95,7 @@ func encodeEnvelope(e *Encoder, env *envelope, entry *codecEntry) {
 	if entry != nil {
 		flags |= flagHasBody
 	}
-	e.byte1(flags)
+	e.rawByte(flags)
 	if hasErr {
 		e.String(env.Err)
 		e.String(env.Code)
@@ -127,7 +127,7 @@ func decodeBinaryEnvelope(payload []byte) (*envelope, error) {
 	d := &f.dec
 	env := &f.env
 	env.ID = d.Uvarint()
-	flags := d.byte1()
+	flags := d.rawByte()
 	if flags&^(flagIsReply|flagHasErr|flagHasMeta|flagHasBody) != 0 {
 		return nil, fmt.Errorf("rpc: decode: unknown envelope flags %#x", flags)
 	}

@@ -11,11 +11,10 @@ import (
 // They are registered with the rpc layer so errors.Is classifies them on
 // the caller side of a connection exactly like locally produced errors.
 var (
-	// ErrBusy marks an offload an edge refused because it is busy. No edge
-	// in this tree returns it any more (admission is the backlog budget,
-	// ErrOverloaded), but its wire code stays registered and devices still
-	// treat it as a degrade-to-local signal, so load generators and
-	// benchmarks that classify it keep working.
+	// ErrBusy marks an offload an edge refused as busy. Edges admit by
+	// backlog budget (ErrOverloaded) and never return it; its wire code
+	// stays registered and devices treat it as a degrade-to-local signal,
+	// so load generators and the benchmark that classify it keep working.
 	ErrBusy = errors.New("edge busy: first-block backlog limit reached")
 	// ErrUnknownDevice marks requests for a device the edge has no tenant
 	// state for — the normal outcome after an edge restart, which the
