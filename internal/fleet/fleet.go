@@ -18,7 +18,8 @@
 //	           │                             │
 //	           └──heartbeat ok───── Down ◀───┘ (SuspectAfter misses)
 //
-// A Down member keeps being probed and rejoins as Joined/Ready on its next successful heartbeat — edges restart.
+// A Down member keeps being probed and rejoins as Joined/Ready on its next
+// successful heartbeat — edges restart.
 package fleet
 
 import (

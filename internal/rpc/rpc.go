@@ -271,15 +271,15 @@ func readPooledFrame(r io.Reader) (*envelope, []byte, error) {
 
 // MetaHandler processes one request body, with the request's envelope
 // metadata (so servers can continue the caller's trace), and returns a reply
-// body or an error. The context's Deadline is the caller's propagated envelope deadline (if
-// any), carried as a value: no timer backs it, and Done closes only when the
-// server shuts down. A handler that blocks on the network arms its own
-// timer, context.WithDeadline(ctx, d); one that only computes reads the
-// deadline and decides for itself. The body's []byte fields alias the
-// request's frame buffer, which the server recycles once the reply is
-// encoded: a handler may read them, forward them synchronously and return
-// them in its reply, but must copy what it keeps. Strings are copies and
-// may be kept.
+// body or an error. The context's Deadline is the caller's propagated
+// envelope deadline (if any), carried as a value: no timer backs it, and
+// Done closes only when the server shuts down. A handler that blocks on the
+// network arms its own timer, context.WithDeadline(ctx, d); one that only
+// computes reads the deadline and decides for itself. The body's []byte
+// fields alias the request's frame buffer, which the server recycles once
+// the reply is encoded: a handler may read them, forward them synchronously
+// and return them in its reply, but must copy what it keeps. Strings are
+// copies and may be kept.
 type MetaHandler func(ctx context.Context, meta Meta, body any) (any, error)
 
 // ServeOption customizes a server.
