@@ -32,7 +32,6 @@ import (
 	"leime"
 	"leime/internal/fleet"
 	"leime/internal/loadgen"
-	"leime/internal/offload"
 	"leime/internal/policyflag"
 	"leime/internal/runtime"
 )
@@ -92,12 +91,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	params := sys.Params()
 	tb := testbedSpec{
-		model:      sys.Params(),
-		edgeFLOPS:  *edgeFLOPS,
-		cloudFLOPS: *cloudFLOPS,
-		scale:      runtime.Scale(*scale),
-		policy:     policy,
+		cloud: runtime.CloudConfig{
+			FLOPS:       *cloudFLOPS,
+			Block3FLOPs: params.Mu[2],
+			TimeScale:   runtime.Scale(*scale),
+		},
+		edge: runtime.EdgeConfig{
+			FLOPS:     *edgeFLOPS,
+			Model:     params,
+			TimeScale: runtime.Scale(*scale),
+			Policy:    policy,
+			Fleet:     fleet.Config{Every: 100 * time.Millisecond},
+		},
 	}
 
 	cfg := loadgen.Config{
@@ -106,7 +113,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		Arrival:           *arrival,
 		Duration:          *duration,
 		Seed:              *seed,
-		Model:             sys.Params(),
+		Model:             params,
 		DeviceFLOPS:       *devFLOPS,
 		Timeout:           *timeout,
 		ForceExit:         *forceExit,
@@ -124,17 +131,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 		addrs = splitAddrs(*edgeAddr)
 	} else if *edgeSweep == "" {
-		fleetTB, err := startFleet(tb, *edgeCount)
+		var fleetTB *runtime.Testbed
+		fleetTB, addrs, err = tb.start(*edgeCount)
 		if err != nil {
 			return err
 		}
-		defer fleetTB.close()
-		addrs = fleetTB.addrs()
+		defer fleetTB.Close()
 		fmt.Fprintf(os.Stderr, "leime-loadgen: in-process testbed, %d edge(s) on %s (edge %.3g FLOPS, cloud %.3g FLOPS, scale %g)\n",
 			len(addrs), strings.Join(addrs, ","), *edgeFLOPS, *cloudFLOPS, *scale)
 		if *killEdge >= 0 {
-			if *killEdge >= len(fleetTB.edges) {
-				return fmt.Errorf("-kill-edge %d out of range (fleet has %d edges)", *killEdge, len(fleetTB.edges))
+			if *killEdge >= len(fleetTB.Edges) {
+				return fmt.Errorf("-kill-edge %d out of range (fleet has %d edges)", *killEdge, len(fleetTB.Edges))
 			}
 			go func(victim *runtime.Edge, after time.Duration) {
 				t := time.NewTimer(after)
@@ -145,7 +152,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 					_ = victim.Close()
 				case <-ctx.Done():
 				}
-			}(fleetTB.edges[*killEdge], *killAfter)
+			}(fleetTB.Edges[*killEdge], *killAfter)
 		}
 	}
 	cfg.EdgeAddrs = addrs
@@ -199,78 +206,32 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	return nil
 }
 
-// testbedSpec carries the in-process testbed knobs shared by every fleet
-// the tool spins up.
+// testbedSpec is the in-process testbed every fleet the tool spins up
+// shares: the cloud, and the config each edge starts from.
 type testbedSpec struct {
-	model      offload.ModelParams
-	edgeFLOPS  float64
-	cloudFLOPS float64
-	scale      runtime.Scale
-	policy     runtime.ControlPolicy
+	cloud runtime.CloudConfig
+	edge  runtime.EdgeConfig
 }
 
-// fleetTestbed is one in-process cloud plus a peered edge fleet.
-type fleetTestbed struct {
-	cloud *runtime.Cloud
-	edges []*runtime.Edge
-}
-
-// startFleet brings up the cloud and n edges. Edges are started in sequence
-// and each peers with all earlier ones, so every edge except the first has
-// somewhere to steal to (listen addresses are ephemeral, so a full mesh
-// cannot be configured up front).
-func startFleet(tb testbedSpec, n int) (*fleetTestbed, error) {
+// start brings up the cloud and n edges, each peered with the edges started
+// before it, and returns the edges' addresses in start order.
+func (tb testbedSpec) start(n int) (*runtime.Testbed, []string, error) {
 	if n < 1 {
-		return nil, fmt.Errorf("fleet size %d must be positive", n)
+		return nil, nil, fmt.Errorf("fleet size %d must be positive", n)
 	}
-	cloud, err := runtime.StartCloud(runtime.CloudConfig{
-		Addr:        "127.0.0.1:0",
-		FLOPS:       tb.cloudFLOPS,
-		Block3FLOPs: tb.model.Mu[2],
-		TimeScale:   tb.scale,
-	})
+	edges := make([]runtime.EdgeConfig, n)
+	for i := range edges {
+		edges[i] = tb.edge
+	}
+	f, err := runtime.StartTestbed(tb.cloud, edges)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	f := &fleetTestbed{cloud: cloud}
-	for i := 0; i < n; i++ {
-		cfg := runtime.EdgeConfig{
-			Addr:      "127.0.0.1:0",
-			FLOPS:     tb.edgeFLOPS,
-			Model:     tb.model,
-			CloudAddr: cloud.Addr(),
-			TimeScale: tb.scale,
-			Policy:    tb.policy,
-		}
-		if i > 0 {
-			cfg.Peers = f.addrs()
-			cfg.Fleet = fleet.Config{Every: 100 * time.Millisecond}
-		}
-		e, err := runtime.StartEdge(cfg)
-		if err != nil {
-			f.close()
-			return nil, err
-		}
-		f.edges = append(f.edges, e)
+	addrs := make([]string, n)
+	for i, e := range f.Edges {
+		addrs[i] = e.Addr()
 	}
-	return f, nil
-}
-
-// addrs lists the fleet's edge listen addresses in start order.
-func (f *fleetTestbed) addrs() []string {
-	out := make([]string, len(f.edges))
-	for i, e := range f.edges {
-		out[i] = e.Addr()
-	}
-	return out
-}
-
-// close tears the fleet down, edges first.
-func (f *fleetTestbed) close() {
-	for _, e := range f.edges {
-		_ = e.Close()
-	}
-	_ = f.cloud.Close()
+	return f, addrs, nil
 }
 
 // fedPoint is one fleet size's run in an edge sweep.
@@ -297,16 +258,16 @@ type fedReport struct {
 func runEdgeSweep(ctx context.Context, base loadgen.Config, tb testbedSpec, sizes []int) (*fedReport, error) {
 	out := &fedReport{}
 	for i, n := range sizes {
-		f, err := startFleet(tb, n)
+		f, addrs, err := tb.start(n)
 		if err != nil {
 			return nil, fmt.Errorf("edge-sweep point %d edges: %w", n, err)
 		}
 		cfg := base
 		cfg.EdgeAddr = ""
-		cfg.EdgeAddrs = f.addrs()
+		cfg.EdgeAddrs = addrs
 		cfg.IDPrefix = fmt.Sprintf("fed-e%d", i)
 		res, err := loadgen.Run(ctx, cfg)
-		f.close()
+		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("edge-sweep point %d edges: %w", n, err)
 		}

@@ -49,30 +49,22 @@ func run() error {
 	fmt.Printf("   nano-1 runs %s{exit-%d,exit-%d,exit-%d} (per-tenant model at the edge)\n",
 		nanoSys.Arch(), n1, n2, n3)
 
-	cloud, err := runtime.StartCloud(runtime.CloudConfig{
-		Addr:        "127.0.0.1:0",
+	tb, err := runtime.StartTestbed(runtime.CloudConfig{
 		FLOPS:       leime.CloudV100.FLOPS,
 		Block3FLOPs: params.Mu[2],
 		TimeScale:   scale,
-	})
-	if err != nil {
-		return err
-	}
-	defer cloud.Close()
-
-	edge, err := runtime.StartEdge(runtime.EdgeConfig{
-		Addr:      "127.0.0.1:0",
+	}, []runtime.EdgeConfig{{
 		FLOPS:     leime.EdgeDesktop.FLOPS,
 		Model:     params,
-		CloudAddr: cloud.Addr(),
 		CloudLink: netem.Link{BandwidthBps: leime.Mbps(50), Latency: 30 * time.Millisecond},
 		TimeScale: scale,
-	})
+	}})
 	if err != nil {
 		return err
 	}
-	defer edge.Close()
-	fmt.Printf("cloud on %s, edge on %s\n\n", cloud.Addr(), edge.Addr())
+	defer tb.Close()
+	edgeAddr := tb.Edges[0].Addr()
+	fmt.Printf("cloud on %s, edge on %s\n\n", tb.Cloud.Addr(), edgeAddr)
 
 	devices := []struct {
 		id    string
@@ -106,7 +98,7 @@ func run() error {
 				ID:       d.id,
 				FLOPS:    d.node.FLOPS,
 				Model:    d.model,
-				EdgeAddr: edge.Addr(),
+				EdgeAddr: edgeAddr,
 				Uplink: netem.Link{
 					BandwidthBps: leime.Mbps(d.wifi),
 					Latency:      d.delay,

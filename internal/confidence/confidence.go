@@ -236,36 +236,6 @@ func WriteArtifact(w io.Writer, a CalibrationArtifact) error {
 	return nil
 }
 
-// readArtifact loads a calibration result and validates it against the
-// profile it claims to calibrate.
-func readArtifact(r io.Reader, p *model.Profile) (CalibrationArtifact, error) {
-	var a CalibrationArtifact
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&a); err != nil {
-		return a, fmt.Errorf("confidence: decode artifact: %w", err)
-	}
-	if a.Arch != p.Name {
-		return a, fmt.Errorf("confidence: artifact for %q, profile is %q", a.Arch, p.Name)
-	}
-	m := p.NumExits()
-	if len(a.Thresholds) != m || len(a.Sigma) != m {
-		return a, fmt.Errorf("confidence: artifact has %d thresholds / %d sigma entries, profile has %d exits",
-			len(a.Thresholds), len(a.Sigma), m)
-	}
-	prev := 0.0
-	for i, v := range a.Sigma {
-		if v < prev-1e-12 || v < 0 || v > 1 {
-			return a, fmt.Errorf("confidence: artifact sigma not monotone in [0,1] at entry %d", i)
-		}
-		prev = v
-	}
-	if math.Abs(a.Sigma[m-1]-1) > 1e-9 {
-		return a, fmt.Errorf("confidence: artifact sigma_m = %v, want 1", a.Sigma[m-1])
-	}
-	return a, nil
-}
-
 // sigma returns the cumulative exit-rate vector sigma over the dataset: entry
 // i-1 is the fraction of samples whose confidence meets the threshold at exit
 // i or any shallower exit. The final entry is forced to 1 (every task exits

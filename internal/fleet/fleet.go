@@ -101,19 +101,13 @@ type Probe func(ctx context.Context, addr string) (Health, error)
 
 // Config tunes a Registry. The zero value uses the documented defaults.
 type Config struct {
-	// Every is the heartbeat cadence of the Run loop (default 500ms). Poll
-	// ignores it — callers own their own cadence there.
+	// Every is the heartbeat cadence of the Run loop (default 500ms), and
+	// it bounds each of the loop's rounds. Poll ignores it — callers own
+	// their own cadence and deadline there.
 	Every time.Duration
 	// SuspectAfter is how many consecutive missed heartbeats demote a
 	// member to StateDown (default 2).
 	SuspectAfter int
-	// ProbeTimeout bounds each probe issued by the Run loop (default:
-	// Every). Poll uses the caller's context instead.
-	ProbeTimeout time.Duration
-	// OnChange, when non-nil, observes every state transition. It is
-	// called without the registry lock held, in Poll's deterministic
-	// member order.
-	OnChange func(addr string, from, to State)
 }
 
 // withDefaults fills unset fields with the documented defaults.
@@ -123,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 2
-	}
-	if c.ProbeTimeout <= 0 {
-		c.ProbeTimeout = c.Every
 	}
 	return c
 }
@@ -161,11 +152,6 @@ func (r *Registry) Join(addr string) {
 // in sorted address order, and its state advanced from the outcome. The
 // caller's context bounds the whole round (each probe inherits it).
 func (r *Registry) Poll(ctx context.Context) {
-	type change struct {
-		addr     string
-		from, to State
-	}
-	var changes []change
 	for _, addr := range r.addrs() {
 		h, err := r.probe(ctx, addr)
 		r.mu.Lock()
@@ -174,7 +160,6 @@ func (r *Registry) Poll(ctx context.Context) {
 			r.mu.Unlock()
 			continue
 		}
-		from := m.State
 		if err != nil {
 			m.Misses++
 			if m.Misses >= r.cfg.SuspectAfter {
@@ -190,26 +175,17 @@ func (r *Registry) Poll(ctx context.Context) {
 				m.State = StateJoined
 			}
 		}
-		to := m.State
 		r.mu.Unlock()
-		if to != from {
-			changes = append(changes, change{addr: addr, from: from, to: to})
-		}
-	}
-	if r.cfg.OnChange != nil {
-		for _, c := range changes {
-			r.cfg.OnChange(c.addr, c.from, c.to)
-		}
 	}
 }
 
 // Run polls on the configured cadence until the context ends, with one
-// immediate round up front. Each round is bounded by ProbeTimeout.
+// immediate round up front. Each round is bounded by Every.
 func (r *Registry) Run(ctx context.Context) {
 	tick := time.NewTicker(r.cfg.Every)
 	defer tick.Stop()
 	for {
-		pctx, cancel := context.WithTimeout(ctx, r.cfg.ProbeTimeout)
+		pctx, cancel := context.WithTimeout(ctx, r.cfg.Every)
 		r.Poll(pctx)
 		cancel()
 		select {

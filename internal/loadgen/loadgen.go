@@ -34,6 +34,9 @@ import (
 //
 //lint:file-ignore determinism open-loop dispatch paces real RPCs against the wall clock by design; the deterministic half of the package lives in schedule.go
 
+// reservoirCap caps the latency reservoir a run summarizes.
+const reservoirCap = 8192
+
 // Latency summarizes the end-to-end latency distribution of completed
 // tasks, in seconds, measured from each task's scheduled arrival.
 type Latency struct {
@@ -205,7 +208,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	for e, addr := range cfg.EdgeAddrs {
 		perEdge[e].Addr = addr
 	}
-	reservoir := metrics.NewSharedReservoir(cfg.ReservoirCap, cfg.Seed)
+	reservoir := metrics.NewSharedReservoir(reservoirCap, cfg.Seed)
 	var mu sync.Mutex // guards the counters below
 	payload := make([]byte, int(cfg.Model.D[0]))
 

@@ -198,12 +198,12 @@ func TestAbsoluteDeadlineAnchorsAtArrival(t *testing.T) {
 // in DeadlineSheds (admission's infeasible verdict or the elapsed context),
 // never in Errors, and classification must not leak.
 func TestRunClassifiesDeadlineSheds(t *testing.T) {
-	edge := startTestbed(t, runtime.EdgeConfig{
+	_, addrs := startTestbed(t, 1, runtime.EdgeConfig{
 		FLOPS:  2e9,
 		Policy: runtime.ControlPolicy{DeadlineAdmission: true, EDF: true},
 	})
 	res, err := Run(context.Background(), Config{
-		EdgeAddr:    edge.Addr(),
+		EdgeAddr:    addrs[0],
 		Devices:     2,
 		Rate:        200,
 		Duration:    time.Second,
@@ -225,38 +225,40 @@ func TestRunClassifiesDeadlineSheds(t *testing.T) {
 	}
 }
 
-// startTestbed brings up an in-process cloud+edge pair for live runs.
-func startTestbed(t *testing.T, edgeCfg runtime.EdgeConfig) *runtime.Edge {
+// startTestbed brings up an in-process cloud and n edges built from edgeCfg
+// for live runs, closed when the test ends, and returns the edges'
+// addresses in start order.
+func startTestbed(t *testing.T, n int, edgeCfg runtime.EdgeConfig) (*runtime.Testbed, []string) {
 	t.Helper()
-	cloud, err := runtime.StartCloud(runtime.CloudConfig{
-		Addr:        "127.0.0.1:0",
+	edgeCfg.Model = testModel()
+	edgeCfg.TimeScale = 0.01
+	edges := make([]runtime.EdgeConfig, n)
+	for i := range edges {
+		edges[i] = edgeCfg
+	}
+	tb, err := runtime.StartTestbed(runtime.CloudConfig{
 		FLOPS:       2e12,
 		Block3FLOPs: testModel().Mu[2],
 		TimeScale:   0.01,
-	})
+	}, edges)
 	if err != nil {
-		t.Fatalf("StartCloud: %v", err)
+		t.Fatalf("StartTestbed: %v", err)
 	}
-	t.Cleanup(func() { _ = cloud.Close() })
-	edgeCfg.Addr = "127.0.0.1:0"
-	edgeCfg.Model = testModel()
-	edgeCfg.CloudAddr = cloud.Addr()
-	edgeCfg.TimeScale = 0.01
-	edge, err := runtime.StartEdge(edgeCfg)
-	if err != nil {
-		t.Fatalf("StartEdge: %v", err)
+	t.Cleanup(tb.Close)
+	addrs := make([]string, n)
+	for i, e := range tb.Edges {
+		addrs[i] = e.Addr()
 	}
-	t.Cleanup(func() { _ = edge.Close() })
-	return edge
+	return tb, addrs
 }
 
 // TestRunAgainstTestbed drives a live in-process edge and checks the
 // report's accounting: every scheduled task is classified exactly once and
 // the latency summary covers every completion.
 func TestRunAgainstTestbed(t *testing.T) {
-	edge := startTestbed(t, runtime.EdgeConfig{FLOPS: 6e10})
+	_, addrs := startTestbed(t, 1, runtime.EdgeConfig{FLOPS: 6e10})
 	res, err := Run(context.Background(), Config{
-		EdgeAddr: edge.Addr(),
+		EdgeAddr: addrs[0],
 		Devices:  2,
 		Rate:     20,
 		Duration: time.Second,
@@ -290,12 +292,12 @@ func TestRunAgainstTestbed(t *testing.T) {
 // TestRunCountsAdmissionRejections saturates a tiny backlog budget and
 // checks rejections are classified as such, not as errors.
 func TestRunCountsAdmissionRejections(t *testing.T) {
-	edge := startTestbed(t, runtime.EdgeConfig{
+	_, addrs := startTestbed(t, 1, runtime.EdgeConfig{
 		FLOPS:  2e9,
 		Policy: runtime.ControlPolicy{MaxBacklogSec: 0.1},
 	})
 	res, err := Run(context.Background(), Config{
-		EdgeAddr: edge.Addr(),
+		EdgeAddr: addrs[0],
 		Devices:  2,
 		Rate:     60,
 		Duration: time.Second,
@@ -313,52 +315,13 @@ func TestRunCountsAdmissionRejections(t *testing.T) {
 	}
 }
 
-// startFleetTestbed brings up one cloud and n edges against it.
-func startFleetTestbed(t *testing.T, n int, edgeCfg runtime.EdgeConfig) []*runtime.Edge {
-	t.Helper()
-	cloud, err := runtime.StartCloud(runtime.CloudConfig{
-		Addr:        "127.0.0.1:0",
-		FLOPS:       2e12,
-		Block3FLOPs: testModel().Mu[2],
-		TimeScale:   0.01,
-	})
-	if err != nil {
-		t.Fatalf("StartCloud: %v", err)
-	}
-	t.Cleanup(func() { _ = cloud.Close() })
-	edges := make([]*runtime.Edge, n)
-	for i := range edges {
-		cfg := edgeCfg
-		cfg.Addr = "127.0.0.1:0"
-		cfg.Model = testModel()
-		cfg.CloudAddr = cloud.Addr()
-		cfg.TimeScale = 0.01
-		e, err := runtime.StartEdge(cfg)
-		if err != nil {
-			t.Fatalf("StartEdge %d: %v", i, err)
-		}
-		edges[i] = e
-		t.Cleanup(func() { _ = e.Close() })
-	}
-	return edges
-}
-
-// fleetAddrs extracts the listen addresses of a testbed fleet.
-func fleetAddrs(edges []*runtime.Edge) []string {
-	addrs := make([]string, len(edges))
-	for i, e := range edges {
-		addrs[i] = e.Addr()
-	}
-	return addrs
-}
-
 // TestRunMultiEdgeBreakdown drives two edges at once and checks the
 // per-edge breakdown: devices split across both homes, every edge serves
 // work, and the per-edge tallies sum to the aggregate counters.
 func TestRunMultiEdgeBreakdown(t *testing.T) {
-	edges := startFleetTestbed(t, 2, runtime.EdgeConfig{FLOPS: 6e10})
+	_, addrs := startTestbed(t, 2, runtime.EdgeConfig{FLOPS: 6e10})
 	res, err := Run(context.Background(), Config{
-		EdgeAddrs: fleetAddrs(edges),
+		EdgeAddrs: addrs,
 		Devices:   4,
 		Rate:      15,
 		Duration:  time.Second,
@@ -373,8 +336,8 @@ func TestRunMultiEdgeBreakdown(t *testing.T) {
 	}
 	var comp, rej, shed, errs int
 	for e, b := range res.PerEdge {
-		if b.Addr != edges[e].Addr() {
-			t.Errorf("row %d addr %q, want %q", e, b.Addr, edges[e].Addr())
+		if b.Addr != addrs[e] {
+			t.Errorf("row %d addr %q, want %q", e, b.Addr, addrs[e])
 		}
 		if b.Completed == 0 {
 			t.Errorf("edge %d completed nothing; devices never split across homes", e)
@@ -396,15 +359,15 @@ func TestRunMultiEdgeBreakdown(t *testing.T) {
 // TestRunReroutesOnEdgeKill kills one of two edges mid-run: its devices
 // must reroute to the survivor and classification must not leak.
 func TestRunReroutesOnEdgeKill(t *testing.T) {
-	edges := startFleetTestbed(t, 2, runtime.EdgeConfig{FLOPS: 6e10})
+	tb, addrs := startTestbed(t, 2, runtime.EdgeConfig{FLOPS: 6e10})
 	killed := make(chan struct{})
 	go func() {
 		defer close(killed)
 		time.Sleep(300 * time.Millisecond)
-		_ = edges[0].Close()
+		_ = tb.Edges[0].Close()
 	}()
 	res, err := Run(context.Background(), Config{
-		EdgeAddrs: fleetAddrs(edges),
+		EdgeAddrs: addrs,
 		Devices:   4,
 		Rate:      15,
 		Duration:  time.Second,
@@ -432,9 +395,9 @@ func TestRunReroutesOnEdgeKill(t *testing.T) {
 
 // TestSweepOrdersPoints checks a sweep reports one point per rate in order.
 func TestSweepOrdersPoints(t *testing.T) {
-	edge := startTestbed(t, runtime.EdgeConfig{FLOPS: 6e10})
+	_, addrs := startTestbed(t, 1, runtime.EdgeConfig{FLOPS: 6e10})
 	sweep, err := Sweep(context.Background(), Config{
-		EdgeAddr: edge.Addr(),
+		EdgeAddr: addrs[0],
 		Devices:  1,
 		Duration: 500 * time.Millisecond,
 		Seed:     7,

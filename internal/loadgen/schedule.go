@@ -72,8 +72,6 @@ type Config struct {
 	// IDPrefix namespaces device IDs so repeated runs (sweep points)
 	// against one edge do not collide (default "loadgen").
 	IDPrefix string
-	// ReservoirCap caps the latency reservoir (default 8192 samples).
-	ReservoirCap int
 }
 
 // withDefaults fills unset fields with the documented defaults.
@@ -101,9 +99,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.IDPrefix == "" {
 		c.IDPrefix = "loadgen"
-	}
-	if c.ReservoirCap == 0 {
-		c.ReservoirCap = 8192
 	}
 	return c
 }

@@ -165,30 +165,18 @@ func TestExecutorBatchWindowRespectsCancellation(t *testing.T) {
 // batching edge and checks every task completes with no errors — batching
 // must be behaviour-preserving at the protocol level.
 func TestEdgeBatchingServesWorkload(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
-		Addr:        "127.0.0.1:0",
-		FLOPS:       2e12,
-		Block3FLOPs: testModel().Mu[2],
-		TimeScale:   testScale,
-	})
-	if err != nil {
-		t.Fatalf("StartCloud: %v", err)
-	}
-	t.Cleanup(func() { _ = cloud.Close() })
-	edge, err := StartEdge(EdgeConfig{
-		Addr:      "127.0.0.1:0",
+	tb, err := StartTestbed(testCloudConfig(), []EdgeConfig{{
 		FLOPS:     6e10,
 		Model:     testModel(),
-		CloudAddr: cloud.Addr(),
 		TimeScale: testScale,
 		Policy:    ControlPolicy{Batch: control.Batch{MaxSize: 8, MaxDelaySec: 0.05}},
-	})
+	}})
 	if err != nil {
-		t.Fatalf("StartEdge: %v", err)
+		t.Fatalf("StartTestbed: %v", err)
 	}
-	t.Cleanup(func() { _ = edge.Close() })
+	t.Cleanup(tb.Close)
 
-	cfg := testDeviceConfig(edge.Addr(), "batch-dev")
+	cfg := testDeviceConfig(tb.Edges[0].Addr(), "batch-dev")
 	eOnly := offload.EdgeOnly()
 	cfg.Policy = &eOnly
 	stats, err := RunDevice(cfg)

@@ -11,7 +11,7 @@ import (
 )
 
 func TestEdgeUpdateRebalancesShares(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	if _, err := edge.register(RegisterReq{DeviceID: "a", FLOPS: 1.2e9, ArrivalMean: 10}); err != nil {
 		t.Fatalf("register a: %v", err)
 	}
@@ -39,14 +39,14 @@ func TestEdgeUpdateRebalancesShares(t *testing.T) {
 }
 
 func TestEdgeUpdateUnknownDevice(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	if _, err := edge.update(UpdateReq{DeviceID: "ghost", ArrivalMean: 5}); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("update for unknown device = %v, want ErrUnknownDevice", err)
 	}
 }
 
 func TestEdgeUnregisterRedistributes(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	for _, id := range []string{"a", "b", "c"} {
 		if _, err := edge.register(RegisterReq{DeviceID: id, FLOPS: 1.2e9, ArrivalMean: 10}); err != nil {
 			t.Fatalf("register %s: %v", id, err)
@@ -84,7 +84,7 @@ func TestEdgeUnregisterRedistributes(t *testing.T) {
 }
 
 func TestEdgeUnregisterLastTenant(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	if _, err := edge.register(RegisterReq{DeviceID: "only", FLOPS: 1e9, ArrivalMean: 3}); err != nil {
 		t.Fatalf("register: %v", err)
 	}
@@ -101,7 +101,7 @@ func TestEdgeUnregisterLastTenant(t *testing.T) {
 }
 
 func TestAdaptiveDeviceRenegotiatesShare(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	// A competitor occupies half the edge so the adaptive device's share
 	// change is observable.
 	if _, err := edge.register(RegisterReq{DeviceID: "static", FLOPS: 1.2e9, ArrivalMean: 5}); err != nil {
@@ -135,7 +135,7 @@ func TestAdaptiveDeviceRenegotiatesShare(t *testing.T) {
 }
 
 func TestEdgeStatsCountsBacklog(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	if _, err := edge.register(RegisterReq{DeviceID: "a", FLOPS: 1e9, ArrivalMean: 3}); err != nil {
 		t.Fatalf("register: %v", err)
 	}

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"leime/internal/fleet"
 	"leime/internal/metrics"
 	"leime/internal/netem"
 	"leime/internal/offload"
@@ -35,13 +34,6 @@ type DeviceConfig struct {
 	// tenancy to the edge minimizing drift-plus-penalty each decision epoch.
 	// A single entry is equivalent to EdgeAddr. Supersedes EdgeAddr when set.
 	EdgeAddrs []string
-	// Fleet tunes the device's heartbeat poller over EdgeAddrs (zero value =
-	// fleet defaults, except Every which defaults to one scaled slot).
-	Fleet fleet.Config
-	// SwitchMargin is the hysteresis for edge migration: the device leaves
-	// its current edge only when the best alternative improves the selection
-	// objective by more than this fraction. Zero means the 0.05 default.
-	SwitchMargin float64
 	// PipelineAddrs, when non-empty, puts the device in pipelined mode: it
 	// installs Pipeline on the listed edge workers (stage j at address j),
 	// sends every task into the first stage, and never consults the

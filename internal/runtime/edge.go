@@ -58,11 +58,6 @@ type EdgeConfig struct {
 	// Fleet tunes the peer registry's heartbeat cadence and suspicion
 	// threshold; the zero value uses the fleet package defaults.
 	Fleet fleet.Config
-	// StealShare is the fraction of FLOPS the edge reserves for executing
-	// stolen peer work, on top of the tenant allocation (default 0.1).
-	// Stolen tasks must not ride the full edge rate: an overflow slice
-	// keeps one steal hop from doubling the fleet's modeled compute.
-	StealShare float64
 	// PeerLink shapes the edge-to-edge path activations ride when this
 	// edge hosts a pipeline stage and forwards to the next hop. The zero
 	// value is an unshaped (instant) link, right for in-process tests.
@@ -91,7 +86,7 @@ type Edge struct {
 
 	// Federation state: the peer registry and its clients exist only when
 	// Peers is configured; the steal executor always does (it serves
-	// StealReqs on the reserved StealShare overflow slice).
+	// StealReqs on the reserved stealShare overflow slice).
 	stealExec   *Executor
 	peers       *fleet.Registry
 	peerClients map[string]*rpc.ReliableClient
@@ -199,10 +194,6 @@ func StartEdge(cfg EdgeConfig) (*Edge, error) {
 	// admission budget keeps a stolen flood from queueing unboundedly, and
 	// deadline admission on the slice means a steal lands only where the
 	// deadline is still feasible.
-	stealShare := cfg.StealShare
-	if stealShare <= 0 {
-		stealShare = 0.1
-	}
 	stealExec, err := NewExecutor(stealShare*cfg.FLOPS, cfg.TimeScale, WithPolicy(e.policy))
 	if err != nil {
 		return nil, err
@@ -277,10 +268,6 @@ func scaleLink(l netem.Link, s Scale) netem.Link {
 
 // Addr returns the edge's listen address.
 func (e *Edge) Addr() string { return e.srv.Addr() }
-
-// DeadlineSheds returns the number of requests the edge's server shed on
-// arrival because their propagated deadline had already passed.
-func (e *Edge) DeadlineSheds() uint64 { return e.srv.DeadlineSheds() }
 
 func (e *Edge) handle(ctx context.Context, meta rpc.Meta, body any) (any, error) {
 	switch req := body.(type) {

@@ -11,37 +11,26 @@ func TestDeviceSurvivesCloudFailure(t *testing.T) {
 	// The cloud dies mid-run: the edge degrades third-block tasks to the
 	// Second exit instead of failing them, so every task still completes
 	// with zero errors and the run finishes (no hang).
-	cloud, err := StartCloud(CloudConfig{
-		Addr:        "127.0.0.1:0",
-		FLOPS:       2e12,
-		Block3FLOPs: testModel().Mu[2],
-		TimeScale:   testScale,
-	})
-	if err != nil {
-		t.Fatalf("StartCloud: %v", err)
-	}
-	edge, err := StartEdge(EdgeConfig{
-		Addr:      "127.0.0.1:0",
+	tb, err := StartTestbed(testCloudConfig(), []EdgeConfig{{
 		FLOPS:     6e10,
 		Model:     testModel(),
-		CloudAddr: cloud.Addr(),
 		CloudLink: netem.Link{BandwidthBps: 5e7, Latency: 10 * time.Millisecond},
 		TimeScale: testScale,
-	})
+	}})
 	if err != nil {
-		t.Fatalf("StartEdge: %v", err)
+		t.Fatalf("StartTestbed: %v", err)
 	}
-	defer edge.Close()
+	defer tb.Close()
 
 	// Kill the cloud shortly after the run starts.
 	killed := make(chan struct{})
 	go func() {
 		time.Sleep(100 * time.Millisecond)
-		_ = cloud.Close()
+		_ = tb.Cloud.Close()
 		close(killed)
 	}()
 
-	cfg := testDeviceConfig(edge.Addr(), "survivor")
+	cfg := testDeviceConfig(tb.Edges[0].Addr(), "survivor")
 	cfg.Slots = 40
 	stats, err := RunDevice(cfg)
 	if err != nil {
@@ -102,7 +91,7 @@ func TestEdgeStartsWithUnreachableCloudAndDegrades(t *testing.T) {
 func TestConcurrentRegistrationAndTraffic(t *testing.T) {
 	// Devices registering while others are mid-run (shares rebalancing
 	// underneath live traffic) must not corrupt anything.
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	first := make(chan error, 1)
 	go func() {
 		cfg := testDeviceConfig(edge.Addr(), "early")
@@ -127,7 +116,7 @@ func TestConcurrentRegistrationAndTraffic(t *testing.T) {
 }
 
 func TestNoFallbacksWithoutAdmissionControl(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	stats, err := RunDevice(testDeviceConfig(edge.Addr(), "free"))
 	if err != nil {
 		t.Fatalf("RunDevice: %v", err)

@@ -53,9 +53,9 @@ func registerAt(t *testing.T, addr, id string) *rpc.Client {
 func waitReadyPeers(t *testing.T, e *Edge, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for len(e.PeerRegistry().Ready()) < n {
+	for len(e.peers.Ready()) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer registry never saw %d ready peers (have %d)", n, len(e.PeerRegistry().Ready()))
+			t.Fatalf("peer registry never saw %d ready peers (have %d)", n, len(e.peers.Ready()))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -106,9 +106,9 @@ func TestStealOneHopBound(t *testing.T) {
 	}
 	wg.Wait()
 
-	_, aOut, _ := edgeA.StealStats()
-	bIn, bOut, _ := edgeB.StealStats()
-	cIn, _, _ := edgeC.StealStats()
+	_, aOut, _ := edgeA.stealStats()
+	bIn, bOut, _ := edgeB.stealStats()
+	cIn, _, _ := edgeC.stealStats()
 	if aOut == 0 {
 		t.Fatal("saturated edge never attempted a steal; burst too lenient")
 	}
@@ -133,7 +133,7 @@ func TestStealOneHopBound(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "one-hop") {
 		t.Errorf("Hop=2 steal not rejected: err=%v", err)
 	}
-	if cInAfter, _, _ := edgeC.StealStats(); cInAfter != 0 {
+	if cInAfter, _, _ := edgeC.stealStats(); cInAfter != 0 {
 		t.Errorf("over-hop steal leaked %d tasks to the second peer", cInAfter)
 	}
 }
@@ -143,35 +143,25 @@ func TestStealOneHopBound(t *testing.T) {
 // a survivor (observable as migrations), never hang, and complete every
 // generated task.
 func TestFleetChaosKillOneOfThreeEdges(t *testing.T) {
-	cloud, err := StartCloud(CloudConfig{
-		Addr: "127.0.0.1:0", FLOPS: 2e12, Block3FLOPs: testModel().Mu[2], TimeScale: testScale,
-	})
-	if err != nil {
-		t.Fatalf("StartCloud: %v", err)
-	}
-	defer cloud.Close()
-
 	const edges = 3
-	fleetEdges := make([]*Edge, edges)
-	addrs := make([]string, edges)
-	for i := 0; i < edges; i++ {
-		e, err := StartEdge(EdgeConfig{
-			Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(),
-			CloudAddr: cloud.Addr(),
+	cfgs := make([]EdgeConfig, edges)
+	for i := range cfgs {
+		cfgs[i] = EdgeConfig{
+			FLOPS: 6e10, Model: testModel(),
 			CloudLink: netem.Link{BandwidthBps: 5e7, Latency: 10 * time.Millisecond},
 			TimeScale: testScale,
-		})
-		if err != nil {
-			t.Fatalf("StartEdge %d: %v", i, err)
 		}
-		fleetEdges[i] = e
+	}
+	tb, err := StartTestbed(testCloudConfig(), cfgs)
+	if err != nil {
+		t.Fatalf("StartTestbed: %v", err)
+	}
+	defer tb.Close()
+	fleetEdges := tb.Edges
+	addrs := make([]string, edges)
+	for i, e := range fleetEdges {
 		addrs[i] = e.Addr()
 	}
-	defer func() {
-		for _, e := range fleetEdges {
-			_ = e.Close()
-		}
-	}()
 
 	const devices = 4
 	type outcome struct {
@@ -189,7 +179,6 @@ func TestFleetChaosKillOneOfThreeEdges(t *testing.T) {
 		go func(i int, id string) {
 			cfg := testDeviceConfig("", id)
 			cfg.EdgeAddrs = append([]string(nil), addrs...)
-			cfg.Fleet = testFleetConfig()
 			eOnly := offload.EdgeOnly()
 			cfg.Policy = &eOnly // insist on offloading: only faults force local work
 			cfg.ArrivalMean = 4

@@ -26,6 +26,11 @@ import (
 // launched; in-flight work survives migrations by degrading locally at
 // worst.
 
+// switchMargin is the hysteresis for edge migration: the device leaves its
+// current edge only when the best alternative improves the selection
+// objective by more than this fraction.
+const switchMargin = 0.05
+
 // multiEdge is the device's federation state: one reliable client and one
 // cached heartbeat view per configured edge.
 type multiEdge struct {
@@ -90,16 +95,10 @@ func startMultiEdge(d *deviceRun) (*multiEdge, error) {
 		me.index[addr] = i
 	}
 
-	fcfg := cfg.Fleet
-	if fcfg.Every <= 0 {
-		// Default the heartbeat cadence to the decision epoch: selection
-		// reads views at slot boundaries, so polling faster buys nothing.
-		fcfg.Every = cfg.TimeScale.Seconds(cfg.TauSec)
-		if fcfg.Every < 10*time.Millisecond {
-			fcfg.Every = 10 * time.Millisecond
-		}
-	}
-	me.reg = fleet.New(fcfg, me.probe)
+	// Heartbeat once per decision epoch: selection reads views at slot
+	// boundaries, so polling faster buys nothing.
+	every := max(cfg.TimeScale.Seconds(cfg.TauSec), 10*time.Millisecond)
+	me.reg = fleet.New(fleet.Config{Every: every}, me.probe)
 	for _, addr := range me.addrs {
 		me.reg.Join(addr)
 	}
@@ -228,11 +227,7 @@ func (me *multiEdge) step(ctrl *offload.Controller, policy offload.Policy, dev o
 	if curPos >= 0 && cands[best] != cur {
 		// Hysteresis: the non-resident share is an optimistic estimate, so
 		// demand a clear improvement before paying the migration.
-		margin := me.d.cfg.SwitchMargin
-		if margin <= 0 {
-			margin = 0.05
-		}
-		if evals[best].Objective >= evals[curPos].Objective-margin*math.Abs(evals[curPos].Objective) {
+		if evals[best].Objective >= evals[curPos].Objective-switchMargin*math.Abs(evals[curPos].Objective) {
 			best = curPos
 		}
 	}

@@ -26,31 +26,26 @@ func testModel() offload.ModelParams {
 
 const testScale Scale = 0.01
 
-func startTestbed(t *testing.T) (*Cloud, *Edge) {
+// testCloudConfig is the cloud of every runtime testbed.
+func testCloudConfig() CloudConfig {
+	return CloudConfig{FLOPS: 2e12, Block3FLOPs: testModel().Mu[2], TimeScale: testScale}
+}
+
+// startTestbed brings up the test cloud and one edge, closed when the test
+// ends.
+func startTestbed(t *testing.T) *Edge {
 	t.Helper()
-	cloud, err := StartCloud(CloudConfig{
-		Addr:        "127.0.0.1:0",
-		FLOPS:       2e12,
-		Block3FLOPs: testModel().Mu[2],
-		TimeScale:   testScale,
-	})
-	if err != nil {
-		t.Fatalf("StartCloud: %v", err)
-	}
-	t.Cleanup(func() { _ = cloud.Close() })
-	edge, err := StartEdge(EdgeConfig{
-		Addr:      "127.0.0.1:0",
+	tb, err := StartTestbed(testCloudConfig(), []EdgeConfig{{
 		FLOPS:     6e10,
 		Model:     testModel(),
-		CloudAddr: cloud.Addr(),
 		CloudLink: netem.Link{BandwidthBps: 5e7, Latency: 30 * time.Millisecond},
 		TimeScale: testScale,
-	})
+	}})
 	if err != nil {
-		t.Fatalf("StartEdge: %v", err)
+		t.Fatalf("StartTestbed: %v", err)
 	}
-	t.Cleanup(func() { _ = edge.Close() })
-	return cloud, edge
+	t.Cleanup(tb.Close)
+	return tb.Edges[0]
 }
 
 func testDeviceConfig(edgeAddr, id string) DeviceConfig {
@@ -173,7 +168,7 @@ func TestScaleLink(t *testing.T) {
 }
 
 func TestEndToEndSingleDevice(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	stats, err := RunDevice(testDeviceConfig(edge.Addr(), "pi-1"))
 	if err != nil {
 		t.Fatalf("RunDevice: %v", err)
@@ -207,7 +202,7 @@ func TestEndToEndSingleDevice(t *testing.T) {
 }
 
 func TestEndToEndConcurrentDevices(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	ids := []string{"pi-1", "pi-2", "nano-1"}
 	deviceFLOPS := []float64{1.2e9, 1.2e9, 9.84e9}
 	var wg sync.WaitGroup
@@ -239,7 +234,7 @@ func TestEndToEndConcurrentDevices(t *testing.T) {
 }
 
 func TestEdgeRebalancesSharesOnRegistration(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	// First registration takes the whole edge; a second identical device
 	// must shrink the first device's share to about half.
 	r1, err := edge.register(RegisterReq{DeviceID: "a", FLOPS: 1.2e9, ArrivalMean: 10})
@@ -262,7 +257,7 @@ func TestEdgeRebalancesSharesOnRegistration(t *testing.T) {
 }
 
 func TestEdgeRejectsUnknownDevice(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	if _, err := edge.handle(context.Background(), rpc.Meta{}, QueueStatReq{DeviceID: "ghost"}); err == nil {
 		t.Error("unknown device accepted")
 	}
@@ -333,7 +328,7 @@ func TestCloudValidation(t *testing.T) {
 }
 
 func TestDeviceStageBreakdown(t *testing.T) {
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	cfg := testDeviceConfig(edge.Addr(), "stages")
 	dOnly := offload.DeviceOnly()
 	cfg.Policy = &dOnly
@@ -360,7 +355,7 @@ func TestHeterogeneousModelsShareOneEdge(t *testing.T) {
 	// Two devices run different applications (different block FLOPs, data
 	// sizes and exit rates) against the same edge; each tenant's work must
 	// execute with its own model.
-	_, edge := startTestbed(t)
+	edge := startTestbed(t)
 	small := offload.ModelParams{
 		Mu:    [3]float64{5e7, 2e8, 3e8},
 		D:     [3]float64{3088, 16384, 4096},
@@ -465,7 +460,7 @@ func TestEdgeShedsQueuedWorkAtEnvelopeDeadline(t *testing.T) {
 	if got := edge.tel.sheds.Value(); got != 1 {
 		t.Errorf("edge shed counter = %d, want 1", got)
 	}
-	if got := edge.DeadlineSheds(); got != 0 {
+	if got := edge.srv.DeadlineSheds(); got != 0 {
 		t.Errorf("shed on arrival = %d, want 0: the request was live when it arrived", got)
 	}
 

@@ -12,13 +12,18 @@ import (
 )
 
 // Edge federation: heartbeat serving, the peer registry, and the one-hop
-// work-stealing path. A saturated edge (per-tenant pending cap hit or
-// admission budget exhausted) forwards the rejected first-block task to the
-// least-loaded ready peer, which executes the full remaining pipeline on
-// its steal executor — spare capacity at the edge's full rate, outside the
-// tenant KKT shares. The receiving edge never forwards again: StealReq
-// handlers reject Hop != 1, so the one-hop bound is structural, not a
-// convention.
+// work-stealing path. A saturated edge (admission budget exhausted)
+// forwards the rejected first-block task to the least-loaded ready peer,
+// which executes the full remaining pipeline on its steal executor — a
+// stealShare slice of its FLOPS, outside the tenant KKT shares. The
+// receiving edge never forwards again: StealReq handlers reject Hop != 1,
+// so the one-hop bound is structural, not a convention.
+
+// stealShare is the fraction of FLOPS an edge reserves for executing stolen
+// peer work, on top of the tenant allocation. Stolen tasks must not ride the
+// full edge rate: an overflow slice keeps one steal hop from doubling the
+// fleet's modeled compute.
+const stealShare = 0.1
 
 // startPeers dials every configured peer and starts the heartbeat poller
 // that tracks their health in a fleet registry.
@@ -69,13 +74,9 @@ func (e *Edge) Ready() bool {
 	return len(e.tenants) > 0
 }
 
-// PeerRegistry exposes the edge's view of its peers; nil when no peers are
-// configured.
-func (e *Edge) PeerRegistry() *fleet.Registry { return e.peers }
-
-// StealStats snapshots the federation counters: tasks stolen in (executed
+// stealStats snapshots the federation counters: tasks stolen in (executed
 // for a peer), stolen out (placed on a peer), and failed steal attempts.
-func (e *Edge) StealStats() (in, out, failed uint64) {
+func (e *Edge) stealStats() (in, out, failed uint64) {
 	return atomic.LoadUint64(&e.stealsIn), atomic.LoadUint64(&e.stealsOut), atomic.LoadUint64(&e.stealFailed)
 }
 

@@ -17,35 +17,24 @@ func TestOffloadedTaskProducesSingleTrace(t *testing.T) {
 	model := testModel()
 	model.Sigma = [3]float64{0, 0, 1} // every task survives to the cloud exit
 
-	cloud, err := StartCloud(CloudConfig{
-		Addr:        "127.0.0.1:0",
-		FLOPS:       2e12,
-		Block3FLOPs: model.Mu[2],
-		TimeScale:   testScale,
-		Tracer:      tr,
-	})
-	if err != nil {
-		t.Fatalf("StartCloud: %v", err)
-	}
-	defer cloud.Close()
-	edge, err := StartEdge(EdgeConfig{
-		Addr:      "127.0.0.1:0",
+	cloud := testCloudConfig()
+	cloud.Tracer = tr
+	tb, err := StartTestbed(cloud, []EdgeConfig{{
 		FLOPS:     6e10,
 		Model:     model,
-		CloudAddr: cloud.Addr(),
 		TimeScale: testScale,
 		Tracer:    tr,
-	})
+	}})
 	if err != nil {
-		t.Fatalf("StartEdge: %v", err)
+		t.Fatalf("StartTestbed: %v", err)
 	}
-	defer edge.Close()
+	defer tb.Close()
 
 	offloadAll := offload.Policy{
 		Name:   "all",
 		Decide: func(*offload.Controller, offload.Device, offload.Slot) float64 { return 1 },
 	}
-	cfg := testDeviceConfig(edge.Addr(), "dev-trace")
+	cfg := testDeviceConfig(tb.Edges[0].Addr(), "dev-trace")
 	cfg.Model = model
 	cfg.Arrivals = &trace.Constant{PerSlot: 1}
 	cfg.Policy = &offloadAll

@@ -95,33 +95,25 @@ func (s *System) RunLocalTestbed(opts TestbedOptions) (*TestbedResult, error) {
 	scale := runtime.Scale(opts.TimeScale)
 	params := s.Params()
 
-	cloud, err := runtime.StartCloud(runtime.CloudConfig{
-		Addr:        "127.0.0.1:0",
+	tb, err := runtime.StartTestbed(runtime.CloudConfig{
 		FLOPS:       s.env.CloudFLOPS,
 		Block3FLOPs: params.Mu[2],
 		TimeScale:   scale,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("leime: testbed cloud: %w", err)
-	}
-	defer cloud.Close()
-
-	edge, err := runtime.StartEdge(runtime.EdgeConfig{
-		Addr:      "127.0.0.1:0",
-		FLOPS:     s.env.EdgeFLOPS,
-		Model:     params,
-		CloudAddr: cloud.Addr(),
+	}, []runtime.EdgeConfig{{
+		FLOPS: s.env.EdgeFLOPS,
+		Model: params,
 		CloudLink: netem.Link{
 			BandwidthBps: s.env.EdgeCloud.BandwidthBps,
 			Latency:      time.Duration(s.env.EdgeCloud.LatencySec * float64(time.Second)),
 		},
 		TimeScale: scale,
 		Policy:    opts.EdgePolicy,
-	})
+	}})
 	if err != nil {
-		return nil, fmt.Errorf("leime: testbed edge: %w", err)
+		return nil, fmt.Errorf("leime: testbed: %w", err)
 	}
-	defer edge.Close()
+	defer tb.Close()
+	edgeAddr := tb.Edges[0].Addr()
 
 	res := &TestbedResult{Stats: make([]*runtime.DeviceStats, len(opts.Devices))}
 	errs := make([]error, len(opts.Devices))
@@ -146,7 +138,7 @@ func (s *System) RunLocalTestbed(opts TestbedOptions) (*TestbedResult, error) {
 				ID:       d.ID,
 				FLOPS:    d.Node.FLOPS,
 				Model:    params,
-				EdgeAddr: edge.Addr(),
+				EdgeAddr: edgeAddr,
 				Uplink: netem.Link{
 					BandwidthBps: Mbps(d.UplinkMbps),
 					Latency:      d.UplinkLatency,
