@@ -3,7 +3,10 @@
 // injectable faults (link blackouts, packet-loss-driven connection resets,
 // latency spikes) so fault-tolerance behaviour is testable deterministically.
 // It is the reproduction's equivalent of the COMCAST tool the paper uses to
-// control bandwidth and latency between testbed tiers.
+// control bandwidth and latency between testbed tiers. As under tc netem, a
+// link serializes messages FIFO and their propagation delays overlap: a
+// message queued behind another waits out the earlier one's serialization,
+// not its latency.
 package netem
 
 import (
@@ -83,11 +86,13 @@ func (f Fault) validate() error {
 	return nil
 }
 
-// Shaper paces message sends over a shared link: concurrent senders contend
-// for the serialization capacity (a token-bucket clock), and every message
-// additionally experiences propagation delay and jitter. An injected Fault
-// can black the link out, reset flows probabilistically or spike latency.
-// Its zero value is an unshaped, zero-latency, healthy link.
+// Shaper paces message sends over a shared link. Each message is booked at
+// the instant its sender queued it: concurrent senders contend FIFO for the
+// serialization capacity (a token-bucket clock), and each message is then
+// delivered after propagation delay and jitter, which overlap with the next
+// message's serialization. An injected Fault can black the link out, reset
+// flows probabilistically or spike latency. Its zero value is an unshaped,
+// zero-latency, healthy link.
 type Shaper struct {
 	link Link // fixed at NewShaper
 
@@ -117,48 +122,45 @@ func (s *Shaper) SetFault(f Fault) error {
 	return nil
 }
 
-// inject decides one message's fate under the current fault: a non-nil
-// error means the message is lost and the flow must reset. Spike latency is
-// applied separately, inside Acquire.
-func (s *Shaper) inject() error {
+// book schedules one message of the given size whose sender queued it at
+// queued, and returns the instant it is delivered. Serialization starts at
+// the later of queued and the instant the link frees, and holds the link
+// for the serialization time only; latency, jitter and the fault's spike
+// come after it. A non-nil error means the current fault drops the message
+// and the flow must reset; a dropped message takes no link time. The fault
+// is read under the same lock as the schedule, so a message costs one lock.
+func (s *Shaper) book(bytes int, queued time.Time) (time.Time, error) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	f := s.fault
-	var roll float64
-	if f.LossProb > 0 {
-		roll = s.rng.Float64()
-	}
-	s.mu.Unlock()
 	if f.Blackout {
-		return fmt.Errorf("%w: link blackout", ErrInjected)
+		return time.Time{}, fmt.Errorf("%w: link blackout", ErrInjected)
 	}
-	if f.LossProb > 0 && roll < f.LossProb {
-		return fmt.Errorf("%w: packet loss (p=%v)", ErrInjected, f.LossProb)
+	if f.LossProb > 0 && s.rng.Float64() < f.LossProb {
+		return time.Time{}, fmt.Errorf("%w: packet loss (p=%v)", ErrInjected, f.LossProb)
 	}
-	return nil
-}
-
-// Acquire blocks the caller for as long as sending a message of the given
-// size over the emulated link would take, and returns the time it slept.
-// Serialization contends with other senders; propagation, jitter and spike
-// delay do not.
-func (s *Shaper) Acquire(bytes int) time.Duration {
-	now := time.Now()
-
-	s.mu.Lock()
-	start := now
+	start := queued
 	if s.nextFree.After(start) {
 		start = s.nextFree
 	}
-	serialized := start.Add(s.link.serializationDelay(bytes))
-	s.nextFree = serialized
+	s.nextFree = start.Add(s.link.serializationDelay(bytes))
 	var jitter time.Duration
 	if s.link.Jitter > 0 {
 		jitter = time.Duration(s.rng.Int63n(int64(s.link.Jitter) + 1))
 	}
-	spike := s.fault.SpikeLatency
-	s.mu.Unlock()
+	return s.nextFree.Add(s.link.Latency + jitter + f.SpikeLatency), nil
+}
 
-	deliver := serialized.Add(s.link.Latency + jitter + spike)
+// Acquire books a message of the given size sent now, blocks the caller
+// until its delivery, and returns the time it slept. Serialization contends
+// with other senders; propagation, jitter and spike delay do not. A message
+// the current fault drops is not paced: Acquire returns 0 at once.
+func (s *Shaper) Acquire(bytes int) time.Duration {
+	now := time.Now()
+	deliver, err := s.book(bytes, now)
+	if err != nil {
+		return 0
+	}
 	d := deliver.Sub(now)
 	if d > 0 {
 		time.Sleep(d)
@@ -166,9 +168,12 @@ func (s *Shaper) Acquire(bytes int) time.Duration {
 	return d
 }
 
-// Conn wraps a real connection so every Write first acquires the emulated
-// link. Callers should issue one Write per application message for the
-// latency semantics to be faithful (the rpc package does).
+// Conn wraps a real connection so every write is first paced through the
+// emulated link. Callers should issue one write per application message for
+// the latency semantics to be faithful. Besides Write, the connection has
+// WriteQueued(p []byte, queued time.Time), for a writer that sends from a
+// queue: the rpc package passes each frame's enqueue time, so a frame is
+// booked when its sender queued it rather than when the writer reached it.
 func (s *Shaper) Conn(c net.Conn) net.Conn {
 	return &shapedConn{Conn: c, shaper: s}
 }
@@ -178,15 +183,25 @@ type shapedConn struct {
 	shaper *Shaper
 }
 
-// Write paces the payload through the emulated link before writing it to
-// the underlying connection. An injected fault (blackout or loss) fails the
-// write and resets the connection — both directions die, as a real link
-// outage would kill the TCP flow.
+// Write is WriteQueued for a payload queued now.
 func (c *shapedConn) Write(p []byte) (int, error) {
-	if err := c.shaper.inject(); err != nil {
+	return c.WriteQueued(p, time.Now())
+}
+
+// WriteQueued paces a payload its sender queued at queued through the
+// emulated link, then writes it to the underlying connection. The link books
+// it from queued, not from the call, so a writer that works through a queue
+// holds each message only until that message's own delivery. An injected
+// fault (blackout or loss) fails the write and resets the connection: both
+// directions die, as a real link outage would kill the TCP flow.
+func (c *shapedConn) WriteQueued(p []byte, queued time.Time) (int, error) {
+	deliver, err := c.shaper.book(len(p), queued)
+	if err != nil {
 		_ = c.Conn.Close()
 		return 0, err
 	}
-	c.shaper.Acquire(len(p))
+	if d := time.Until(deliver); d > 0 {
+		time.Sleep(d)
+	}
 	return c.Conn.Write(p)
 }

@@ -99,6 +99,53 @@ func TestShaperConcurrentSendersShareBandwidth(t *testing.T) {
 	}
 }
 
+// TestBookOverlapsPropagation drives the schedule with fixed stamps on an
+// 8 Mbps, 20 ms link, where a 1000 B message serializes in 1 ms. Messages
+// queued together serialize back to back and share the propagation delay
+// rather than paying it one after another.
+func TestBookOverlapsPropagation(t *testing.T) {
+	s, err := NewShaper(Link{BandwidthBps: 8e6, Latency: 20 * time.Millisecond}, 1)
+	if err != nil {
+		t.Fatalf("NewShaper: %v", err)
+	}
+	const ms = time.Millisecond
+	// t0 lies long before the wall clock: a stamp in the past still books
+	// from the stamp, not from the call.
+	t0 := time.Unix(1000, 0)
+	steps := []struct {
+		name          string
+		queued, wants time.Time
+	}{
+		{"first", t0, t0.Add(21 * ms)},
+		{"queued with the first", t0, t0.Add(22 * ms)},
+		{"after the link freed", t0.Add(50 * ms), t0.Add(71 * ms)},
+		{"before the link freed", t0.Add(40 * ms), t0.Add(72 * ms)},
+	}
+	for _, st := range steps {
+		got, err := s.book(1000, st.queued)
+		if err != nil {
+			t.Fatalf("%s: book: %v", st.name, err)
+		}
+		if !got.Equal(st.wants) {
+			t.Errorf("%s: delivered at t0+%v, want t0+%v", st.name, got.Sub(t0), st.wants.Sub(t0))
+		}
+	}
+
+	// A message the fault drops takes no link time.
+	if err := s.SetFault(Fault{Blackout: true}); err != nil {
+		t.Fatalf("SetFault: %v", err)
+	}
+	if _, err := s.book(1000, t0.Add(45*ms)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("blackout book = %v, want ErrInjected", err)
+	}
+	if err := s.SetFault(Fault{}); err != nil {
+		t.Fatalf("clear fault: %v", err)
+	}
+	if got, _ := s.book(1000, t0.Add(45*ms)); !got.Equal(t0.Add(73 * ms)) {
+		t.Errorf("after a dropped message: delivered at t0+%v, want t0+73ms", got.Sub(t0))
+	}
+}
+
 func TestShapedConnWrites(t *testing.T) {
 	a, b := net.Pipe()
 	defer a.Close()

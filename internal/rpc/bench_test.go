@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"leime/internal/netem"
 )
 
 func benchServer(b *testing.B) *Server {
@@ -36,6 +38,31 @@ type benchTaskReq struct {
 func BenchmarkCallRoundTrip(b *testing.B) {
 	s := benchServer(b)
 	c, err := Dial(s.Addr(), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	req := echoReq{Text: "payload", N: 7}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.Call(context.Background(), req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCallRoundTripShaped is BenchmarkCallRoundTrip through a
+// zero-delay shaper, so the difference between the two is what the paced
+// write path (enqueue stamp, booking, one WriteQueued per frame) costs a
+// round trip.
+func BenchmarkCallRoundTripShaped(b *testing.B) {
+	s := benchServer(b)
+	shaper, err := netem.NewShaper(netem.Link{}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := Dial(s.Addr(), shaper)
 	if err != nil {
 		b.Fatal(err)
 	}

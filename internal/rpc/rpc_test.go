@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -255,38 +256,75 @@ func TestShapedClientSlowsLargeMessages(t *testing.T) {
 	}
 }
 
-// TestShapedCallsPayLatencyPerFrame is the shaper's side of the write path's
-// contract: netem charges its latency once per Write, so a client must hand
-// a shaped connection one frame per Write. K concurrent calls over a link
-// with latency L and ample bandwidth then take at least K·L; frames
-// coalesced into one Write would share a single L and finish early.
+// TestShapedCallsPayLatencyPerFrame checks the write path against the
+// link netem emulates: every frame pays the link's latency L, but frames
+// queued together serialize back to back and share L rather than waiting
+// out each other's, because the writer books each frame at its enqueue
+// time. With ample bandwidth, K concurrent calls take at least L and well
+// under K·L. With a link that serializes each request in S, the last call
+// still waits for K·S + L (the bandwidth is shared), yet the first reply
+// returns before the last request finishes serializing.
 func TestShapedCallsPayLatencyPerFrame(t *testing.T) {
-	const k, latency = 8, 20 * time.Millisecond
-	s := startEcho(t)
-	shaper, err := netem.NewShaper(netem.Link{BandwidthBps: 1e9, Latency: latency}, 3)
-	if err != nil {
-		t.Fatalf("NewShaper: %v", err)
+	const k = 8
+	// concurrentCalls makes k concurrent calls of text and returns when the
+	// first and the last returned, measured from their start.
+	concurrentCalls := func(t *testing.T, link netem.Link, text string) (first, last time.Duration) {
+		s := startEcho(t)
+		shaper, err := netem.NewShaper(link, 3)
+		if err != nil {
+			t.Fatalf("NewShaper: %v", err)
+		}
+		c, err := Dial(s.Addr(), shaper)
+		if err != nil {
+			t.Fatalf("Dial: %v", err)
+		}
+		defer c.Close()
+		var mu sync.Mutex
+		first = time.Hour
+		start := time.Now()
+		var wg sync.WaitGroup
+		for i := 0; i < k; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				if _, err := c.Call(context.Background(), echoReq{Text: text, N: i}); err != nil {
+					t.Errorf("Call %d: %v", i, err)
+				}
+				took := time.Since(start)
+				mu.Lock()
+				first, last = min(first, took), max(last, took)
+				mu.Unlock()
+			}(i)
+		}
+		wg.Wait()
+		return first, last
 	}
-	c, err := Dial(s.Addr(), shaper)
-	if err != nil {
-		t.Fatalf("Dial: %v", err)
-	}
-	defer c.Close()
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if _, err := c.Call(context.Background(), echoReq{Text: "shaped", N: i}); err != nil {
-				t.Errorf("Call %d: %v", i, err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed < k*latency {
-		t.Errorf("%d calls over a %v link took %v, want at least %v: frames shared a Write", k, latency, elapsed, k*latency)
-	}
+
+	t.Run("ample-bandwidth", func(t *testing.T) {
+		const latency = 20 * time.Millisecond
+		_, last := concurrentCalls(t, netem.Link{BandwidthBps: 1e9, Latency: latency}, "shaped")
+		if last < latency {
+			t.Errorf("%d calls over a %v link took %v, want at least %v", k, latency, last, latency)
+		}
+		if last >= k*latency/2 {
+			t.Errorf("%d calls over a %v link took %v, want under %v: frames waited out each other's latency", k, latency, last, k*latency/2)
+		}
+	})
+
+	t.Run("bandwidth-limited", func(t *testing.T) {
+		// A 10 KB request serializes in about 10 ms at 1 MB/s.
+		const latency, ser = 40 * time.Millisecond, 10 * time.Millisecond
+		first, last := concurrentCalls(t, netem.Link{BandwidthBps: 8e6, Latency: latency}, strings.Repeat("x", 10_000))
+		if first >= k*ser {
+			t.Errorf("first reply after %v, want it before the last request finishes serializing (%v)", first, k*ser)
+		}
+		if last < k*ser+latency {
+			t.Errorf("%d calls took %v, want at least %v: requests did not share the bandwidth", k, last, k*ser+latency)
+		}
+		if last >= k*(ser+latency)/2 {
+			t.Errorf("%d calls took %v, want under %v: frames waited out each other's latency", k, last, k*(ser+latency)/2)
+		}
+	})
 }
 
 func TestDialUnreachable(t *testing.T) {

@@ -5,12 +5,16 @@
 // writer idle becomes the flusher: it yields once so that runnable senders
 // can queue behind it, takes the queue, encodes it back to back into pooled
 // encoders and writes each run of up to runBytes with one call — a writev on
-// a TCP connection. A connection without writev (netem's shaped one) gets
-// one Write per frame, which keeps netem's one-message-per-Write pacing
-// true. The flusher writes that one batch and returns to its caller; frames
-// queued meanwhile go to a drain goroutine, so no caller waits out another
-// caller's shaped write. Encoding at the flusher bounds the encoded bytes a
-// connection holds to one run, whatever the queue depth.
+// a TCP connection. A paced connection (netem's shaped one, which has
+// WriteQueued) is the one exception: each frame is stamped with the time its
+// sender queued it and goes out alone through WriteQueued with that stamp,
+// so the link books it as sent then, and a frame queued behind another waits
+// only for the earlier one's serialization, not its propagation delay. Other
+// connections take no clock read. The flusher writes that one batch and
+// returns to its caller; frames queued meanwhile go to a drain goroutine,
+// so no caller waits out another caller's shaped write. Encoding at the
+// flusher bounds the encoded bytes a connection holds to one run, whatever
+// the queue depth.
 package rpc
 
 import (
@@ -18,6 +22,7 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // runBytes is the run length at which the flusher stops encoding and
@@ -26,15 +31,24 @@ const runBytes = 64 << 10
 
 // outFrame is one queued envelope. frame, when set, is the server's request
 // frame, released once env is encoded: an echoing handler's reply aliases
-// it, and the encoder copies what it aliases.
+// it, and the encoder copies what it aliases. queued is when its sender
+// queued it, stamped only for a paced connection.
 type outFrame struct {
-	env   envelope
-	frame []byte
+	env    envelope
+	frame  []byte
+	queued time.Time
+}
+
+// pacedConn is a connection that paces each write from the instant its
+// sender queued it: netem's shaped connection.
+type pacedConn interface {
+	WriteQueued(p []byte, queued time.Time) (int, error)
 }
 
 // frameWriter owns the write side of one connection.
 type frameWriter struct {
-	conn net.Conn
+	conn  net.Conn
+	paced pacedConn // conn, if it paces writes; nil otherwise
 	// encodeFailed answers an envelope that does not encode: it returns the
 	// envelope to send in its place, or nil to send nothing.
 	encodeFailed func(env *envelope, err error) *envelope
@@ -62,6 +76,7 @@ type frameWriter struct {
 
 func newFrameWriter(conn net.Conn, encodeFailed func(*envelope, error) *envelope) *frameWriter {
 	w := &frameWriter{conn: conn, encodeFailed: encodeFailed}
+	w.paced, _ = conn.(pacedConn)
 	w.settled.L = &w.mu
 	return w
 }
@@ -85,6 +100,10 @@ func (w *frameWriter) send(env *envelope, frame []byte) uint64 {
 // enqueue queues env and reports whether the caller found the writer idle
 // and so became its flusher.
 func (w *frameWriter) enqueue(env *envelope, frame []byte) (seq uint64, flusher bool) {
+	var queued time.Time
+	if w.paced != nil {
+		queued = time.Now()
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
@@ -93,7 +112,7 @@ func (w *frameWriter) enqueue(env *envelope, frame []byte) (seq uint64, flusher 
 		}
 		return 0, false
 	}
-	w.queue = append(w.queue, outFrame{env: *env, frame: frame})
+	w.queue = append(w.queue, outFrame{env: *env, frame: frame, queued: queued})
 	w.queued++
 	flusher = !w.busy
 	w.busy = true
@@ -130,13 +149,13 @@ func (w *frameWriter) flush() (more bool) {
 		if f.frame != nil {
 			putFrameBuf(f.frame)
 		}
-		if size < runBytes && i < len(batch)-1 {
+		if size < runBytes && i < len(batch)-1 && w.paced == nil {
 			continue
 		}
 		w.publish(seq + uint64(i+1))
 		size = 0
 		if len(w.encs) > 0 {
-			if err := w.writeRun(); err != nil {
+			if err := w.writeRun(f.queued); err != nil {
 				w.fail(err)
 				failed = true
 			}
@@ -166,14 +185,18 @@ func (w *frameWriter) encode(env *envelope) *Encoder {
 }
 
 // writeRun writes the encoded run with one call and returns its encoders.
-// A single frame goes out with a plain Write, cheaper than a writev of one.
-// WriteTo consumes the net.Buffers it is called on, so run is a copy of
-// iov's header and iov keeps the backing array for the next run.
-func (w *frameWriter) writeRun() error {
+// On a paced connection the run is one frame, queued at queued. A single
+// frame goes out with a plain Write, cheaper than a writev of one. WriteTo
+// consumes the net.Buffers it is called on, so run is a copy of iov's
+// header and iov keeps the backing array for the next run.
+func (w *frameWriter) writeRun(queued time.Time) error {
 	var err error
-	if len(w.encs) == 1 {
+	switch {
+	case w.paced != nil:
+		_, err = w.paced.WriteQueued(w.encs[0].buf, queued)
+	case len(w.encs) == 1:
 		_, err = w.conn.Write(w.encs[0].buf)
-	} else {
+	default:
 		for _, e := range w.encs {
 			w.iov = append(w.iov, e.buf)
 		}

@@ -1,8 +1,10 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -211,5 +213,90 @@ func TestBatchedEncodeFailureFailsOnlyItsCall(t *testing.T) {
 	}
 	if got := r.Breaker().State(); got != BreakerClosed {
 		t.Errorf("breaker %v after a batched encode failure, want closed", got)
+	}
+}
+
+// recordingConn is a paced connection that records every write, plain or
+// queued. Its first write blocks until release is closed, so the frames
+// sent meanwhile reach the writer as one batch.
+type recordingConn struct {
+	net.Conn               // nil: only the writes are called
+	started  chan struct{} // closed by the first write
+	release  chan struct{}
+
+	mu     sync.Mutex
+	writes []recordedWrite
+}
+
+// recordedWrite is one write; queued is zero for a plain Write.
+type recordedWrite struct {
+	p      []byte
+	queued time.Time
+}
+
+func (c *recordingConn) Write(p []byte) (int, error) {
+	return c.WriteQueued(p, time.Time{})
+}
+
+func (c *recordingConn) WriteQueued(p []byte, queued time.Time) (int, error) {
+	c.mu.Lock()
+	c.writes = append(c.writes, recordedWrite{p: bytes.Clone(p), queued: queued})
+	first := len(c.writes) == 1
+	c.mu.Unlock()
+	if first {
+		close(c.started)
+		<-c.release
+	}
+	return len(p), nil
+}
+
+// TestPacedWriterStampsEachFrame checks the frame writer's side of a paced
+// connection: each frame goes to WriteQueued alone, in queue order, with the
+// time its sender queued it, also when several frames leave in one batch.
+func TestPacedWriterStampsEachFrame(t *testing.T) {
+	c := &recordingConn{started: make(chan struct{}), release: make(chan struct{})}
+	w := newFrameWriter(c, func(*envelope, error) *envelope { return nil })
+	const n = 4
+	envs := make([]envelope, n)
+	for i := range envs {
+		envs[i] = envelope{ID: uint64(i + 1), Body: echoReq{Text: "paced", N: i}}
+	}
+	var before, after [n]time.Time
+	sent := make(chan struct{})
+	before[0] = time.Now()
+	go func() {
+		w.send(&envs[0], nil)
+		close(sent)
+	}()
+	<-c.started
+	after[0] = time.Now()
+	for i := 1; i < n; i++ {
+		before[i] = time.Now()
+		w.send(&envs[i], nil)
+		after[i] = time.Now()
+	}
+	close(c.release)
+	<-sent
+	w.drains.Wait()
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.writes) != n {
+		t.Fatalf("%d writes for %d frames", len(c.writes), n)
+	}
+	for i, got := range c.writes {
+		want, err := MarshalFrame(TestEnvelope{ID: envs[i].ID, Body: envs[i].Body})
+		if err != nil {
+			t.Fatalf("MarshalFrame: %v", err)
+		}
+		if !bytes.Equal(got.p, want) {
+			t.Errorf("write %d is not frame %d alone: %d bytes, want %d", i, i, len(got.p), len(want))
+		}
+		if got.queued.IsZero() {
+			t.Errorf("frame %d went out with a plain Write", i)
+		} else if got.queued.Before(before[i]) || got.queued.After(after[i]) {
+			t.Errorf("frame %d stamped at +%v, want within its send [+%v, +%v]", i,
+				got.queued.Sub(before[0]), before[i].Sub(before[0]), after[i].Sub(before[0]))
+		}
 	}
 }

@@ -267,7 +267,7 @@ func RunDevice(cfg DeviceConfig) (*DeviceStats, error) {
 		d.multi = me
 		defer me.close()
 	} else {
-		shaper, err := netem.NewShaper(scaleLink(cfg.Uplink, cfg.TimeScale), cfg.Seed^0xde)
+		shaper, err := linkShaper(cfg.Uplink, cfg.TimeScale, cfg.Seed^0xde)
 		if err != nil {
 			return nil, err
 		}

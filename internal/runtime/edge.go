@@ -222,7 +222,7 @@ func StartEdge(cfg EdgeConfig) (*Edge, error) {
 			func() float64 { return e.backlogSeconds() })
 	}
 	if cfg.CloudAddr != "" {
-		shaper, err := netem.NewShaper(scaleLink(cfg.CloudLink, cfg.TimeScale), 0x0edc)
+		shaper, err := linkShaper(cfg.CloudLink, cfg.TimeScale, 0x0edc)
 		if err != nil {
 			return nil, err
 		}
@@ -264,6 +264,16 @@ func scaleLink(l netem.Link, s Scale) netem.Link {
 	out.Latency = s.scaled(out.Latency)
 	out.Jitter = s.scaled(out.Jitter)
 	return out
+}
+
+// linkShaper returns the shaper for a link scaled by s, or nil when the
+// scaled link is zero: rpc then dials it unshaped, so its frames are not
+// booked one at a time and keep their writev runs.
+func linkShaper(l netem.Link, s Scale, seed int64) (*netem.Shaper, error) {
+	if l = scaleLink(l, s); l == (netem.Link{}) {
+		return nil, nil
+	}
+	return netem.NewShaper(l, seed)
 }
 
 // Addr returns the edge's listen address.

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"leime/internal/fleet"
-	"leime/internal/netem"
 	"leime/internal/offload"
 	"leime/internal/rpc"
 )
@@ -62,7 +61,7 @@ func startMultiEdge(d *deviceRun) (*multiEdge, error) {
 		fresh: make([]bool, len(cfg.EdgeAddrs)),
 	}
 	for i, addr := range me.addrs {
-		shaper, err := netem.NewShaper(scaleLink(cfg.Uplink, cfg.TimeScale), cfg.Seed^0xde^(int64(i+1)<<20))
+		shaper, err := linkShaper(cfg.Uplink, cfg.TimeScale, cfg.Seed^0xde^(int64(i+1)<<20))
 		if err != nil {
 			me.close()
 			return nil, err

@@ -75,7 +75,7 @@ func (e *Edge) stageInstall(req StageInstallReq) (any, error) {
 		// The next-hop path is shaped by the edge's PeerLink (scaled like
 		// every testbed link); the seed is deterministic per stage so
 		// same-seed runs replay identical jitter.
-		shaper, err := netem.NewShaper(scaleLink(e.cfg.PeerLink, e.cfg.TimeScale), 0x9e1e+int64(req.Stage))
+		shaper, err := linkShaper(e.cfg.PeerLink, e.cfg.TimeScale, 0x9e1e+int64(req.Stage))
 		if err != nil {
 			return nil, err
 		}
@@ -259,7 +259,7 @@ func DialPipeline(cfg PipelineClientConfig) (*PipelineClient, error) {
 		return nil, fmt.Errorf("runtime: pipeline client needs an address and a pipeline id")
 	}
 	RegisterMessages()
-	shaper, err := netem.NewShaper(scaleLink(cfg.Uplink, cfg.TimeScale), cfg.Seed^0x91e)
+	shaper, err := linkShaper(cfg.Uplink, cfg.TimeScale, cfg.Seed^0x91e)
 	if err != nil {
 		return nil, err
 	}

@@ -167,6 +167,18 @@ func TestScaleLink(t *testing.T) {
 	}
 }
 
+func TestLinkShaperZeroLinkIsUnshaped(t *testing.T) {
+	if s, err := linkShaper(netem.Link{}, 0.1, 1); s != nil || err != nil {
+		t.Errorf("zero link: shaper %v, err %v; want nil, nil", s, err)
+	}
+	if s, err := linkShaper(netem.Link{Latency: time.Millisecond}, 0.1, 1); s == nil || err != nil {
+		t.Errorf("1 ms link: shaper %v, err %v; want a shaper", s, err)
+	}
+	if _, err := linkShaper(netem.Link{BandwidthBps: -1}, 1, 1); err == nil {
+		t.Error("invalid link accepted")
+	}
+}
+
 func TestEndToEndSingleDevice(t *testing.T) {
 	edge := startTestbed(t)
 	stats, err := RunDevice(testDeviceConfig(edge.Addr(), "pi-1"))
