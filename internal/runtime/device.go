@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -26,13 +25,14 @@ type DeviceConfig struct {
 	FLOPS float64
 	// Model is the deployed ME-DNN.
 	Model offload.ModelParams
-	// EdgeAddr is the edge server address.
+	// EdgeAddr is the edge server address: the same as an EdgeAddrs list
+	// of one.
 	EdgeAddr string
-	// EdgeAddrs, when it lists more than one address, puts the device in
-	// federation mode: it heartbeats every edge, folds their advertised
-	// backlog and capacity into the Lyapunov drift term, and migrates its
-	// tenancy to the edge minimizing drift-plus-penalty each decision epoch.
-	// A single entry is equivalent to EdgeAddr. Supersedes EdgeAddr when set.
+	// EdgeAddrs lists the edges the device may offload to. Each slot the
+	// device heartbeats every one of them, folds their advertised backlog
+	// and capacity into the Lyapunov drift term, and moves its tenancy to
+	// the edge minimizing drift-plus-penalty. A single edge is a fleet of
+	// one. Supersedes EdgeAddr when set.
 	EdgeAddrs []string
 	// PipelineAddrs, when non-empty, puts the device in pipelined mode: it
 	// installs Pipeline on the listed edge workers (stage j at address j),
@@ -82,8 +82,8 @@ type DeviceConfig struct {
 	// transport failures (zero value = rpc defaults).
 	Retry rpc.RetryPolicy
 	// Breaker tunes the device's per-edge circuit breaker (zero value =
-	// rpc defaults). While the breaker is not closed, offload decisions
-	// are overridden to device-only.
+	// rpc defaults). An edge whose breaker is not closed is no candidate
+	// for the slot; with none left, the slot runs device-only.
 	Breaker rpc.BreakerConfig
 	// Seed drives arrival, exit and offloading randomness.
 	Seed int64
@@ -170,26 +170,26 @@ type DeviceStats struct {
 	Retries int
 	// BreakerOpens counts circuit-breaker open transitions during the run.
 	BreakerOpens int
-	// Migrations counts edge re-selections in federation mode: each one is a
-	// tenancy move (register at the new edge, unregister at the old).
+	// Migrations counts home changes: each one is a tenancy move (register
+	// at the new edge, unregister at the old).
 	Migrations int
 }
 
-// RunDevice executes the full device lifecycle: register at the edge,
+// RunDevice executes the full device lifecycle: register at an edge,
 // generate tasks slot by slot, decide offloading online, execute and collect
 // completion statistics. It returns when every generated task finishes.
 //
-// The device is fault-tolerant: the edge connection re-dials and
+// Outside pipelined mode every slot starts with one heartbeat round to the
+// configured edges; the answers price each edge for the Lyapunov decision
+// and pick the edge that holds the device's tenancy (see chooseEdge).
+//
+// The device is fault-tolerant: an edge connection re-dials and
 // re-registers after a loss, idempotent control requests are retried with
-// backoff, and a circuit breaker trips after consecutive transport failures
-// — while it is not closed, offload decisions are overridden to device-only
-// and every task runs its blocks locally (counted in DeviceStats.Degraded).
+// backoff, and a circuit breaker trips after consecutive transport failures.
+// An edge that misses the heartbeat round or whose breaker is not closed
+// takes no work that slot; with no edge left the slot runs device-only, and
+// every task runs its blocks locally (counted in DeviceStats.Degraded).
 func RunDevice(cfg DeviceConfig) (*DeviceStats, error) {
-	// A one-element edge list is plain single-edge operation: no heartbeat
-	// poller, no migration machinery, behaviour identical to EdgeAddr.
-	if len(cfg.EdgeAddrs) == 1 {
-		cfg.EdgeAddr, cfg.EdgeAddrs = cfg.EdgeAddrs[0], nil
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -259,52 +259,11 @@ func RunDevice(cfg DeviceConfig) (*DeviceStats, error) {
 		}
 		d.pipe = pipe
 		defer pipe.Close()
-	} else if len(cfg.EdgeAddrs) > 1 {
-		me, err := startMultiEdge(d)
-		if err != nil {
-			return nil, err
-		}
-		d.multi = me
-		defer me.close()
 	} else {
-		shaper, err := linkShaper(cfg.Uplink, cfg.TimeScale, cfg.Seed^0xde)
+		err := d.dialEdges()
+		defer d.closeEdges()
 		if err != nil {
 			return nil, err
-		}
-		client := rpc.DialReliable(cfg.EdgeAddr, shaper, rpc.ReliableOptions{
-			Retry:   cfg.Retry,
-			Breaker: cfg.Breaker,
-			// Re-establish the session on every (re)connection: a restarted
-			// edge has no tenant state, so the device re-registers with its
-			// live rate estimate and adopts the fresh share before any other
-			// call proceeds. This keeps the Lyapunov inputs consistent across
-			// reconnects — the new edge's backlog observation starts at zero,
-			// matching its actual empty queues.
-			OnConnect: func(ctx context.Context, c *rpc.Client) error {
-				got, err := c.Call(ctx, RegisterReq{DeviceID: cfg.ID, FLOPS: cfg.FLOPS, ArrivalMean: d.rate(), Model: cfg.Model})
-				if err != nil {
-					return err
-				}
-				if resp, ok := got.(RegisterResp); ok && resp.ShareFLOPS > 0 {
-					d.setShare(resp.ShareFLOPS)
-				}
-				return nil
-			},
-			OnRetry:         d.onRetry,
-			OnBreakerChange: d.onBreakerChange,
-			Seed:            cfg.Seed ^ 0x9e77,
-		})
-		d.clientP.Store(client)
-		defer client.Close()
-
-		// The first call both connects and registers (via OnConnect); an edge
-		// that is down or rejects the registration fails the run up front,
-		// exactly like the pre-fault-tolerance behaviour.
-		regCtx, regCancel := context.WithTimeout(context.Background(), rpc.DialTimeout)
-		_, err = client.Call(regCtx, QueueStatReq{DeviceID: cfg.ID})
-		regCancel()
-		if err != nil {
-			return nil, fmt.Errorf("runtime: register: %w", err)
 		}
 	}
 	if cfg.Ready != nil {
@@ -339,11 +298,7 @@ slots:
 		d.setRate((1-ewma)*d.rate() + ewma*float64(m))
 		if cfg.AdaptEvery > 0 && d.pipe == nil && t > 0 && t%cfg.AdaptEvery == 0 {
 			ctx, cancel := d.controlCtx()
-			if got, err := d.edgeClient().Call(ctx, UpdateReq{DeviceID: cfg.ID, ArrivalMean: d.rate()}); err == nil {
-				if resp, ok := got.(RegisterResp); ok && resp.ShareFLOPS > 0 {
-					d.setShare(resp.ShareFLOPS)
-				}
-			}
+			_, _ = d.edgeClient().Call(ctx, UpdateReq{DeviceID: cfg.ID, ArrivalMean: d.rate()}) // the heartbeat round below reads the new share
 			cancel()
 		}
 		var x float64
@@ -351,21 +306,8 @@ slots:
 			// The chain-cut solver decided placement offline: every task
 			// enters the pipeline, so the per-slot decision is constant.
 			x = 1
-		} else if d.multi != nil {
-			x = d.multi.step(ctrl, policy, dev, float64(m), float64(local.Pending()))
 		} else {
-			slot := offload.Slot{
-				Arrivals:       float64(m),
-				State:          offload.State{Q: float64(local.Pending()), H: float64(d.edgeBacklog())},
-				EdgeShareFLOPS: d.share(),
-			}
-			x = policy.Decide(ctrl, dev, slot)
-			if d.edgeClient().Breaker().State() != rpc.BreakerClosed {
-				// The edge is suspect: override the decision to device-only
-				// until the breaker's half-open probe (a control-plane call)
-				// confirms recovery.
-				x = 0
-			}
+			x = d.step(ctrl, policy, dev, float64(m), float64(local.Pending()))
 		}
 		d.tel.ratio.Set(x)
 		d.tel.generated.Add(uint64(m))
@@ -388,13 +330,12 @@ slots:
 
 // deviceRun is the mutable state of one device lifecycle.
 type deviceRun struct {
-	cfg       DeviceConfig
-	clientP   atomic.Pointer[rpc.ReliableClient] // current edge; swapped on migration
-	multi     *multiEdge                         // nil outside federation mode
-	pipe      *PipelineClient                    // nil outside pipelined mode
-	local     *Executor
-	tel       deviceTelemetry
-	shareBits uint64 // atomic float64 bits: current edge share (FLOPS)
+	cfg   DeviceConfig
+	edges []*rpc.ReliableClient // one per edge address; nil in pipelined mode
+	home  atomic.Int32          // index into edges of the device's tenancy
+	pipe  *PipelineClient       // nil outside pipelined mode
+	local *Executor
+	tel   deviceTelemetry
 
 	mu           sync.Mutex
 	rateEstimate float64
@@ -413,11 +354,11 @@ func (d *deviceRun) pipelineID() string {
 	return d.cfg.ID
 }
 
-// edgeClient is the client of the device's current edge; tasks and control
+// edgeClient is the client of the device's home edge; tasks and control
 // calls read it at issue time, so a migration redirects subsequent calls
 // without disturbing those in flight.
 func (d *deviceRun) edgeClient() *rpc.ReliableClient {
-	return d.clientP.Load()
+	return d.edges[d.home.Load()]
 }
 
 // onRetry feeds the rpc reliability layer's retry events into stats; shared
@@ -429,9 +370,9 @@ func (d *deviceRun) onRetry() {
 	d.mu.Unlock()
 }
 
-// onBreakerChange mirrors breaker transitions into telemetry; in federation
-// mode all edges share the handler, so the state gauge reflects the most
-// recent transition on any of them.
+// onBreakerChange mirrors breaker transitions into telemetry; all edges
+// share the handler, so the state gauge reflects the most recent transition
+// on any of them.
 func (d *deviceRun) onBreakerChange(s rpc.BreakerState) {
 	d.tel.breakerState.Set(float64(s))
 	if s == rpc.BreakerOpen {
@@ -440,14 +381,6 @@ func (d *deviceRun) onBreakerChange(s rpc.BreakerState) {
 		d.stats.BreakerOpens++
 		d.mu.Unlock()
 	}
-}
-
-func (d *deviceRun) share() float64 {
-	return math.Float64frombits(atomic.LoadUint64(&d.shareBits))
-}
-
-func (d *deviceRun) setShare(f float64) {
-	atomic.StoreUint64(&d.shareBits, math.Float64bits(f))
 }
 
 func (d *deviceRun) rate() float64 {
@@ -462,9 +395,9 @@ func (d *deviceRun) setRate(r float64) {
 	d.mu.Unlock()
 }
 
-// controlCtx bounds one control-plane exchange (queue stats, rate updates):
-// generous on the compressed clock, but never hanging a slot forever on a
-// dead edge.
+// controlCtx bounds one control-plane exchange (a heartbeat round, a rate
+// update, a registration): generous on the compressed clock, but never
+// hanging a slot forever on a dead edge.
 func (d *deviceRun) controlCtx() (context.Context, context.CancelFunc) {
 	timeout := d.cfg.TimeScale.Seconds(10 * d.cfg.TauSec)
 	if timeout < 100*time.Millisecond {
@@ -513,7 +446,7 @@ func newDeviceTelemetry(id string, tr *telemetry.Tracer, reg *telemetry.Registry
 		retries:      reg.Counter("leime_rpc_retries_total", "RPC retry attempts against the edge.", dev),
 		breakerOpens: reg.Counter("leime_breaker_opens_total", "Circuit breaker open transitions.", dev),
 		breakerState: reg.Gauge("leime_breaker_state", "Edge circuit breaker state (0 closed, 1 half-open, 2 open).", dev),
-		migrations:   reg.Counter("leime_device_migrations_total", "Edge re-selections (tenancy moves) in federation mode.", dev),
+		migrations:   reg.Counter("leime_device_migrations_total", "Home edge changes (tenancy moves).", dev),
 		curEdge:      reg.Gauge("leime_device_edge", "Index of the device's current edge in its configured fleet.", dev),
 		tct:          reg.Histogram("leime_tct_seconds", "End-to-end task completion time (model seconds).", nil, dev),
 		ratio:        reg.Gauge("leime_offload_ratio", "Most recent slot's offloading decision.", dev),
@@ -543,25 +476,6 @@ func (d *deviceRun) rngCoin() float64 {
 	d.rngMu.Lock()
 	defer d.rngMu.Unlock()
 	return d.rng.Float64()
-}
-
-// edgeBacklog asks the edge how many of this device's first-block tasks are
-// pending (the H_i observation of the controller). While the breaker is
-// half-open this idempotent call doubles as the recovery probe; on any
-// failure the observation degrades to zero, matching the device-only
-// override that accompanies a non-closed breaker.
-func (d *deviceRun) edgeBacklog() int {
-	ctx, cancel := d.controlCtx()
-	defer cancel()
-	got, err := d.edgeClient().Call(ctx, QueueStatReq{DeviceID: d.cfg.ID})
-	if err != nil {
-		return 0
-	}
-	resp, ok := got.(QueueStatResp)
-	if !ok {
-		return 0
-	}
-	return resp.PendingFirstBlock
 }
 
 // degradable reports whether an edge call failed in a way the device can

@@ -6,286 +6,219 @@ import (
 	"hash/fnv"
 	"math"
 	"sync"
-	"sync/atomic"
-	"time"
 
-	"leime/internal/fleet"
 	"leime/internal/offload"
 	"leime/internal/rpc"
 )
 
-// Device-side edge federation. The device dials every edge in
-// DeviceConfig.EdgeAddrs, heartbeats them through a fleet registry, and each
-// decision epoch folds their advertised backlog and capacity into the
-// Lyapunov drift term (offload.SelectEdge). When another edge's
-// drift-plus-penalty objective beats the current one by more than the
-// hysteresis margin, the device migrates: an explicit registration at the
-// target (re-solving its KKT allocation), then a best-effort unregistration
-// at the origin. Tasks always go to the edge that was current when they
-// launched; in-flight work survives migrations by degrading locally at
-// worst.
+// The device's edge choice. A device dials every edge in
+// DeviceConfig.EdgeAddrs (a single EdgeAddr is a fleet of one) and starts
+// each slot with one heartbeat round: every edge reports its backlog and
+// capacity, and the device's own share and first-block backlog where it is
+// resident. chooseEdge folds those answers into the Lyapunov drift term
+// (offload.SelectEdge). When another edge's drift-plus-penalty objective
+// beats the home's by more than the hysteresis margin, the device
+// migrates: an explicit registration at the target (re-solving its KKT
+// allocation), then a best-effort unregistration at the origin. Tasks
+// always go to the edge that was home when they launched; in-flight work
+// survives migrations by degrading locally at worst.
 
 // switchMargin is the hysteresis for edge migration: the device leaves its
-// current edge only when the best alternative improves the selection
+// home edge only when the best alternative improves the selection
 // objective by more than this fraction.
 const switchMargin = 0.05
 
-// multiEdge is the device's federation state: one reliable client and one
-// cached heartbeat view per configured edge.
-type multiEdge struct {
-	d       *deviceRun
-	addrs   []string
-	index   map[string]int
-	clients []*rpc.ReliableClient
-	reg     *fleet.Registry
-	cur     atomic.Int32 // index of the device's current (home) edge
-
-	mu    sync.Mutex
-	views []HeartbeatResp // last heartbeat per edge
-	fresh []bool          // views[i] valid (heartbeat succeeded at least once, latest did)
-
-	stop context.CancelFunc
-	wg   sync.WaitGroup
-}
-
-// startMultiEdge dials the edge fleet, registers the device at its initial
-// home (a stable hash of the ID spreads devices across edges), warms the
-// health views and starts the background heartbeat poller.
-func startMultiEdge(d *deviceRun) (*multiEdge, error) {
+// dialEdges dials every configured edge and registers the device at its
+// initial home: a stable hash of the ID spreads devices across edges,
+// rotating past edges that do not answer. The first call on the home dials
+// it, and its OnConnect registers; no heartbeat round runs before the
+// first slot.
+func (d *deviceRun) dialEdges() error {
 	cfg := d.cfg
-	me := &multiEdge{
-		d:     d,
-		addrs: append([]string(nil), cfg.EdgeAddrs...),
-		index: make(map[string]int, len(cfg.EdgeAddrs)),
-		views: make([]HeartbeatResp, len(cfg.EdgeAddrs)),
-		fresh: make([]bool, len(cfg.EdgeAddrs)),
+	addrs := cfg.EdgeAddrs
+	if len(addrs) == 0 {
+		addrs = []string{cfg.EdgeAddr}
 	}
-	for i, addr := range me.addrs {
-		shaper, err := linkShaper(cfg.Uplink, cfg.TimeScale, cfg.Seed^0xde^(int64(i+1)<<20))
+	for i, addr := range addrs {
+		shaper, err := linkShaper(cfg.Uplink, cfg.TimeScale, cfg.Seed^0xde^(int64(i)<<20))
 		if err != nil {
-			me.close()
-			return nil, err
+			return err
 		}
-		i := i
-		me.clients = append(me.clients, rpc.DialReliable(addr, shaper, rpc.ReliableOptions{
+		d.edges = append(d.edges, rpc.DialReliable(addr, shaper, rpc.ReliableOptions{
 			Retry:   cfg.Retry,
 			Breaker: cfg.Breaker,
-			// Re-register on (re)connection — but only at the device's
-			// current home. Heartbeats reach every edge in the fleet, and a
-			// bare probe must not create a tenancy (and a KKT share) at an
-			// edge the device does not use.
+			// Re-establish the session on every (re)connection, but only at
+			// the home: a restarted edge has no tenant state, so the device
+			// re-registers with its live rate estimate before any other
+			// call proceeds. Heartbeats reach every edge, and a bare probe
+			// must not create a tenancy (and a KKT share) at an edge the
+			// device does not use.
 			OnConnect: func(ctx context.Context, c *rpc.Client) error {
-				if int(me.cur.Load()) != i {
+				if int(d.home.Load()) != i {
 					return nil
 				}
-				got, err := c.Call(ctx, RegisterReq{DeviceID: cfg.ID, FLOPS: cfg.FLOPS, ArrivalMean: d.rate(), Model: cfg.Model})
-				if err != nil {
-					return err
-				}
-				if resp, ok := got.(RegisterResp); ok && resp.ShareFLOPS > 0 {
-					d.setShare(resp.ShareFLOPS)
-				}
-				return nil
+				_, err := c.Call(ctx, d.registerReq())
+				return err
 			},
 			OnRetry:         d.onRetry,
 			OnBreakerChange: d.onBreakerChange,
-			Seed:            cfg.Seed ^ 0x9e77 ^ (int64(i+1) << 16),
+			Seed:            cfg.Seed ^ 0x9e77 ^ (int64(i) << 16),
 		}))
-		me.index[addr] = i
 	}
 
-	// Heartbeat once per decision epoch: selection reads views at slot
-	// boundaries, so polling faster buys nothing.
-	every := max(cfg.TimeScale.Seconds(cfg.TauSec), 10*time.Millisecond)
-	me.reg = fleet.New(fleet.Config{Every: every}, me.probe)
-	for _, addr := range me.addrs {
-		me.reg.Join(addr)
-	}
-
-	// Pick the initial home: hash order, rotating past dead edges. The
-	// first successful call registers via OnConnect.
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(cfg.ID))
-	start := int(h.Sum32() % uint32(len(me.addrs)))
+	start := int(h.Sum32() % uint32(len(addrs)))
 	var firstErr error
-	registered := false
-	for k := 0; k < len(me.addrs); k++ {
-		idx := (start + k) % len(me.addrs)
-		me.cur.Store(int32(idx))
+	for k := range addrs {
+		i := (start + k) % len(addrs)
+		d.home.Store(int32(i))
 		ctx, cancel := context.WithTimeout(context.Background(), rpc.DialTimeout)
-		_, err := me.clients[idx].Call(ctx, QueueStatReq{DeviceID: cfg.ID})
+		_, err := d.edges[i].Call(ctx, HeartbeatReq{DeviceID: cfg.ID})
 		cancel()
 		if err == nil {
-			registered = true
-			break
+			d.tel.curEdge.Set(float64(i))
+			return nil
 		}
 		if firstErr == nil {
 			firstErr = err
 		}
 	}
-	if !registered {
-		me.close()
-		return nil, fmt.Errorf("runtime: register: %w", firstErr)
-	}
-	d.clientP.Store(me.clients[me.cur.Load()])
-	d.tel.curEdge.Set(float64(me.cur.Load()))
-
-	// Warm every view synchronously so the first decision epoch selects
-	// over real health, then keep polling in the background.
-	pctx, pcancel := context.WithTimeout(context.Background(), rpc.DialTimeout)
-	me.reg.Poll(pctx)
-	pcancel()
-	ctx, cancel := context.WithCancel(context.Background())
-	me.stop = cancel
-	me.wg.Add(1)
-	go func() {
-		defer me.wg.Done()
-		me.reg.Run(ctx)
-	}()
-	return me, nil
+	return fmt.Errorf("runtime: register: %w", firstErr)
 }
 
-// probe is the registry's heartbeat: one identified HeartbeatReq per edge,
-// caching the reply for the selection step.
-func (me *multiEdge) probe(ctx context.Context, addr string) (fleet.Health, error) {
-	i, ok := me.index[addr]
-	if !ok {
-		return fleet.Health{}, fmt.Errorf("runtime: unknown fleet member %q", addr)
+// closeEdges closes every edge client.
+func (d *deviceRun) closeEdges() {
+	for _, c := range d.edges {
+		_ = c.Close()
 	}
-	got, err := me.clients[i].Call(ctx, HeartbeatReq{DeviceID: me.d.cfg.ID})
-	if err != nil {
-		me.mu.Lock()
-		me.fresh[i] = false
-		me.mu.Unlock()
-		return fleet.Health{}, err
-	}
-	h, ok := got.(HeartbeatResp)
-	if !ok {
-		return fleet.Health{}, fmt.Errorf("runtime: unexpected heartbeat reply %T", got)
-	}
-	me.mu.Lock()
-	me.views[i] = h
-	me.fresh[i] = true
-	me.mu.Unlock()
-	return fleet.Health{Ready: h.Ready, FLOPS: h.FLOPS, Tenants: h.Tenants,
-		BacklogSec: h.BacklogSec, Saturated: h.Saturated}, nil
 }
 
-// step runs one decision epoch in federation mode: build the candidate edge
-// states from cached heartbeats, select the drift-minimizing edge, migrate
-// if the improvement clears the hysteresis margin, and return the
-// offloading ratio against the chosen edge. No live candidate means
-// device-only (x = 0), the same degradation as a tripped breaker.
-func (me *multiEdge) step(ctrl *offload.Controller, policy offload.Policy, dev offload.Device, arrivals, localQ float64) float64 {
-	cur := int(me.cur.Load())
-	me.mu.Lock()
-	views := append([]HeartbeatResp(nil), me.views...)
-	fresh := append([]bool(nil), me.fresh...)
-	me.mu.Unlock()
+// registerReq is the device's registration at an edge, carrying its live
+// rate estimate.
+func (d *deviceRun) registerReq() RegisterReq {
+	return RegisterReq{DeviceID: d.cfg.ID, FLOPS: d.cfg.FLOPS, ArrivalMean: d.rate(), Model: d.cfg.Model}
+}
 
+// edgeView is one edge's answer to a slot's heartbeat round. ok is false
+// when the edge did not answer or its breaker is not closed: it is then no
+// candidate for the slot.
+type edgeView struct {
+	hb HeartbeatResp
+	ok bool
+}
+
+// heartbeat runs the slot's heartbeat round: one identified HeartbeatReq to
+// every edge, concurrently, all bounded by one controlCtx. While a breaker
+// is half-open its heartbeat is the recovery probe.
+func (d *deviceRun) heartbeat() []edgeView {
+	views := make([]edgeView, len(d.edges))
+	ctx, cancel := d.controlCtx()
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, c := range d.edges {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := c.Call(ctx, HeartbeatReq{DeviceID: d.cfg.ID})
+			hb, ok := got.(HeartbeatResp)
+			views[i] = edgeView{hb: hb, ok: err == nil && ok && c.Breaker().State() == rpc.BreakerClosed}
+		}()
+	}
+	wg.Wait()
+	return views
+}
+
+// chooseEdge picks the slot's edge from its heartbeat round and returns
+// its index with the state the slot decides against, or -1 when no edge is
+// a candidate. An edge that reports the device resident is priced at its
+// live share and the device's first-block backlog there; any other at an
+// equal split of its FLOPS with one more tenant and an empty backlog. The
+// home keeps the device unless an alternative beats its objective by more
+// than switchMargin, since the non-resident price is optimistic.
+func chooseEdge(ctrl *offload.Controller, dev offload.Device, arrivals, localQ float64, home int, views []edgeView) (int, offload.EdgeState) {
 	var cands []int
 	var states []offload.EdgeState
-	for i := range me.addrs {
-		if !fresh[i] {
+	homePos := -1
+	for i, v := range views {
+		if !v.ok {
 			continue
 		}
-		if m, ok := me.reg.Member(me.addrs[i]); !ok || m.State == fleet.StateDown {
-			continue
-		}
-		if me.clients[i].Breaker().State() != rpc.BreakerClosed {
-			continue
-		}
-		st := offload.EdgeState{QueueSec: views[i].BacklogSec}
-		if i == cur {
-			// Resident view: the edge reports this tenant's solved share
-			// and first-block backlog directly.
-			st.ShareFLOPS = views[i].ShareFLOPS
-			if st.ShareFLOPS <= 0 {
-				st.ShareFLOPS = me.d.share()
-			}
-			st.Backlog = float64(views[i].PendingFirstBlock)
+		st := offload.EdgeState{QueueSec: v.hb.BacklogSec}
+		if v.hb.ShareFLOPS > 0 {
+			st.ShareFLOPS = v.hb.ShareFLOPS
+			st.Backlog = float64(v.hb.PendingFirstBlock)
 		} else {
-			// Non-resident estimate: joining adds one tenant to the KKT
-			// allocation, so roughly an equal split with one more head.
-			st.ShareFLOPS = views[i].FLOPS / float64(views[i].Tenants+1)
+			st.ShareFLOPS = v.hb.FLOPS / float64(v.hb.Tenants+1)
+		}
+		if i == home {
+			homePos = len(cands)
 		}
 		cands = append(cands, i)
 		states = append(states, st)
 	}
-
 	best, evals := ctrl.SelectEdge(dev, arrivals, localQ, states)
+	if best < 0 {
+		return -1, offload.EdgeState{}
+	}
+	if homePos >= 0 && evals[best].Objective >= evals[homePos].Objective-switchMargin*math.Abs(evals[homePos].Objective) {
+		best = homePos
+	}
+	return cands[best], states[best]
+}
+
+// step runs one slot's edge choice and returns its offloading ratio: a
+// heartbeat round, chooseEdge, and a registration when the chosen edge is
+// not the home or does not hold the device's tenancy. No candidate, or a
+// failed registration, means device-only (x = 0).
+func (d *deviceRun) step(ctrl *offload.Controller, policy offload.Policy, dev offload.Device, arrivals, localQ float64) float64 {
+	views := d.heartbeat()
+	home := int(d.home.Load())
+	best, st := chooseEdge(ctrl, dev, arrivals, localQ, home, views)
 	if best < 0 {
 		return 0
 	}
-	curPos := -1
-	for p, i := range cands {
-		if i == cur {
-			curPos = p
-		}
-	}
-	if curPos >= 0 && cands[best] != cur {
-		// Hysteresis: the non-resident share is an optimistic estimate, so
-		// demand a clear improvement before paying the migration.
-		if evals[best].Objective >= evals[curPos].Objective-switchMargin*math.Abs(evals[curPos].Objective) {
-			best = curPos
-		}
-	}
-	if target := cands[best]; target != cur {
-		if me.migrate(cur, target) {
-			states[best].ShareFLOPS = me.d.share()
-		} else if curPos >= 0 {
-			best = curPos
-		} else {
+	if best != home || views[best].hb.ShareFLOPS <= 0 {
+		share, ok := d.register(home, best)
+		if !ok {
 			return 0
 		}
+		st.ShareFLOPS = share
 	}
 	slot := offload.Slot{
 		Arrivals:       arrivals,
-		State:          offload.State{Q: localQ, H: states[best].Backlog},
-		EdgeShareFLOPS: states[best].ShareFLOPS,
+		State:          offload.State{Q: localQ, H: st.Backlog},
+		EdgeShareFLOPS: st.ShareFLOPS,
 	}
 	return policy.Decide(ctrl, dev, slot)
 }
 
-// migrate moves the device's tenancy: explicit registration at the target
-// (the edge re-solves its KKT allocation and returns the fresh share), then
-// a best-effort unregistration at the origin so its share redistributes.
-// On failure the device stays where it was.
-func (me *multiEdge) migrate(from, to int) bool {
+// register makes edge to the device's home by an explicit registration
+// (the edge re-solves its KKT allocation and returns the fresh share).
+// When the home changed, it then unregisters at from, best effort, so the
+// old share redistributes. On failure the home stays from.
+func (d *deviceRun) register(from, to int) (float64, bool) {
 	// Point home at the target first so the client's OnConnect registers
-	// there if the dial races this explicit registration.
-	me.cur.Store(int32(to))
-	ctx, cancel := me.d.controlCtx()
-	got, err := me.clients[to].Call(ctx, RegisterReq{
-		DeviceID: me.d.cfg.ID, FLOPS: me.d.cfg.FLOPS, ArrivalMean: me.d.rate(), Model: me.d.cfg.Model,
-	})
+	// there if a dial races this explicit registration.
+	d.home.Store(int32(to))
+	ctx, cancel := d.controlCtx()
+	got, err := d.edges[to].Call(ctx, d.registerReq())
 	cancel()
-	if err != nil {
-		me.cur.Store(int32(from))
-		return false
+	resp, ok := got.(RegisterResp)
+	if err != nil || !ok {
+		d.home.Store(int32(from))
+		return 0, false
 	}
-	if resp, ok := got.(RegisterResp); ok && resp.ShareFLOPS > 0 {
-		me.d.setShare(resp.ShareFLOPS)
+	if to == from {
+		return resp.ShareFLOPS, true
 	}
-	me.d.clientP.Store(me.clients[to])
-	me.d.tel.migrations.Inc()
-	me.d.tel.curEdge.Set(float64(to))
-	me.d.mu.Lock()
-	me.d.stats.Migrations++
-	me.d.mu.Unlock()
-	ctx, cancel = me.d.controlCtx()
-	_, _ = me.clients[from].Call(ctx, UnregisterReq{DeviceID: me.d.cfg.ID})
+	d.tel.migrations.Inc()
+	d.tel.curEdge.Set(float64(to))
+	d.mu.Lock()
+	d.stats.Migrations++
+	d.mu.Unlock()
+	ctx, cancel = d.controlCtx()
+	_, _ = d.edges[from].Call(ctx, UnregisterReq{DeviceID: d.cfg.ID})
 	cancel()
-	return true
-}
-
-// close stops the heartbeat poller and closes every edge client.
-func (me *multiEdge) close() {
-	if me.stop != nil {
-		me.stop()
-		me.wg.Wait()
-	}
-	for _, c := range me.clients {
-		_ = c.Close()
-	}
+	return resp.ShareFLOPS, true
 }
