@@ -42,8 +42,6 @@ func protocolMessages(deviceID string, taskID uint64, payload []byte, stage int,
 		runtime.UnregisterResp{RemainingTenants: tenants},
 		runtime.EdgeStatsReq{},
 		runtime.EdgeStatsResp{Tenants: tenants, PendingFirstBlock: stage, Shares: shares},
-		runtime.QueueStatReq{DeviceID: deviceID},
-		runtime.QueueStatResp{PendingFirstBlock: tenants},
 		runtime.HeartbeatReq{DeviceID: deviceID},
 		runtime.HeartbeatResp{Ready: stage > 1, FLOPS: load, Tenants: tenants,
 			BacklogSec: mean, Saturated: tenants > 2, PendingFirstBlock: stage, ShareFLOPS: share},

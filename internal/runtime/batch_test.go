@@ -208,7 +208,7 @@ func TestOverloadedErrorCrossesWire(t *testing.T) {
 		t.Fatalf("Dial: %v", err)
 	}
 	defer c.Close()
-	_, err = c.Call(context.Background(), QueueStatReq{DeviceID: "x"})
+	_, err = c.Call(context.Background(), HeartbeatReq{DeviceID: "x"})
 	if !errors.Is(err, ErrOverloaded) {
 		t.Errorf("remote error %v does not classify as ErrOverloaded", err)
 	}

@@ -16,7 +16,8 @@ import (
 //
 // IDs are wire contract: never reuse one for a different type. Field order
 // within each codec is likewise frozen — append-only evolution requires a
-// new ID (or a wire version bump).
+// new ID (or a wire version bump). IDs 7 and 8 are retired
+// (QueueStatReq/QueueStatResp): never reuse them.
 const (
 	codecIDRegisterReq      = 1
 	codecIDRegisterResp     = 2
@@ -24,8 +25,6 @@ const (
 	codecIDSecondBlockReq   = 4
 	codecIDThirdBlockReq    = 5
 	codecIDTaskResp         = 6
-	codecIDQueueStatReq     = 7
-	codecIDQueueStatResp    = 8
 	codecIDUpdateReq        = 9
 	codecIDUnregisterReq    = 10
 	codecIDUnregisterResp   = 11
@@ -148,20 +147,6 @@ func RegisterMessages() {
 			r.TaskID = d.Uvarint()
 			r.ExitStage = d.Int()
 			return r, nil
-		})
-	rpc.RegisterCodec(codecIDQueueStatReq, QueueStatReq{},
-		func(e *rpc.Encoder, v any) {
-			e.String(v.(QueueStatReq).DeviceID)
-		},
-		func(d *rpc.Decoder) (any, error) {
-			return QueueStatReq{DeviceID: d.String()}, nil
-		})
-	rpc.RegisterCodec(codecIDQueueStatResp, QueueStatResp{},
-		func(e *rpc.Encoder, v any) {
-			e.Int(v.(QueueStatResp).PendingFirstBlock)
-		},
-		func(d *rpc.Decoder) (any, error) {
-			return QueueStatResp{PendingFirstBlock: d.Int()}, nil
 		})
 	rpc.RegisterCodec(codecIDUpdateReq, UpdateReq{},
 		func(e *rpc.Encoder, v any) {

@@ -110,7 +110,6 @@ type edgeTelemetry struct {
 	tracer        *telemetry.Tracer
 	reqFirst      *telemetry.Counter
 	reqSecond     *telemetry.Counter
-	reqQueue      *telemetry.Counter
 	reqControl    *telemetry.Counter
 	reqHeartbeat  *telemetry.Counter
 	reqSteal      *telemetry.Counter
@@ -140,7 +139,6 @@ func newEdgeTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) edgeTelemet
 		tracer:        tr,
 		reqFirst:      reg.Counter("leime_edge_requests_total", reqHelp, telemetry.Label{Key: "type", Value: "first_block"}),
 		reqSecond:     reg.Counter("leime_edge_requests_total", reqHelp, telemetry.Label{Key: "type", Value: "second_block"}),
-		reqQueue:      reg.Counter("leime_edge_requests_total", reqHelp, telemetry.Label{Key: "type", Value: "queue_stat"}),
 		reqControl:    reg.Counter("leime_edge_requests_total", reqHelp, telemetry.Label{Key: "type", Value: "control"}),
 		reqHeartbeat:  reg.Counter("leime_edge_requests_total", reqHelp, telemetry.Label{Key: "type", Value: "heartbeat"}),
 		reqSteal:      reg.Counter("leime_edge_requests_total", reqHelp, telemetry.Label{Key: "type", Value: "steal"}),
@@ -290,13 +288,6 @@ func (e *Edge) handle(ctx context.Context, meta rpc.Meta, body any) (any, error)
 	case SecondBlockReq:
 		e.tel.reqSecond.Inc()
 		return e.secondBlock(ctx, meta, req)
-	case QueueStatReq:
-		e.tel.reqQueue.Inc()
-		t, err := e.tenant(req.DeviceID)
-		if err != nil {
-			return nil, err
-		}
-		return QueueStatResp{PendingFirstBlock: int(atomic.LoadInt32(&t.h1))}, nil
 	case UpdateReq:
 		e.tel.reqControl.Inc()
 		return e.update(req)
@@ -508,16 +499,6 @@ func (e *Edge) capExit(t *tenant, exitStage int) int {
 		return ceiling
 	}
 	return exitStage
-}
-
-func (e *Edge) tenant(id string) (*tenant, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	t, ok := e.tenants[id]
-	if !ok {
-		return nil, fmt.Errorf("%w %q", ErrUnknownDevice, id)
-	}
-	return t, nil
 }
 
 // tenantSnapshot returns the tenant plus a copy of its deployed model taken

@@ -137,17 +137,18 @@ type EdgeStatsResp struct {
 }
 
 // HeartbeatReq asks an edge for its fleet health. Devices send it with
-// their ID every decision epoch to feed edge selection; peer edges send it
-// anonymously to track steal targets.
+// their ID at every slot boundary to read their backlog and share and to
+// feed edge selection; peer edges send it anonymously to track steal
+// targets.
 type HeartbeatReq struct {
 	// DeviceID, when non-empty, asks for the sender's tenancy view
 	// (pending backlog and current share) alongside the edge-wide health.
 	DeviceID string
 }
 
-// HeartbeatResp is one edge's advertised health: the inputs to the fleet
-// registry's readiness gating and to the device-side Lyapunov edge
-// selection.
+// HeartbeatResp is one edge's advertised health: the inputs to the peer
+// registry's readiness gating and to the device's per-slot Lyapunov
+// decision and edge selection.
 type HeartbeatResp struct {
 	// Ready reports a warm KKT allocation (at least one resident tenant).
 	Ready bool
@@ -243,20 +244,8 @@ type ActivationReq struct {
 	Payload []byte
 }
 
-// QueueStatReq asks the edge for the device's pending first-block backlog.
-type QueueStatReq struct {
-	DeviceID string
-}
-
-// QueueStatResp carries the backlog H_i observed at the edge.
-type QueueStatResp struct {
-	// PendingFirstBlock is the number of the device's first-block tasks
-	// accepted but not yet finished at the edge.
-	PendingFirstBlock int
-}
-
 // Idempotency markers for the rpc reliability layer: control-plane requests
-// (registration, stat reads, rate updates) are safe to deliver twice, so a
+// (registration, heartbeats, rate updates) are safe to deliver twice, so a
 // ReliableClient may retry them after a transport failure. Block executions
 // (FirstBlockReq, SecondBlockReq, ThirdBlockReq) deliberately carry no
 // marker — re-running a block would burn compute twice, so devices degrade
@@ -265,9 +254,6 @@ type QueueStatResp struct {
 // Idempotent marks registration as safely repeatable (it upserts tenant
 // state and re-solves the allocation either way).
 func (RegisterReq) Idempotent() bool { return true }
-
-// Idempotent marks backlog reads as safely repeatable.
-func (QueueStatReq) Idempotent() bool { return true }
 
 // Idempotent marks rate updates as safely repeatable (the edge keeps only
 // the latest estimate).

@@ -270,9 +270,6 @@ func TestEdgeRebalancesSharesOnRegistration(t *testing.T) {
 
 func TestEdgeRejectsUnknownDevice(t *testing.T) {
 	edge := startTestbed(t)
-	if _, err := edge.handle(context.Background(), rpc.Meta{}, QueueStatReq{DeviceID: "ghost"}); err == nil {
-		t.Error("unknown device accepted")
-	}
 	if _, err := edge.handle(context.Background(), rpc.Meta{}, FirstBlockReq{DeviceID: "ghost"}); err == nil {
 		t.Error("unknown device task accepted")
 	}

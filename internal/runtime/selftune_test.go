@@ -310,7 +310,7 @@ func TestOverloadReasonsCrossWire(t *testing.T) {
 				t.Fatalf("Dial: %v", err)
 			}
 			defer c.Close()
-			_, err = c.Call(context.Background(), QueueStatReq{DeviceID: "x"})
+			_, err = c.Call(context.Background(), HeartbeatReq{DeviceID: "x"})
 			if !errors.Is(err, tc.sentinel) {
 				t.Errorf("remote %v does not classify as the %s reason", err, tc.name)
 			}
