@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"leime/internal/rpc"
@@ -80,6 +81,45 @@ func TestEdgeUnregisterRedistributes(t *testing.T) {
 	// Double unregister must fail cleanly.
 	if _, err := edge.unregister(UnregisterReq{DeviceID: "b"}); !errors.Is(err, ErrUnknownDevice) {
 		t.Errorf("double unregister = %v, want ErrUnknownDevice", err)
+	}
+}
+
+// TestEdgeUnregisterReplansExitCaps holds unregister to the same re-solve
+// as register: on a 1 GFLOPS edge under Degrade, two tenants at 100
+// tasks/s overrun the 0.9 budget (2 x 6.8e8 FLOPS at 0.01 time scale), so
+// the plan serves one of them from exit 1; once the other leaves, the
+// survivor's 6.8e8 fits and its cap returns to 3.
+func TestEdgeUnregisterReplansExitCaps(t *testing.T) {
+	edge, err := StartEdge(EdgeConfig{
+		Addr: "127.0.0.1:0", FLOPS: 1e9, Model: testModel(), TimeScale: testScale,
+		Policy: ControlPolicy{Degrade: DegradePolicy{Enabled: true}},
+	})
+	if err != nil {
+		t.Fatalf("StartEdge: %v", err)
+	}
+	defer edge.Close()
+	for _, id := range []string{"a", "b"} {
+		if _, err := edge.register(RegisterReq{DeviceID: id, FLOPS: 1.2e9, ArrivalMean: 100, Model: testModel()}); err != nil {
+			t.Fatalf("register %s: %v", id, err)
+		}
+	}
+	caps := func() map[string]int32 {
+		edge.mu.Lock()
+		defer edge.mu.Unlock()
+		out := map[string]int32{}
+		for id, tn := range edge.tenants {
+			out[id] = atomic.LoadInt32(&tn.exitCap)
+		}
+		return out
+	}
+	if got := caps(); got["a"] != 1 || got["b"] != 3 {
+		t.Fatalf("caps with two tenants = %v, want a:1 b:3", got)
+	}
+	if _, err := edge.unregister(UnregisterReq{DeviceID: "b"}); err != nil {
+		t.Fatalf("unregister: %v", err)
+	}
+	if got := caps(); got["a"] != 3 || len(got) != 1 {
+		t.Errorf("caps after b left = %v, want a:3", got)
 	}
 }
 

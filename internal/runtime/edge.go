@@ -358,28 +358,36 @@ func (e *Edge) unregister(req UnregisterReq) (any, error) {
 	delete(e.tenants, req.DeviceID)
 	remaining := len(e.tenants)
 	e.tel.tenants.Set(float64(remaining))
-	ids, devs := e.tenantOrder()
-	var shares []float64
 	var err error
 	if remaining > 0 {
-		shares, err = offload.Allocate(devs, e.cfg.FLOPS)
-		if err != nil {
-			e.mu.Unlock()
-			return nil, fmt.Errorf("edge: reallocation after departure: %w", err)
-		}
-		for i, id := range ids {
-			tn := e.tenants[id]
-			tn.share = shares[i]
-			if err := tn.exec.setRate(shares[i] * e.cfg.FLOPS); err != nil {
-				e.mu.Unlock()
-				return nil, err
-			}
+		err = e.rebalance()
+	}
+	e.mu.Unlock()
+	t.exec.Close()
+	if err != nil {
+		return nil, fmt.Errorf("edge: reallocation after departure: %w", err)
+	}
+	return UnregisterResp{RemainingTenants: remaining}, nil
+}
+
+// rebalance re-solves the tenancy: the KKT allocation (eq. 27) over the
+// sorted tenants, each executor's rate at its new share, then the exit caps.
+// Caller holds e.mu and keeps at least one tenant.
+func (e *Edge) rebalance() error {
+	ids, devs := e.tenantOrder()
+	shares, err := offload.Allocate(devs, e.cfg.FLOPS)
+	if err != nil {
+		return err
+	}
+	for i, id := range ids {
+		t := e.tenants[id]
+		t.share = shares[i]
+		if err := t.exec.setRate(shares[i] * e.cfg.FLOPS); err != nil {
+			return err
 		}
 	}
 	e.recomputeCaps()
-	e.mu.Unlock()
-	t.exec.Close()
-	return UnregisterResp{RemainingTenants: remaining}, nil
+	return nil
 }
 
 // stats snapshots the edge's tenancy state.
@@ -435,19 +443,9 @@ func (e *Edge) register(req RegisterReq) (any, error) {
 	t.dev = dev
 	t.model = model
 
-	ids, devs := e.tenantOrder()
-	shares, err := offload.Allocate(devs, e.cfg.FLOPS)
-	if err != nil {
+	if err := e.rebalance(); err != nil {
 		return nil, fmt.Errorf("edge: allocation: %w", err)
 	}
-	for i, id := range ids {
-		tn := e.tenants[id]
-		tn.share = shares[i]
-		if err := tn.exec.setRate(shares[i] * e.cfg.FLOPS); err != nil {
-			return nil, err
-		}
-	}
-	e.recomputeCaps()
 	return RegisterResp{ShareFLOPS: t.share * e.cfg.FLOPS}, nil
 }
 
