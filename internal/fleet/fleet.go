@@ -1,7 +1,8 @@
-// Package fleet is the multi-edge control plane: a membership registry that
+// Package fleet is the edges' peer registry: a membership registry that
 // tracks a set of edge servers through probe-driven heartbeats and exposes a
 // consistent, deterministic view of which edges are alive and which are
-// *ready* — serving a warm KKT allocation for at least one tenant.
+// *ready* — serving a warm KKT allocation for at least one tenant. An edge
+// picks its work-stealing target from it.
 //
 // The registry is deliberately transport-agnostic: callers inject a Probe
 // that performs one heartbeat against one address (the runtime wires it to a
@@ -35,9 +36,8 @@ type State int
 // Registry lifecycle states, in join order.
 const (
 	// StateJoined means the edge is known and answering heartbeats but has
-	// no warm allocation yet (no resident tenants). It may be *selected* —
-	// registration is control-plane traffic that warms it — but must not
-	// receive task traffic.
+	// no warm allocation yet (no resident tenants). It must not receive
+	// task traffic until a registration warms it.
 	StateJoined State = iota
 	// StateReady means the edge answered its last heartbeat and reports a
 	// warm KKT allocation: it is eligible for task traffic and for stolen
@@ -62,19 +62,15 @@ func (s State) String() string {
 	}
 }
 
-// Health is what an edge advertises in one heartbeat: the inputs to both
-// readiness gating and the device-side Lyapunov edge selection.
+// Health is what an edge advertises in one heartbeat: the inputs to
+// readiness gating and to the choice of a steal target.
 type Health struct {
 	// Ready reports whether the edge's KKT allocation is warm (it has at
 	// least one resident tenant with a solved share).
 	Ready bool
-	// FLOPS is the edge's total capability F^e.
-	FLOPS float64
-	// Tenants is the number of resident devices.
-	Tenants int
 	// BacklogSec is the edge-wide queued work in seconds across all tenant
-	// executors (and the steal executor): the congestion penalty the
-	// selection drift term charges for routing there.
+	// executors (and the steal executor); the least-loaded ready peer is
+	// the steal target.
 	BacklogSec float64
 	// Saturated reports whether any tenant executor is at its admission
 	// budget; saturated edges are skipped as steal targets.

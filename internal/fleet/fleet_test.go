@@ -31,8 +31,8 @@ func (p *scriptedProbe) probe(_ context.Context, addr string) (Health, error) {
 	return out.h, out.err
 }
 
-func ready(edgeFLOPS float64, tenants int) probeOutcome {
-	return probeOutcome{h: Health{Ready: true, FLOPS: edgeFLOPS, Tenants: tenants}}
+func ready(backlogSec float64) probeOutcome {
+	return probeOutcome{h: Health{Ready: true, BacklogSec: backlogSec}}
 }
 
 func joined() probeOutcome { return probeOutcome{h: Health{Ready: false}} }
@@ -44,7 +44,7 @@ func miss() probeOutcome { return probeOutcome{err: errors.New("unreachable")} }
 // ready again on recovery.
 func TestRegistryLifecycle(t *testing.T) {
 	p := &scriptedProbe{outcomes: map[string][]probeOutcome{
-		"edge-a": {joined(), ready(4e9, 1), miss(), miss(), miss(), ready(4e9, 2)},
+		"edge-a": {joined(), ready(0.5), miss(), miss(), miss(), ready(0.25)},
 	}}
 	r := New(Config{SuspectAfter: 2}, p.probe)
 	r.Join("edge-a")
@@ -73,7 +73,7 @@ func TestRegistryLifecycle(t *testing.T) {
 	if m.Beats != 3 {
 		t.Errorf("beats = %d, want 3", m.Beats)
 	}
-	if m.Health.Tenants != 2 {
+	if m.Health.BacklogSec != 0.25 {
 		t.Errorf("health not updated on recovery: %+v", m.Health)
 	}
 }
@@ -83,8 +83,8 @@ func TestRegistryLifecycle(t *testing.T) {
 // identical transition sequences.
 func TestRegistryDeterministicOrder(t *testing.T) {
 	p := &scriptedProbe{outcomes: map[string][]probeOutcome{
-		"edge-c": {ready(1, 1), ready(1, 1)},
-		"edge-a": {ready(1, 1), ready(1, 1)},
+		"edge-c": {ready(0), ready(0)},
+		"edge-a": {ready(0), ready(0)},
 		"edge-b": {miss(), miss()},
 	}}
 	r := New(Config{}, p.probe)
@@ -106,7 +106,7 @@ func TestRegistryDeterministicOrder(t *testing.T) {
 // TestRegistryReadyAliveLeave covers the ready and alive membership views.
 func TestRegistryReadyAliveLeave(t *testing.T) {
 	p := &scriptedProbe{outcomes: map[string][]probeOutcome{
-		"edge-a": {ready(1, 1)},
+		"edge-a": {ready(0)},
 		"edge-b": {joined()},
 		"edge-c": {miss()},
 	}}
@@ -135,7 +135,7 @@ func TestRegistryReadyAliveLeave(t *testing.T) {
 // TestRegistryRunStopsOnCancel asserts the Run loop exits once its context
 // ends (after the mandatory initial round).
 func TestRegistryRunStopsOnCancel(t *testing.T) {
-	p := &scriptedProbe{outcomes: map[string][]probeOutcome{"edge-a": {ready(1, 1)}}}
+	p := &scriptedProbe{outcomes: map[string][]probeOutcome{"edge-a": {ready(0)}}}
 	r := New(Config{}, p.probe)
 	r.Join("edge-a")
 	ctx, cancel := context.WithCancel(context.Background())

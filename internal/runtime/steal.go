@@ -45,8 +45,7 @@ func (e *Edge) startPeers() {
 		if !ok {
 			return fleet.Health{}, fmt.Errorf("edge: unexpected heartbeat reply %T", got)
 		}
-		return fleet.Health{Ready: h.Ready, FLOPS: h.FLOPS, Tenants: h.Tenants,
-			BacklogSec: h.BacklogSec, Saturated: h.Saturated}, nil
+		return fleet.Health{Ready: h.Ready, BacklogSec: h.BacklogSec, Saturated: h.Saturated}, nil
 	})
 	for _, addr := range e.cfg.Peers {
 		e.peers.Join(addr)
