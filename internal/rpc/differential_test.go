@@ -7,6 +7,7 @@ package rpc_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"math"
 	"reflect"
 	"strings"
@@ -132,9 +133,10 @@ func FuzzDifferentialCodec(f *testing.F) {
 }
 
 // FuzzCorruptBinaryFrame seeds the mutator with valid binary frames of
-// every protocol message and requires that arbitrary mutations decode
-// cleanly or error — never panic — and that the server's pooled read, out
-// of a dirty recycled buffer, decodes them to the same thing.
+// every protocol message, and with frames of the retired codec IDs 7 and 8,
+// and requires that arbitrary mutations decode cleanly or error — never
+// panic — and that the server's pooled read, out of a dirty recycled
+// buffer, decodes them to the same thing.
 func FuzzCorruptBinaryFrame(f *testing.F) {
 	runtime.RegisterMessages()
 	for _, body := range protocolMessages("dev-1", 42, []byte{1, 2, 3, 255}, 2, 8e13, 3.5, 0.25, 4) {
@@ -144,6 +146,20 @@ func FuzzCorruptBinaryFrame(f *testing.F) {
 		}
 		f.Add(frame)
 		// A truncated variant probes every partial-field path.
+		f.Add(frame[:len(frame)-1])
+	}
+	// QueueStatReq and QueueStatResp as a peer built before their
+	// retirement sends them: no codec is registered for IDs 7 and 8, so
+	// they must fail to decode.
+	for _, hexFrame := range []string{"0000000a01010708070470692d31", "0000000601010808080e"} {
+		frame, err := hex.DecodeString(hexFrame)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if _, err := rpc.UnmarshalFrame(frame); err == nil {
+			f.Fatalf("frame %s of a retired codec ID decoded", hexFrame)
+		}
+		f.Add(frame)
 		f.Add(frame[:len(frame)-1])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
