@@ -98,8 +98,8 @@ type DeviceConfig struct {
 	// RunDevice returns (the SIGINT/SIGTERM path of cmd/leime-device).
 	Stop <-chan struct{}
 	// Ready, when non-nil, is called once after the device has registered at
-	// an edge and adopted its first share — the /readyz hook of
-	// cmd/leime-device.
+	// an edge (in pipelined mode, installed its chain) — the /readyz hook
+	// of cmd/leime-device.
 	Ready func()
 }
 
