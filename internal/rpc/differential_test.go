@@ -38,7 +38,6 @@ func protocolMessages(deviceID string, taskID uint64, payload []byte, stage int,
 		runtime.SecondBlockReq{DeviceID: deviceID, TaskID: taskID, Payload: payload, ExitStage: stage},
 		runtime.ThirdBlockReq{TaskID: taskID, Payload: payload, FLOPs: load},
 		runtime.TaskResp{TaskID: taskID, ExitStage: stage},
-		runtime.UpdateReq{DeviceID: deviceID, ArrivalMean: mean},
 		runtime.UnregisterReq{DeviceID: deviceID},
 		runtime.UnregisterResp{RemainingTenants: tenants},
 		runtime.EdgeStatsReq{},
@@ -133,8 +132,8 @@ func FuzzDifferentialCodec(f *testing.F) {
 }
 
 // FuzzCorruptBinaryFrame seeds the mutator with valid binary frames of
-// every protocol message, and with frames of the retired codec IDs 7 and 8,
-// and requires that arbitrary mutations decode cleanly or error — never
+// every protocol message, and with frames of the retired codec IDs 7, 8 and
+// 9, and requires that arbitrary mutations decode cleanly or error — never
 // panic — and that the server's pooled read, out of a dirty recycled
 // buffer, decodes them to the same thing.
 func FuzzCorruptBinaryFrame(f *testing.F) {
@@ -148,10 +147,10 @@ func FuzzCorruptBinaryFrame(f *testing.F) {
 		// A truncated variant probes every partial-field path.
 		f.Add(frame[:len(frame)-1])
 	}
-	// QueueStatReq and QueueStatResp as a peer built before their
-	// retirement sends them: no codec is registered for IDs 7 and 8, so
-	// they must fail to decode.
-	for _, hexFrame := range []string{"0000000a01010708070470692d31", "0000000601010808080e"} {
+	// QueueStatReq, QueueStatResp and UpdateReq as a peer built before
+	// their retirement sends them: no codec is registered for IDs 7, 8 and
+	// 9, so they must fail to decode.
+	for _, hexFrame := range []string{"0000000a01010708070470692d31", "0000000601010808080e", "0000001201010908090470692d310000000000002940"} {
 		frame, err := hex.DecodeString(hexFrame)
 		if err != nil {
 			f.Fatal(err)

@@ -44,8 +44,7 @@ func goldenCases() []goldenCase {
 		runtime.SecondBlockReq{DeviceID: "nano-2", TaskID: 300, Payload: payload, ExitStage: 2},
 		runtime.ThirdBlockReq{TaskID: 1 << 40, Payload: payload, FLOPs: 3.6e9},
 		runtime.TaskResp{TaskID: 42, ExitStage: 1},
-		nil, nil, // codec IDs 7 and 8 are retired; the envelope ID is the position
-		runtime.UpdateReq{DeviceID: "pi-1", ArrivalMean: 12.5},
+		nil, nil, nil, // codec IDs 7, 8 and 9 are retired; the envelope ID is the position
 		runtime.UnregisterReq{DeviceID: "nano-2"},
 		runtime.UnregisterResp{RemainingTenants: 3},
 		runtime.EdgeStatsReq{},

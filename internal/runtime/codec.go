@@ -16,8 +16,8 @@ import (
 //
 // IDs are wire contract: never reuse one for a different type. Field order
 // within each codec is likewise frozen — append-only evolution requires a
-// new ID (or a wire version bump). IDs 7 and 8 are retired
-// (QueueStatReq/QueueStatResp): never reuse them.
+// new ID (or a wire version bump). IDs 7, 8 and 9 are retired
+// (QueueStatReq, QueueStatResp and UpdateReq): never reuse them.
 const (
 	codecIDRegisterReq      = 1
 	codecIDRegisterResp     = 2
@@ -25,7 +25,6 @@ const (
 	codecIDSecondBlockReq   = 4
 	codecIDThirdBlockReq    = 5
 	codecIDTaskResp         = 6
-	codecIDUpdateReq        = 9
 	codecIDUnregisterReq    = 10
 	codecIDUnregisterResp   = 11
 	codecIDEdgeStatsReq     = 12
@@ -146,18 +145,6 @@ func RegisterMessages() {
 			var r TaskResp
 			r.TaskID = d.Uvarint()
 			r.ExitStage = d.Int()
-			return r, nil
-		})
-	rpc.RegisterCodec(codecIDUpdateReq, UpdateReq{},
-		func(e *rpc.Encoder, v any) {
-			r := v.(UpdateReq)
-			e.String(r.DeviceID)
-			e.Float64(r.ArrivalMean)
-		},
-		func(d *rpc.Decoder) (any, error) {
-			var r UpdateReq
-			r.DeviceID = d.String()
-			r.ArrivalMean = d.Float64()
 			return r, nil
 		})
 	rpc.RegisterCodec(codecIDUnregisterReq, UnregisterReq{},

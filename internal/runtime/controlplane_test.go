@@ -24,10 +24,10 @@ func TestEdgeUpdateRebalancesShares(t *testing.T) {
 	if math.Abs(st.Shares["a"]-0.5) > 0.01 {
 		t.Fatalf("equal-demand share = %v, want ~0.5", st.Shares["a"])
 	}
-	// Device a reports a much higher rate: its share must grow.
-	got, err := edge.update(UpdateReq{DeviceID: "a", ArrivalMean: 60})
+	// Device a re-registers with a much higher rate: its share must grow.
+	got, err := edge.register(RegisterReq{DeviceID: "a", FLOPS: 1.2e9, ArrivalMean: 60})
 	if err != nil {
-		t.Fatalf("update: %v", err)
+		t.Fatalf("re-register a: %v", err)
 	}
 	newShare := got.(RegisterResp).ShareFLOPS / 6e10
 	if newShare <= 0.55 {
@@ -36,13 +36,6 @@ func TestEdgeUpdateRebalancesShares(t *testing.T) {
 	st = edge.stats()
 	if math.Abs(st.Shares["a"]+st.Shares["b"]-1) > 1e-9 {
 		t.Errorf("shares no longer sum to 1: %v", st.Shares)
-	}
-}
-
-func TestEdgeUpdateUnknownDevice(t *testing.T) {
-	edge := startTestbed(t)
-	if _, err := edge.update(UpdateReq{DeviceID: "ghost", ArrivalMean: 5}); !errors.Is(err, ErrUnknownDevice) {
-		t.Errorf("update for unknown device = %v, want ErrUnknownDevice", err)
 	}
 }
 

@@ -67,10 +67,10 @@ type DeviceConfig struct {
 	WarmupSlots int
 	// TimeScale compresses testbed time.
 	TimeScale Scale
-	// AdaptEvery, when positive, makes the device report an exponentially
-	// weighted estimate of its observed arrival rate to the edge every
-	// AdaptEvery slots; the edge re-solves the KKT allocation and the device
-	// adopts the returned share (the runtime fine-tuning loop).
+	// AdaptEvery, when positive, makes the device re-register at its home
+	// edge every AdaptEvery slots with an exponentially weighted estimate of
+	// its observed arrival rate; the edge re-solves the KKT allocation and
+	// the device adopts the new share (the runtime fine-tuning loop).
 	AdaptEvery int
 	// TaskDeadlineSec, when positive, is each task's time budget in model
 	// seconds: the deadline travels with every rpc the task issues so the
@@ -293,12 +293,13 @@ slots:
 		}
 		m := arrivals.Next()
 		// Track the observed rate and periodically renegotiate the edge
-		// share so the allocation follows the live workload.
+		// share, by re-registering at the home with the live estimate, so
+		// the allocation follows the live workload.
 		const ewma = 0.15
 		d.setRate((1-ewma)*d.rate() + ewma*float64(m))
 		if cfg.AdaptEvery > 0 && d.pipe == nil && t > 0 && t%cfg.AdaptEvery == 0 {
 			ctx, cancel := d.controlCtx()
-			_, _ = d.edgeClient().Call(ctx, UpdateReq{DeviceID: cfg.ID, ArrivalMean: d.rate()}) // the heartbeat round below reads the new share
+			_, _ = d.edgeClient().Call(ctx, d.registerReq()) // the heartbeat round below reads the new share
 			cancel()
 		}
 		var x float64
@@ -395,8 +396,8 @@ func (d *deviceRun) setRate(r float64) {
 	d.mu.Unlock()
 }
 
-// controlCtx bounds one control-plane exchange (a heartbeat round, a rate
-// update, a registration): generous on the compressed clock, but never
+// controlCtx bounds one control-plane exchange (a heartbeat round or a
+// registration): generous on the compressed clock, but never
 // hanging a slot forever on a dead edge.
 func (d *deviceRun) controlCtx() (context.Context, context.CancelFunc) {
 	timeout := d.cfg.TimeScale.Seconds(10 * d.cfg.TauSec)

@@ -288,9 +288,6 @@ func (e *Edge) handle(ctx context.Context, meta rpc.Meta, body any) (any, error)
 	case SecondBlockReq:
 		e.tel.reqSecond.Inc()
 		return e.secondBlock(ctx, meta, req)
-	case UpdateReq:
-		e.tel.reqControl.Inc()
-		return e.update(req)
 	case UnregisterReq:
 		e.tel.reqControl.Inc()
 		return e.unregister(req)
@@ -312,20 +309,6 @@ func (e *Edge) handle(ctx context.Context, meta rpc.Meta, body any) (any, error)
 	default:
 		return nil, fmt.Errorf("edge: unexpected request %T", body)
 	}
-}
-
-// update revises a tenant's expected arrival rate and rebalances all shares.
-func (e *Edge) update(req UpdateReq) (any, error) {
-	e.mu.Lock()
-	t, ok := e.tenants[req.DeviceID]
-	if !ok {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("%w %q", ErrUnknownDevice, req.DeviceID)
-	}
-	deviceFLOPS := t.dev.FLOPS
-	model := t.model
-	e.mu.Unlock()
-	return e.register(RegisterReq{DeviceID: req.DeviceID, FLOPS: deviceFLOPS, ArrivalMean: req.ArrivalMean, Model: model})
 }
 
 // tenantOrder snapshots tenant ids in sorted order alongside their device
@@ -500,7 +483,7 @@ func (e *Edge) capExit(t *tenant, exitStage int) int {
 }
 
 // tenantSnapshot returns the tenant plus a copy of its deployed model taken
-// under the lock: register/update rewrite t.model concurrently with task
+// under the lock: register rewrites t.model concurrently with task
 // handlers, so handlers must work from the snapshot, never t.model.
 func (e *Edge) tenantSnapshot(id string) (*tenant, offload.ModelParams, error) {
 	e.mu.Lock()

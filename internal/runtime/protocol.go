@@ -38,7 +38,9 @@ func zeroPayload(n int) []byte {
 	}
 }
 
-// RegisterReq announces a device to the edge server.
+// RegisterReq announces a device to the edge server. It is an upsert: a
+// resident device re-registers with its revised rate estimate, and the edge
+// re-solves the KKT allocation either way and returns the device's share.
 type RegisterReq struct {
 	// DeviceID uniquely names the device.
 	DeviceID string
@@ -97,17 +99,6 @@ type TaskResp struct {
 	TaskID uint64
 	// ExitStage is where the task actually left the network.
 	ExitStage int
-}
-
-// UpdateReq revises a device's expected arrival rate; the edge re-solves the
-// KKT allocation and returns the device's new share. This is the runtime
-// "fine-tuning" loop: devices report their observed load and the edge
-// rebalances, responding to the transient mismatch between historical
-// statistics and the live workload.
-type UpdateReq struct {
-	DeviceID string
-	// ArrivalMean is the device's revised k_i estimate.
-	ArrivalMean float64
 }
 
 // UnregisterReq removes a device; its edge share is redistributed to the
@@ -245,7 +236,7 @@ type ActivationReq struct {
 }
 
 // Idempotency markers for the rpc reliability layer: control-plane requests
-// (registration, heartbeats, rate updates) are safe to deliver twice, so a
+// (registration, heartbeats, removal) are safe to deliver twice, so a
 // ReliableClient may retry them after a transport failure. Block executions
 // (FirstBlockReq, SecondBlockReq, ThirdBlockReq) deliberately carry no
 // marker — re-running a block would burn compute twice, so devices degrade
@@ -254,10 +245,6 @@ type ActivationReq struct {
 // Idempotent marks registration as safely repeatable (it upserts tenant
 // state and re-solves the allocation either way).
 func (RegisterReq) Idempotent() bool { return true }
-
-// Idempotent marks rate updates as safely repeatable (the edge keeps only
-// the latest estimate).
-func (UpdateReq) Idempotent() bool { return true }
 
 // Idempotent marks removal as safely repeatable (removing a device twice
 // fails the second time with ErrUnknownDevice, which callers treat as done).
