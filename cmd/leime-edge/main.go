@@ -49,8 +49,8 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 		scale     = fs.Float64("scale", 1, "time compression factor (1 = real time)")
 		admin     = fs.String("admin", "", "admin HTTP address serving /metrics, /healthz, /readyz and /debug/traces (empty = telemetry off)")
 		peers     = fs.String("peers", "", "comma-separated sibling edge addresses; admission-rejected tasks are stolen to the least-loaded ready peer (one hop)")
-		peerBW    = fs.Float64("peer-bandwidth", 200, "edge-to-edge bandwidth in Mbps shaping pipeline activation forwards (0 = unshaped)")
-		peerLat   = fs.Float64("peer-latency", 0.002, "edge-to-edge latency in seconds on the pipeline forward path")
+		peerBW    = fs.Float64("peer-bandwidth", 200, "edge-to-edge bandwidth in Mbps shaping steals, peer heartbeats and pipeline activation forwards (0 = unshaped)")
+		peerLat   = fs.Float64("peer-latency", 0.002, "edge-to-edge latency in seconds on steals, peer heartbeats and pipeline forwards; at 0.1 s or more (after -scale) no peer answers a heartbeat round in time, so nothing is stolen")
 
 		retries    = fs.Int("cloud-retries", 0, "max attempts for idempotent cloud requests, first try included (0 = library default)")
 		retryBase  = fs.Duration("cloud-retry-base", 0, "base backoff before the first cloud retry (0 = library default)")
@@ -107,7 +107,7 @@ func run(args []string, out io.Writer, stop <-chan struct{}) error {
 	if *admin != "" {
 		// Readiness is the federation gate: the edge answers 503 until its
 		// KKT allocation is warm (at least one registered tenant), the same
-		// predicate its fleet heartbeat advertises to peers.
+		// predicate its heartbeat advertises to peers.
 		adm, err := telemetry.ServeAdmin(*admin, reg, tracer, telemetry.WithReadiness(edge.Ready))
 		if err != nil {
 			return err

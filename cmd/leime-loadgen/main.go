@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"leime"
-	"leime/internal/fleet"
 	"leime/internal/loadgen"
 	"leime/internal/policyflag"
 	"leime/internal/runtime"
@@ -103,7 +102,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			Model:     params,
 			TimeScale: runtime.Scale(*scale),
 			Policy:    policy,
-			Fleet:     fleet.Config{Every: 100 * time.Millisecond},
 		},
 	}
 

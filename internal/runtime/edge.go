@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"leime/internal/control"
-	"leime/internal/fleet"
 	"leime/internal/netem"
 	"leime/internal/offload"
 	"leime/internal/rpc"
@@ -51,16 +50,16 @@ type EdgeConfig struct {
 	// TimeScale compresses testbed time.
 	TimeScale Scale
 	// Peers lists sibling edge addresses in the federation. When set, the
-	// edge heartbeats them through a fleet registry and forwards
+	// edge runs a heartbeat round against them every 100 ms and forwards
 	// admission-rejected first-block tasks to the least-loaded ready peer
-	// (work stealing, bounded to one hop).
+	// of the last round (work stealing, bounded to one hop).
 	Peers []string
-	// Fleet tunes the peer registry's heartbeat cadence and suspicion
-	// threshold; the zero value uses the fleet package defaults.
-	Fleet fleet.Config
-	// PeerLink shapes the edge-to-edge path activations ride when this
-	// edge hosts a pipeline stage and forwards to the next hop. The zero
-	// value is an unshaped (instant) link, right for in-process tests.
+	// PeerLink shapes every edge-to-edge path: steals and peer heartbeats
+	// to Peers, and the activations a hosted pipeline stage forwards to
+	// its next hop. A peer heartbeat rides the same client as the steal
+	// and each round is bounded by its 100 ms cadence, so a scaled latency
+	// of 100 ms or more leaves no steal candidate. The zero value is an
+	// unshaped (instant) link, right for in-process tests.
 	PeerLink netem.Link
 	// Tracer records task-lifecycle spans for requests that arrive with a
 	// trace context; nil disables tracing.
@@ -84,16 +83,15 @@ type Edge struct {
 
 	cloud *rpc.ReliableClient
 
-	// Federation state: the peer registry and its clients exist only when
-	// Peers is configured; the steal executor always does (it serves
-	// StealReqs on the reserved stealShare overflow slice).
+	// Federation state: the peer clients, in address order, and their last
+	// heartbeat round exist only when Peers is configured; the steal
+	// executor always does (it serves StealReqs on the reserved stealShare
+	// overflow slice).
 	stealExec   *Executor
-	peers       *fleet.Registry
-	peerClients map[string]*rpc.ReliableClient
+	peerClients []*rpc.ReliableClient
+	peerRound   atomic.Pointer[[]edgeView]
 	stopPeers   context.CancelFunc
 	peerWG      sync.WaitGroup
-
-	stealsIn, stealsOut, stealFailed uint64 // atomic
 
 	// Pipeline state: installed stages by (pipeline id, stage index) and
 	// the shared executor their activations burn compute on. The stage map
@@ -176,7 +174,8 @@ type tenant struct {
 	share   float64
 }
 
-// StartEdge launches the edge server. A configured cloud is dialed lazily:
+// StartEdge launches the edge server. It checks its configuration, links
+// included, before it starts anything. A configured cloud is dialed lazily:
 // the edge starts (and serves two-exit work) even while the cloud is down.
 func StartEdge(cfg EdgeConfig) (*Edge, error) {
 	if cfg.FLOPS <= 0 {
@@ -184,6 +183,13 @@ func StartEdge(cfg EdgeConfig) (*Edge, error) {
 	}
 	if err := cfg.Model.Validate(); err != nil {
 		return nil, err
+	}
+	cloudShaper, err := linkShaper(cfg.CloudLink, cfg.TimeScale, 0x0edc)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: edge cloud link: %w", err)
+	}
+	if err := cfg.PeerLink.Validate(); err != nil {
+		return nil, fmt.Errorf("runtime: edge peer link: %w", err)
 	}
 	RegisterMessages()
 	e := &Edge{cfg: cfg, policy: withDegradeDefaults(cfg.Policy), tenants: make(map[string]*tenant), pipes: make(map[string]map[int]*pipeStage), tel: newEdgeTelemetry(cfg.Tracer, cfg.Metrics)}
@@ -220,11 +226,7 @@ func StartEdge(cfg EdgeConfig) (*Edge, error) {
 			func() float64 { return e.backlogSeconds() })
 	}
 	if cfg.CloudAddr != "" {
-		shaper, err := linkShaper(cfg.CloudLink, cfg.TimeScale, 0x0edc)
-		if err != nil {
-			return nil, err
-		}
-		e.cloud = rpc.DialReliable(cfg.CloudAddr, shaper, rpc.ReliableOptions{
+		e.cloud = rpc.DialReliable(cfg.CloudAddr, cloudShaper, rpc.ReliableOptions{
 			Retry:   cfg.CloudRetry,
 			Breaker: cfg.CloudBreaker,
 			OnRetry: func() { e.tel.cloudRetries.Inc() },
@@ -244,7 +246,10 @@ func StartEdge(cfg EdgeConfig) (*Edge, error) {
 	}
 	e.srv = srv
 	if len(cfg.Peers) > 0 {
-		e.startPeers()
+		if err := e.startPeers(); err != nil {
+			_ = e.Close()
+			return nil, err
+		}
 	}
 	return e, nil
 }
@@ -633,7 +638,7 @@ func forwardCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 }
 
 // Close stops serving, releases tenant executors, the steal executor, the
-// peer registry and the cloud client.
+// peer heartbeat round, the peer clients and the cloud client.
 func (e *Edge) Close() error {
 	err := e.srv.Close()
 	if e.stopPeers != nil {

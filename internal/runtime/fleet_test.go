@@ -9,16 +9,11 @@ import (
 	"testing"
 	"time"
 
-	"leime/internal/fleet"
 	"leime/internal/netem"
 	"leime/internal/offload"
 	"leime/internal/rpc"
+	"leime/internal/telemetry"
 )
-
-// testFleetConfig is a fast heartbeat cadence for compressed-time tests.
-func testFleetConfig() fleet.Config {
-	return fleet.Config{Every: 10 * time.Millisecond, SuspectAfter: 2}
-}
 
 // startFederatedEdge starts one edge with the given peers, registered for
 // cleanup.
@@ -49,16 +44,23 @@ func registerAt(t *testing.T, addr, id string) *rpc.Client {
 	return c
 }
 
-// waitReadyPeers blocks until the edge's registry sees n ready peers.
+// waitReadyPeers blocks until the edge's last peer heartbeat round has n
+// ready candidates.
 func waitReadyPeers(t *testing.T, e *Edge, n int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for len(e.peers.Ready()) < n {
+	for readyPeers(e.lastPeerRound()) < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("peer registry never saw %d ready peers (have %d)", n, len(e.peers.Ready()))
+			t.Fatalf("peer heartbeat round never saw %d ready peers (have %d)", n, readyPeers(e.lastPeerRound()))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+}
+
+// steals reads an edge's leime_edge_steals_total counter for one direction
+// ("in" or "out").
+func steals(reg *telemetry.Registry, dir string) uint64 {
+	return reg.Counter("leime_edge_steals_total", "", telemetry.Label{Key: "dir", Value: dir}).Value()
 }
 
 // TestStealOneHopBound pins the structural one-hop property of work
@@ -67,12 +69,14 @@ func waitReadyPeers(t *testing.T, e *Edge, n int) {
 // again — the peer's own peer sees zero steals, and an over-hop StealReq is
 // rejected outright.
 func TestStealOneHopBound(t *testing.T) {
+	regA, regB, regC := telemetry.NewRegistry(), telemetry.NewRegistry(), telemetry.NewRegistry()
 	edgeC := startFederatedEdge(t, EdgeConfig{
 		Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale,
+		Metrics: regC,
 	})
 	edgeB := startFederatedEdge(t, EdgeConfig{
 		Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale,
-		Peers: []string{edgeC.Addr()}, Fleet: testFleetConfig(),
+		Peers: []string{edgeC.Addr()}, Metrics: regB,
 	})
 	// A tiny backlog budget on a slow edge (about one first-block task at
 	// full share) makes admission reject most of the burst below with
@@ -80,7 +84,7 @@ func TestStealOneHopBound(t *testing.T) {
 	edgeA := startFederatedEdge(t, EdgeConfig{
 		Addr: "127.0.0.1:0", FLOPS: 2e9, Model: testModel(), TimeScale: testScale,
 		Policy: ControlPolicy{MaxBacklogSec: 0.15},
-		Peers:  []string{edgeB.Addr()}, Fleet: testFleetConfig(),
+		Peers:  []string{edgeB.Addr()}, Metrics: regA,
 	})
 
 	// Warm every edge's allocation so the fleet readiness gate opens.
@@ -106,9 +110,9 @@ func TestStealOneHopBound(t *testing.T) {
 	}
 	wg.Wait()
 
-	_, aOut, _ := edgeA.stealStats()
-	bIn, bOut, _ := edgeB.stealStats()
-	cIn, _, _ := edgeC.stealStats()
+	aOut := steals(regA, "out")
+	bIn, bOut := steals(regB, "in"), steals(regB, "out")
+	cIn := steals(regC, "in")
 	if aOut == 0 {
 		t.Fatal("saturated edge never attempted a steal; burst too lenient")
 	}
@@ -133,8 +137,105 @@ func TestStealOneHopBound(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "one-hop") {
 		t.Errorf("Hop=2 steal not rejected: err=%v", err)
 	}
-	if cInAfter, _, _ := edgeC.stealStats(); cInAfter != 0 {
+	if cInAfter := steals(regC, "in"); cInAfter != 0 {
 		t.Errorf("over-hop steal leaked %d tasks to the second peer", cInAfter)
+	}
+}
+
+// TestStealTarget pins the steal-target rule on fixed heartbeat rounds:
+// only peers that answered and report Ready and not Saturated qualify, the
+// least backlog wins, and a tie goes to the lower index (address order).
+func TestStealTarget(t *testing.T) {
+	peer := func(backlog float64) edgeView {
+		return edgeView{hb: HeartbeatResp{Ready: true, BacklogSec: backlog}, ok: true}
+	}
+	missed := peer(0)
+	missed.ok = false
+	cold := peer(0)
+	cold.hb.Ready = false
+	saturated := peer(0)
+	saturated.hb.Saturated = true
+	for _, c := range []struct {
+		name  string
+		views []edgeView
+		want  int
+	}{
+		{"missed the round", []edgeView{missed, peer(2)}, 1},
+		{"not ready", []edgeView{cold, peer(2)}, 1},
+		{"saturated", []edgeView{saturated, peer(2)}, 1},
+		{"least backlog", []edgeView{peer(3), peer(1), peer(2)}, 1},
+		{"tie to the lower index", []edgeView{peer(2), peer(1), peer(1)}, 1},
+		{"no qualified peer", []edgeView{missed, cold, saturated}, -1},
+		{"no peers", nil, -1},
+	} {
+		if got := stealTarget(c.views); got != c.want {
+			t.Errorf("%s: stealTarget = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
+// TestStartEdgeRejectsBadLinks checks that StartEdge refuses a malformed
+// cloud or peer link before it starts anything: no edge metric is
+// registered, so the registry writes nothing.
+func TestStartEdgeRejectsBadLinks(t *testing.T) {
+	bad := netem.Link{Latency: -time.Millisecond}
+	for _, c := range []struct {
+		name string
+		cfg  EdgeConfig
+	}{
+		{"cloud link", EdgeConfig{CloudAddr: "127.0.0.1:1", CloudLink: bad}},
+		{"peer link", EdgeConfig{PeerLink: bad}},
+	} {
+		reg := telemetry.NewRegistry()
+		cfg := c.cfg
+		cfg.Addr, cfg.FLOPS, cfg.Model, cfg.TimeScale, cfg.Metrics = "127.0.0.1:0", 6e10, testModel(), testScale, reg
+		if e, err := StartEdge(cfg); err == nil {
+			_ = e.Close()
+			t.Errorf("%s: StartEdge accepted latency %v", c.name, bad.Latency)
+		}
+		var buf strings.Builder
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatalf("%s: WritePrometheus: %v", c.name, err)
+		}
+		if buf.Len() != 0 {
+			t.Errorf("%s: refused edge left metrics:\n%s", c.name, buf.String())
+		}
+	}
+}
+
+// TestStealRidesPeerLink checks that PeerLink shapes the steal path: an
+// edge that refuses every task by admission steals each to its peer, so
+// every answered call pays at least the scaled peer latency on the way
+// out (a shaped write never lands early).
+func TestStealRidesPeerLink(t *testing.T) {
+	edgeB := startFederatedEdge(t, EdgeConfig{
+		Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale,
+	})
+	// A budget below one first-block task's service time refuses every
+	// task at A.
+	peerLink := netem.Link{Latency: 2 * time.Second}
+	regA := telemetry.NewRegistry()
+	edgeA := startFederatedEdge(t, EdgeConfig{
+		Addr: "127.0.0.1:0", FLOPS: 2e9, Model: testModel(), TimeScale: testScale,
+		Policy: ControlPolicy{MaxBacklogSec: 0.01},
+		Peers:  []string{edgeB.Addr()}, PeerLink: peerLink, Metrics: regA,
+	})
+	registerAt(t, edgeB.Addr(), "res-b")
+	src := registerAt(t, edgeA.Addr(), "src")
+	waitReadyPeers(t, edgeA, 1)
+
+	floor := testScale.scaled(peerLink.Latency)
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		if _, err := src.Call(context.Background(), FirstBlockReq{DeviceID: "src", TaskID: uint64(i + 1), Payload: []byte{1}, ExitStage: 1}); err != nil {
+			t.Fatalf("task %d: %v", i+1, err)
+		}
+		if took := time.Since(start); took < floor {
+			t.Errorf("stolen task %d took %v, under the scaled peer latency %v", i+1, took, floor)
+		}
+	}
+	if got := steals(regA, "out"); got != 3 {
+		t.Errorf("edge stole %d tasks, want 3", got)
 	}
 }
 

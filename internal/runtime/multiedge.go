@@ -100,27 +100,27 @@ func (d *deviceRun) registerReq() RegisterReq {
 	return RegisterReq{DeviceID: d.cfg.ID, FLOPS: d.cfg.FLOPS, ArrivalMean: d.rate(), Model: d.cfg.Model}
 }
 
-// edgeView is one edge's answer to a slot's heartbeat round. ok is false
-// when the edge did not answer or its breaker is not closed: it is then no
-// candidate for the slot.
+// edgeView is one edge's answer to a heartbeat round. ok is false when the
+// edge did not answer or its breaker is not closed: it is then no
+// candidate, neither for a device's slot nor as a steal target.
 type edgeView struct {
 	hb HeartbeatResp
 	ok bool
 }
 
-// heartbeat runs the slot's heartbeat round: one identified HeartbeatReq to
-// every edge, concurrently, all bounded by one controlCtx. While a breaker
-// is half-open its heartbeat is the recovery probe.
-func (d *deviceRun) heartbeat() []edgeView {
-	views := make([]edgeView, len(d.edges))
-	ctx, cancel := d.controlCtx()
-	defer cancel()
+// heartbeatRound sends req to every client, concurrently, all bounded by
+// ctx, and returns their answers in client order. A device runs one round
+// per slot with its ID in req; an edge runs one anonymous round per
+// peerEvery against its peers. While a breaker is half-open its heartbeat
+// is the recovery probe.
+func heartbeatRound(ctx context.Context, clients []*rpc.ReliableClient, req HeartbeatReq) []edgeView {
+	views := make([]edgeView, len(clients))
 	var wg sync.WaitGroup
-	for i, c := range d.edges {
+	for i, c := range clients {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := c.Call(ctx, HeartbeatReq{DeviceID: d.cfg.ID})
+			got, err := c.Call(ctx, req)
 			hb, ok := got.(HeartbeatResp)
 			views[i] = edgeView{hb: hb, ok: err == nil && ok && c.Breaker().State() == rpc.BreakerClosed}
 		}()
@@ -172,7 +172,9 @@ func chooseEdge(ctrl *offload.Controller, dev offload.Device, arrivals, localQ f
 // not the home or does not hold the device's tenancy. No candidate, or a
 // failed registration, means device-only (x = 0).
 func (d *deviceRun) step(ctrl *offload.Controller, policy offload.Policy, dev offload.Device, arrivals, localQ float64) float64 {
-	views := d.heartbeat()
+	ctx, cancel := d.controlCtx()
+	views := heartbeatRound(ctx, d.edges, HeartbeatReq{DeviceID: d.cfg.ID})
+	cancel()
 	home := int(d.home.Load())
 	best, st := chooseEdge(ctrl, dev, arrivals, localQ, home, views)
 	if best < 0 {

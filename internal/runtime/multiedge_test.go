@@ -131,7 +131,9 @@ func TestHeartbeatRoundMarksDeadEdges(t *testing.T) {
 	defer d.closeEdges()
 
 	for round := 0; round < 2; round++ {
-		views := d.heartbeat()
+		ctx, cancel := d.controlCtx()
+		views := heartbeatRound(ctx, d.edges, HeartbeatReq{DeviceID: "hb"})
+		cancel()
 		if !views[0].ok || views[0].hb.ShareFLOPS <= 0 {
 			t.Errorf("round %d: live edge view %+v, want a candidate reporting the device resident", round, views[0])
 		}

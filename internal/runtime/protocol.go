@@ -127,18 +127,18 @@ type EdgeStatsResp struct {
 	Shares map[string]float64
 }
 
-// HeartbeatReq asks an edge for its fleet health. Devices send it with
-// their ID at every slot boundary to read their backlog and share and to
-// feed edge selection; peer edges send it anonymously to track steal
-// targets.
+// HeartbeatReq asks an edge for its health. Devices send it with their ID
+// at every slot boundary to read their backlog and share and to feed edge
+// selection; peer edges send it anonymously every 100 ms and steal to the
+// best answer of the last round.
 type HeartbeatReq struct {
 	// DeviceID, when non-empty, asks for the sender's tenancy view
 	// (pending backlog and current share) alongside the edge-wide health.
 	DeviceID string
 }
 
-// HeartbeatResp is one edge's advertised health: the inputs to the peer
-// registry's readiness gating and to the device's per-slot Lyapunov
+// HeartbeatResp is one edge's advertised health: the inputs to a peer
+// edge's steal-target choice and to the device's per-slot Lyapunov
 // decision and edge selection.
 type HeartbeatResp struct {
 	// Ready reports a warm KKT allocation (at least one resident tenant).

@@ -3,16 +3,17 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"sort"
 	"sync/atomic"
+	"time"
 
-	"leime/internal/fleet"
 	"leime/internal/offload"
 	"leime/internal/rpc"
 	"leime/internal/telemetry"
 )
 
-// Edge federation: heartbeat serving, the peer registry, and the one-hop
-// work-stealing path. A saturated edge (admission budget exhausted)
+// Edge federation: heartbeat serving, the peer heartbeat round, and the
+// one-hop work-stealing path. A saturated edge (admission budget exhausted)
 // forwards the rejected first-block task to the least-loaded ready peer,
 // which executes the full remaining pipeline on its steal executor — a
 // stealShare slice of its FLOPS, outside the tenant KKT shares. The
@@ -25,58 +26,95 @@ import (
 // fleet's modeled compute.
 const stealShare = 0.1
 
-// startPeers dials every configured peer and starts the heartbeat poller
-// that tracks their health in a fleet registry.
-func (e *Edge) startPeers() {
-	e.peerClients = make(map[string]*rpc.ReliableClient, len(e.cfg.Peers))
-	for _, addr := range e.cfg.Peers {
-		e.peerClients[addr] = rpc.DialReliable(addr, nil, rpc.ReliableOptions{})
-	}
-	e.peers = fleet.New(e.cfg.Fleet, func(ctx context.Context, addr string) (fleet.Health, error) {
-		c, ok := e.peerClients[addr]
-		if !ok {
-			return fleet.Health{}, fmt.Errorf("edge: unknown peer %q", addr)
-		}
-		got, err := c.Call(ctx, HeartbeatReq{})
+// peerEvery is the cadence of an edge's peer heartbeat round, and it bounds
+// each round: a peer that does not answer within it is no steal target
+// until a later round hears it.
+const peerEvery = 100 * time.Millisecond
+
+// startPeers dials every configured peer, in sorted address order and
+// shaped by PeerLink, and runs the heartbeat round against them once now
+// and then every peerEvery, keeping the last round for stealTarget.
+func (e *Edge) startPeers() error {
+	addrs := append([]string(nil), e.cfg.Peers...)
+	sort.Strings(addrs)
+	for i, addr := range addrs {
+		shaper, err := linkShaper(e.cfg.PeerLink, e.cfg.TimeScale, 0x9ee2^(int64(i)<<16))
 		if err != nil {
-			return fleet.Health{}, err
+			return err
 		}
-		h, ok := got.(HeartbeatResp)
-		if !ok {
-			return fleet.Health{}, fmt.Errorf("edge: unexpected heartbeat reply %T", got)
-		}
-		return fleet.Health{Ready: h.Ready, BacklogSec: h.BacklogSec, Saturated: h.Saturated}, nil
-	})
-	for _, addr := range e.cfg.Peers {
-		e.peers.Join(addr)
+		e.peerClients = append(e.peerClients, rpc.DialReliable(addr, shaper, rpc.ReliableOptions{}))
 	}
 	if e.cfg.Metrics != nil {
-		e.cfg.Metrics.GaugeFunc("leime_fleet_peers_ready", "Peer edges currently ready for stolen work.",
-			func() float64 { return float64(len(e.peers.Ready())) })
+		e.cfg.Metrics.GaugeFunc("leime_fleet_peers_ready", "Peer edges ready for stolen work in the last heartbeat round.",
+			func() float64 { return float64(readyPeers(e.lastPeerRound())) })
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	e.stopPeers = cancel
 	e.peerWG.Add(1)
 	go func() {
 		defer e.peerWG.Done()
-		e.peers.Run(ctx)
+		tick := time.NewTicker(peerEvery)
+		defer tick.Stop()
+		for {
+			rctx, rcancel := context.WithTimeout(ctx, peerEvery)
+			views := heartbeatRound(rctx, e.peerClients, HeartbeatReq{})
+			rcancel()
+			e.peerRound.Store(&views)
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+			}
+		}
 	}()
+	return nil
+}
+
+// lastPeerRound is the last peer heartbeat round, in peer address order;
+// nil before the first round ends or without peers.
+func (e *Edge) lastPeerRound() []edgeView {
+	if v := e.peerRound.Load(); v != nil {
+		return *v
+	}
+	return nil
+}
+
+// readyPeers counts the round's candidates that report Ready.
+func readyPeers(views []edgeView) int {
+	n := 0
+	for _, v := range views {
+		if v.ok && v.hb.Ready {
+			n++
+		}
+	}
+	return n
+}
+
+// stealTarget picks the steal target from a peer heartbeat round: among
+// the candidates (answered, breaker closed) that report Ready and not
+// Saturated, the one with the least BacklogSec, ties to the lower index
+// (views are in address order). It returns -1 when no peer qualifies.
+func stealTarget(views []edgeView) int {
+	best := -1
+	for i, v := range views {
+		if !v.ok || !v.hb.Ready || v.hb.Saturated {
+			continue
+		}
+		if best < 0 || v.hb.BacklogSec < views[best].hb.BacklogSec {
+			best = i
+		}
+	}
+	return best
 }
 
 // Ready reports whether the edge's KKT allocation is warm: it has at least
-// one resident tenant with a solved share. The fleet readiness protocol
-// keeps task traffic away from edges that are not (registration, a
-// control-plane call, is what warms them).
+// one resident tenant with a solved share. Peers steal only to an edge
+// whose heartbeat reports it ready (registration, a control-plane call, is
+// what warms it).
 func (e *Edge) Ready() bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return len(e.tenants) > 0
-}
-
-// stealStats snapshots the federation counters: tasks stolen in (executed
-// for a peer), stolen out (placed on a peer), and failed steal attempts.
-func (e *Edge) stealStats() (in, out, failed uint64) {
-	return atomic.LoadUint64(&e.stealsIn), atomic.LoadUint64(&e.stealsOut), atomic.LoadUint64(&e.stealFailed)
 }
 
 // backlogSeconds sums queued work across every tenant executor, the steal
@@ -116,40 +154,16 @@ func (e *Edge) healthResp(deviceID string) HeartbeatResp {
 	return resp
 }
 
-// bestPeer picks the steal target: the ready, unsaturated peer with the
-// least advertised backlog, ties broken by address order (the registry
-// snapshot is sorted). Nil when no peer qualifies.
-func (e *Edge) bestPeer() *rpc.ReliableClient {
-	if e.peers == nil {
-		return nil
-	}
-	bestAddr := ""
-	bestBacklog := 0.0
-	for _, m := range e.peers.Ready() {
-		if m.Health.Saturated {
-			continue
-		}
-		if bestAddr == "" || m.Health.BacklogSec < bestBacklog {
-			bestAddr = m.Addr
-			bestBacklog = m.Health.BacklogSec
-		}
-	}
-	if bestAddr == "" {
-		return nil
-	}
-	return e.peerClients[bestAddr]
-}
-
 // trySteal forwards an admission-rejected first-block task to the best
 // peer. It reports false when no peer qualifies or the forward fails — the
 // caller then returns the original rejection and the device falls back
 // locally, exactly as without federation.
 func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, model offload.ModelParams) (any, bool) {
-	peer := e.bestPeer()
-	if peer == nil {
+	best := stealTarget(e.lastPeerRound())
+	if best < 0 {
 		return nil, false
 	}
-	atomic.AddUint64(&e.stealsOut, 1)
+	peer := e.peerClients[best]
 	e.tel.stealsOut.Inc()
 	var span *telemetry.Active
 	if tctx := metaContext(meta); tctx.Valid() {
@@ -167,14 +181,12 @@ func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, m
 	})
 	if err != nil {
 		span.SetNote("steal failed: " + err.Error()).End()
-		atomic.AddUint64(&e.stealFailed, 1)
 		e.tel.stealFailed.Inc()
 		return nil, false
 	}
 	span.End()
 	resp, ok := got.(TaskResp)
 	if !ok {
-		atomic.AddUint64(&e.stealFailed, 1)
 		e.tel.stealFailed.Inc()
 		return nil, false
 	}
@@ -187,7 +199,6 @@ func (e *Edge) handleSteal(ctx context.Context, meta rpc.Meta, req StealReq) (an
 	if req.Hop != 1 {
 		return nil, fmt.Errorf("edge: steal hop %d violates the one-hop bound", req.Hop)
 	}
-	atomic.AddUint64(&e.stealsIn, 1)
 	e.tel.stealsIn.Inc()
 	model := req.Model
 	if model.Validate() != nil {

@@ -33,7 +33,7 @@ func TestStartTestbedPeersInStartOrder(t *testing.T) {
 			t.Errorf("edge %d forwards to %q, want the cloud %q", i, e.cfg.CloudAddr, tb.Cloud.Addr())
 		}
 		if i == 0 {
-			if e.peers != nil || len(e.cfg.Peers) != 0 {
+			if e.peerClients != nil || len(e.cfg.Peers) != 0 {
 				t.Errorf("edge 0 has peers %v; nothing started before it", e.cfg.Peers)
 			}
 			continue
@@ -41,10 +41,8 @@ func TestStartTestbedPeersInStartOrder(t *testing.T) {
 		if !reflect.DeepEqual(e.cfg.Peers, addrs[:i]) {
 			t.Errorf("edge %d peers = %v, want %v", i, e.cfg.Peers, addrs[:i])
 		}
-		for j, addr := range addrs {
-			if _, ok := e.peers.Member(addr); ok != (j < i) {
-				t.Errorf("edge %d registry holds edge %d = %v, want %v", i, j, ok, j < i)
-			}
+		if len(e.peerClients) != i {
+			t.Errorf("edge %d dials %d peers, want %d", i, len(e.peerClients), i)
 		}
 	}
 
