@@ -211,8 +211,9 @@ func TestStealRidesPeerLink(t *testing.T) {
 	edgeB := startFederatedEdge(t, EdgeConfig{
 		Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale,
 	})
-	// A budget below one first-block task's service time refuses every
-	// task at A.
+	// The peer latency scales to 20 ms, under peerEvery, so heartbeats
+	// still reach B. A budget below one first-block task's service time
+	// (0.1 s at A's full share) refuses every task at A.
 	peerLink := netem.Link{Latency: 2 * time.Second}
 	regA := telemetry.NewRegistry()
 	edgeA := startFederatedEdge(t, EdgeConfig{
