@@ -73,11 +73,10 @@ type EventResult struct {
 	// deadline (zero when no deadline is set); shed tasks are included.
 	DeadlineMisses int
 	// Fallbacks counts tasks the edge refused under the policy's backlog
-	// budget that re-ran blocks on the device, as
-	// runtime.DeviceStats.Fallbacks does. The two differ on a first-block
-	// refusal: the simulator re-runs every block on the device, while the
-	// runtime device runs block 1 and then offers block 2 to the edge
-	// again. On a second-block refusal both run blocks 2 onward locally.
+	// budget that ran blocks on the device instead, as
+	// runtime.DeviceStats.Fallbacks does, under the same rule: a
+	// first-block refusal runs block 1 on the device and offers block 2 to
+	// the edge again; a second-block refusal runs blocks 2 onward locally.
 	Fallbacks int
 	// Sheds counts tasks deadline admission refused outright. They count
 	// toward Completed (conservation) but not ExitCounts: the inference
@@ -397,13 +396,12 @@ func (s *eventState) launchEdge(task *simTask) {
 			s.close(task, rpc, s.eng.Now())
 			s.shed(task)
 		case v.OverBudget:
-			// Backpressure: re-run every block on the device. The runtime
-			// device differs here: it runs block 1 locally and then offers
-			// block 2 to the edge again (its localPath).
+			// Backpressure: run block 1 on the device and offer block 2
+			// to the edge again, as the runtime device does.
 			s.h1[i]--
 			s.close(task, rpc, s.eng.Now())
 			task.fellBack = true
-			s.runLocalBlocks(task, 1)
+			s.launchLocal(task)
 		}
 	})
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"leime/internal/control"
 	"leime/internal/telemetry"
 )
 
@@ -116,5 +117,53 @@ func TestRunEventsTracerDoesNotChangeResults(t *testing.T) {
 	if got.Generated != plain.Generated || got.Completed != plain.Completed ||
 		got.ExitCounts != plain.ExitCounts || got.TCT.Mean() != plain.TCT.Mean() {
 		t.Errorf("tracer changed results: %+v vs %+v", got, plain)
+	}
+}
+
+// TestRunEventsFirstBlockRefusalOffersSecondBlock runs a backlog budget
+// that refuses first blocks: a refused task runs block 1 on its device and
+// then offers block 2 to the edge again, as the runtime device does, so
+// every refused task with a deeper exit carries an rpc.second_block span
+// after its device.block1.
+func TestRunEventsFirstBlockRefusalOffersSecondBlock(t *testing.T) {
+	cfg := policySimConfig(control.Policy{MaxBacklogSec: 0.1}, 0)
+	cfg.Tracer = telemetry.NewTracer(1 << 16)
+	if _, err := RunEvents(cfg); err != nil {
+		t.Fatalf("RunEvents: %v", err)
+	}
+	if cfg.Tracer.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans; raise capacity", cfg.Tracer.Dropped())
+	}
+	byTrace := make(map[uint64][]telemetry.Span)
+	for _, s := range cfg.Tracer.Spans() {
+		byTrace[s.Trace] = append(byTrace[s.Trace], s)
+	}
+	refused := 0
+	for id, spans := range byTrace {
+		var offered, block1, second *telemetry.Span
+		exit := 0
+		for k := range spans {
+			s := &spans[k]
+			switch s.Name {
+			case "rpc.first_block":
+				offered = s
+			case "device.block1":
+				block1 = s
+			case "rpc.second_block":
+				second = s
+			case "exit":
+				exit = s.Exit
+			}
+		}
+		if offered == nil || block1 == nil || exit < 2 {
+			continue
+		}
+		refused++
+		if second == nil || second.Start < block1.End {
+			t.Errorf("trace %d: first block refused, exit %d, but no rpc.second_block after device.block1", id, exit)
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no first-block refusal with a deeper exit; budget too lenient")
 	}
 }
