@@ -212,7 +212,7 @@ func TestOverloadedErrorCrossesWire(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Errorf("remote error %v does not classify as ErrOverloaded", err)
 	}
-	if !backpressured(err) {
+	if v, _, _ := hopVerdict(err); !v.OverBudget {
 		t.Errorf("remote overload %v not recognized as backpressure", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"leime/internal/control"
 	"leime/internal/metrics"
 	"leime/internal/netem"
 	"leime/internal/offload"
@@ -479,29 +480,37 @@ func (d *deviceRun) rngCoin() float64 {
 	return d.rng.Float64()
 }
 
-// degradable reports whether an edge call failed in a way the device can
-// absorb by running the remaining blocks itself: the peer is unreachable,
-// the circuit breaker is open, the link injected a fault, a restarted edge
-// lost this device's tenant state, or the edge answered mid-shutdown with
-// its executors already draining.
-func degradable(err error) bool {
-	return errors.Is(err, rpc.ErrPeerUnavailable) || errors.Is(err, rpc.ErrCircuitOpen) ||
+// hopVerdict classifies the outcome of one call that offered work to the
+// next hop, as the verdict of that hop's queue: nil is served;
+// ErrDeadlineInfeasible is Infeasible, tested first since it unwraps to
+// ErrOverloaded; the rest of the ErrOverloaded family and ErrBusy are
+// OverBudget; a peer that cannot be reached is unreachable. Unreachable
+// covers a dead link or an open circuit breaker, a fault the link
+// injected, a restarted peer that lost this caller's tenant or pipeline
+// state, and a peer answering mid-shutdown with its executors draining.
+// ok is false for any other error, which fails the task.
+func hopVerdict(err error) (v control.Verdict, unreachable, ok bool) {
+	switch {
+	case err == nil:
+	case errors.Is(err, ErrDeadlineInfeasible):
+		v.Infeasible = true
+	case errors.Is(err, ErrOverloaded) || errors.Is(err, ErrBusy):
+		v.OverBudget = true
+	case errors.Is(err, rpc.ErrPeerUnavailable) || errors.Is(err, rpc.ErrCircuitOpen) ||
 		errors.Is(err, rpc.ErrClosed) || errors.Is(err, netem.ErrInjected) ||
-		errors.Is(err, ErrUnknownDevice) || errors.Is(err, ErrExecutorClosed)
-}
-
-// backpressured reports whether the edge refused work because it is
-// saturated — the backlog-budget admission control (ErrOverloaded) or the
-// legacy busy code (ErrBusy). Both are degrade-to-local signals: the
-// work never started, so the device re-runs the blocks itself rather than
-// retrying against an overloaded server. ErrDeadlineInfeasible also unwraps
-// to ErrOverloaded, so callers that shed deadline-doomed tasks instead of
-// falling back must test for it BEFORE consulting this classifier.
-func backpressured(err error) bool {
-	return errors.Is(err, ErrBusy) || errors.Is(err, ErrOverloaded)
+		errors.Is(err, ErrUnknownDevice) || errors.Is(err, ErrUnknownPipeline) ||
+		errors.Is(err, ErrExecutorClosed):
+		unreachable = true
+	default:
+		return v, false, false
+	}
+	return v, unreachable, true
 }
 
 // runTask executes one task end-to-end and records its completion time.
+// control.Next decides every hop: the task runs the blocks its route
+// names on the device, then offers the next block to the edge, until an
+// offer is served or the route ends on the device.
 func (d *deviceRun) runTask(id uint64, slot, exitStage int, offloaded bool) {
 	defer d.wg.Done()
 	began := time.Now()
@@ -522,46 +531,39 @@ func (d *deviceRun) runTask(id uint64, slot, exitStage int, offloaded bool) {
 	var finalExit int
 	var localDur time.Duration
 	fellBack, degraded := false, false
-	if offloaded {
-		if d.pipe != nil {
-			finalExit, err = d.pipelinedPath(ctx, root.Context(), id, exitStage)
-		} else {
-			finalExit, err = d.offloadedPath(ctx, root.Context(), id, exitStage)
+	route := control.Route{Offer: 1}
+	if !offloaded {
+		route = control.Next(0, exitStage, false, control.Verdict{}, false)
+	}
+	for {
+		if route.First > 0 {
+			var dur time.Duration
+			dur, err = d.runLocalBlocks(ctx, root.Context(), id, route.First, route.Last)
+			localDur += dur
+			if err != nil {
+				break
+			}
+			finalExit = route.Last
 		}
-		switch {
-		case err == nil:
-		case errors.Is(err, ErrDeadlineInfeasible):
+		if route.Offer == 0 {
+			break
+		}
+		finalExit, err = d.offer(ctx, root.Context(), id, route.Offer, exitStage)
+		v, unreachable, ok := hopVerdict(err)
+		if err == nil || !ok {
+			break
+		}
+		route = control.Next(route.Offer, exitStage, d.pipe != nil, v, unreachable)
+		fellBack = fellBack || route.FellBack
+		degraded = degraded || route.Degraded
+		if route.Shed {
 			// Deadline admission proved the task cannot finish in time even
 			// if accepted; the device CPU is slower still, so re-running
 			// locally would only burn cycles past the deadline. Shed now and
 			// account it as a deadline miss, not a fallback.
 			err = fmt.Errorf("runtime: edge shed the task: %w (%v)", rpc.ErrDeadlineExceeded, err)
-		case backpressured(err) && d.pipe != nil:
-			// The chain's entry stage applied backpressure; there is no
-			// tenancy to continue under, so re-run every block locally.
-			fellBack = true
-			localDur, err = d.runLocalBlocks(ctx, root.Context(), id, 1, exitStage)
-			if err == nil {
-				finalExit = exitStage
-			}
-		case backpressured(err):
-			// The edge applied backpressure (pending-task cap or admission
-			// backlog budget): execute locally instead.
-			fellBack = true
-			var fb bool
-			finalExit, localDur, fb, degraded, err = d.localPath(ctx, root.Context(), id, exitStage)
-			fellBack = fellBack || fb
-		case degradable(err) || errors.Is(err, ErrUnknownPipeline):
-			// The edge (or chain entry stage) is unreachable: run every
-			// block on the device.
-			degraded = true
-			localDur, err = d.runLocalBlocks(ctx, root.Context(), id, 1, exitStage)
-			if err == nil {
-				finalExit = exitStage
-			}
+			break
 		}
-	} else {
-		finalExit, localDur, fellBack, degraded, err = d.localPath(ctx, root.Context(), id, exitStage)
 	}
 
 	deadlineMissed := err != nil && errors.Is(err, rpc.ErrDeadlineExceeded)
@@ -646,83 +648,26 @@ func localErr(err error) error {
 	return err
 }
 
-// localPath runs block 1 on the device CPU, then continues at the edge if
-// the task survives the First exit. It returns the final exit, the time
-// spent on the device (queueing plus service), whether the edge refused the
-// continuation with backpressure (fellBack — the blocks re-ran locally),
-// and whether it had to degrade to device-only execution because the edge
-// became unreachable.
-func (d *deviceRun) localPath(ctx context.Context, parent telemetry.SpanContext, id uint64, exitStage int) (finalExit int, localDur time.Duration, fellBack, degraded bool, err error) {
-	start := time.Now()
-	wait, service, err := d.local.DoTimedCtx(ctx, d.cfg.Model.Mu[0])
-	if err != nil {
-		return 0, 0, false, false, localErr(err)
+// offer hands block of a task to the edge, which runs every later block
+// and answers with the exit the task left through: in pipelined mode the
+// raw input enters the chain's first stage, whose stages relay the reply
+// back (a mid-chain stage that lost its next hop may answer from a
+// shallower exit); otherwise block 1 ships the raw input and block 2 the
+// First-exit activation.
+func (d *deviceRun) offer(ctx context.Context, parent telemetry.SpanContext, id uint64, block, exitStage int) (int, error) {
+	if d.pipe != nil {
+		span := d.tel.tracer.StartSpan(parent, "rpc.pipeline").SetDevice(d.cfg.ID).SetTask(id)
+		resp, err := d.pipe.DoMeta(ctx, spanMeta(span), id, exitStage)
+		span.End()
+		return resp.ExitStage, err
 	}
-	recordTimedSpans(d.tel.tracer, parent, "device.queue", "device.block1", d.cfg.ID, id, wait, service)
-	localDur = time.Since(start)
-	if exitStage <= 1 {
-		return 1, localDur, false, false, nil
+	payload := zeroPayload(int(d.cfg.Model.D[block-1]))
+	name, req := "rpc.first_block", any(FirstBlockReq{DeviceID: d.cfg.ID, TaskID: id, Payload: payload, ExitStage: exitStage})
+	if block == 2 {
+		name, req = "rpc.second_block", SecondBlockReq{DeviceID: d.cfg.ID, TaskID: id, Payload: payload, ExitStage: exitStage}
 	}
-	payload := zeroPayload(int(d.cfg.Model.D[1]))
-	span := d.tel.tracer.StartSpan(parent, "rpc.second_block").SetDevice(d.cfg.ID).SetTask(id)
-	got, err := d.edgeClient().CallMeta(ctx, spanMeta(span), SecondBlockReq{
-		DeviceID:  d.cfg.ID,
-		TaskID:    id,
-		Payload:   payload,
-		ExitStage: exitStage,
-	})
-	span.End()
-	if err != nil {
-		if errors.Is(err, ErrDeadlineInfeasible) {
-			// Shed now: the continuation cannot meet the deadline at the
-			// edge and certainly not on the device.
-			return 0, 0, false, false, fmt.Errorf("runtime: edge shed the continuation: %w (%v)", rpc.ErrDeadlineExceeded, err)
-		}
-		if !degradable(err) && !backpressured(err) {
-			return 0, 0, false, false, err
-		}
-		// The edge vanished mid-task or refused the continuation: finish
-		// the remaining blocks locally. Backpressure counts as a fallback,
-		// unreachability as degradation.
-		fellBack = backpressured(err)
-		degraded = !fellBack
-		more, derr := d.runLocalBlocks(ctx, parent, id, 2, exitStage)
-		if derr != nil {
-			return 0, 0, fellBack, degraded, derr
-		}
-		return exitStage, localDur + more, fellBack, degraded, nil
-	}
-	resp, ok := got.(TaskResp)
-	if !ok {
-		return 0, 0, false, false, fmt.Errorf("runtime: unexpected reply %T", got)
-	}
-	return resp.ExitStage, localDur, false, false, nil
-}
-
-// pipelinedPath sends the raw input into the chain's first stage; the
-// stages relay the reply back, so one call covers every hop. The final
-// exit may be shallower than asked when a mid-chain stage degraded the
-// task after losing its next hop.
-func (d *deviceRun) pipelinedPath(ctx context.Context, parent telemetry.SpanContext, id uint64, exitStage int) (int, error) {
-	span := d.tel.tracer.StartSpan(parent, "rpc.pipeline").SetDevice(d.cfg.ID).SetTask(id)
-	resp, err := d.pipe.DoMeta(ctx, spanMeta(span), id, exitStage)
-	span.End()
-	if err != nil {
-		return 0, err
-	}
-	return resp.ExitStage, nil
-}
-
-// offloadedPath ships the raw input to the edge, which runs everything.
-func (d *deviceRun) offloadedPath(ctx context.Context, parent telemetry.SpanContext, id uint64, exitStage int) (int, error) {
-	payload := zeroPayload(int(d.cfg.Model.D[0]))
-	span := d.tel.tracer.StartSpan(parent, "rpc.first_block").SetDevice(d.cfg.ID).SetTask(id)
-	got, err := d.edgeClient().CallMeta(ctx, spanMeta(span), FirstBlockReq{
-		DeviceID:  d.cfg.ID,
-		TaskID:    id,
-		Payload:   payload,
-		ExitStage: exitStage,
-	})
+	span := d.tel.tracer.StartSpan(parent, name).SetDevice(d.cfg.ID).SetTask(id)
+	got, err := d.edgeClient().CallMeta(ctx, spanMeta(span), req)
 	span.End()
 	if err != nil {
 		return 0, err

@@ -611,7 +611,7 @@ func (e *Edge) forwardCloud(ctx context.Context, meta rpc.Meta, model offload.Mo
 	got, err := e.cloud.CallMeta(ctx, spanMeta(cloudSpan), ThirdBlockReq{TaskID: taskID, Payload: payload, FLOPs: model.Mu[2]})
 	e.tel.cloudCall.Observe(time.Since(start).Seconds())
 	if err != nil {
-		if degradable(err) {
+		if _, unreachable, _ := hopVerdict(err); unreachable {
 			cloudSpan.SetNote("degraded: " + err.Error()).End()
 			e.tel.cloudDegraded.Inc()
 			return TaskResp{TaskID: taskID, ExitStage: 2}, nil

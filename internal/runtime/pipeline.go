@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"leime/internal/netem"
@@ -154,9 +153,8 @@ func (e *Edge) activation(ctx context.Context, meta rpc.Meta, req ActivationReq)
 		// A dead, restarted or saturated next hop degrades the task to the
 		// deepest exit this stage (or an earlier one) already computed.
 		// Deadline-infeasible is not degradable: the budget is blown either
-		// way, so the typed reason propagates to the source (it unwraps to
-		// ErrOverloaded, hence the explicit check before the classifiers).
-		if !errors.Is(err, ErrDeadlineInfeasible) && (degradable(err) || errors.Is(err, ErrUnknownPipeline) || backpressured(err)) && st.spec.Deepest > 0 {
+		// way, so the typed reason propagates to the source.
+		if v, _, ok := hopVerdict(err); ok && !v.Infeasible && st.spec.Deepest > 0 {
 			hopSpan.SetNote("degraded: " + err.Error()).End()
 			e.tel.pipeDegraded.Inc()
 			return TaskResp{TaskID: req.TaskID, ExitStage: st.spec.Deepest}, nil

@@ -42,9 +42,10 @@ type EventConfig struct {
 	Seed int64
 	// EdgePolicy runs every device's edge share under the edge control
 	// plane, the same control.Policy the runtime executors read: a backlog
-	// budget whose refusals re-run tasks on their device, deadline
-	// admission that sheds infeasible work outright, EDF order on the
-	// tasks' DeadlineSec deadlines, and a static or adaptive batch window.
+	// budget whose refusals move blocks to the device (control.Next),
+	// deadline admission that sheds infeasible work outright, EDF order on
+	// the tasks' DeadlineSec deadlines, and a static or adaptive batch
+	// window.
 	// Degrade is runtime-only and ignored here. The zero value keeps the
 	// exact FIFO model.
 	EdgePolicy control.Policy
@@ -270,11 +271,11 @@ func (s *eventState) generate(i, t int, at float64, x float64) {
 			note = "offload"
 		}
 		s.span(task, task.root, "device.decision", note, at, at)
-		if offloaded {
-			s.launchEdge(task)
-		} else {
-			s.launchLocal(task)
+		route := control.Route{Offer: 1}
+		if !offloaded {
+			route = control.Next(0, exit, false, control.Verdict{}, false)
 		}
+		s.follow(task, route)
 	})
 }
 
@@ -355,25 +356,34 @@ func (s *eventState) close(task *simTask, o *openSpan, end float64) {
 	})
 }
 
-// launchLocal runs the first block on the device CPU.
-func (s *eventState) launchLocal(task *simTask) {
-	i := task.dev
-	dur := s.cfg.Model.Mu[0] / s.devices[i].FLOPS
-	s.devCPU[i].SubmitObserved(&s.eng, dur, 0, func(enq, start, fin float64) {
-		s.span(task, task.root, "device.queue", "", enq, start)
-		s.span(task, task.root, "device.block1", "", start, fin)
-		if task.exit == 1 {
-			s.complete(task, fin)
-			return
-		}
+// follow takes a task down one step of its control.Route, as the runtime
+// device's runTask does: the device runs blocks First..Last, then offers
+// block Offer to the edge, or the task completes when there is no offer.
+func (s *eventState) follow(task *simTask, r control.Route) {
+	task.fellBack = task.fellBack || r.FellBack
+	switch {
+	case r.Shed:
+		s.shed(task)
+	case r.First > 0:
+		s.runLocalBlocks(task, r.First, r.Last, func(fin float64) {
+			if r.Offer == 0 {
+				s.complete(task, fin)
+			} else {
+				s.follow(task, control.Route{Offer: r.Offer})
+			}
+		})
+	case r.Offer == 1:
+		s.launchEdge(task)
+	default:
 		// Ship the First-exit intermediate tensor to the edge.
 		s.transferToEdge(task, s.cfg.Model.D[1], "rpc.second_block", s.secondBlock)
-	})
+	}
 }
 
 // launchEdge ships the raw input to the edge and runs the first block there
 // on the device's edge share. Admission runs where the runtime's does: at
-// the edge, after the uplink transfer.
+// the edge, after the uplink transfer; a refusal takes the route
+// control.Next gives a refused first block.
 func (s *eventState) launchEdge(task *simTask) {
 	i := task.dev
 	s.h1[i]++
@@ -390,18 +400,10 @@ func (s *eventState) launchEdge(task *simTask) {
 			}
 			s.secondBlock(task, rpc)
 		})
-		switch {
-		case v.Infeasible:
+		if v.Infeasible || v.OverBudget {
 			s.h1[i]--
 			s.close(task, rpc, s.eng.Now())
-			s.shed(task)
-		case v.OverBudget:
-			// Backpressure: run block 1 on the device and offer block 2
-			// to the edge again, as the runtime device does.
-			s.h1[i]--
-			s.close(task, rpc, s.eng.Now())
-			task.fellBack = true
-			s.launchLocal(task)
+			s.follow(task, control.Next(1, task.exit, false, v, false))
 		}
 	})
 }
@@ -423,8 +425,8 @@ func (s *eventState) transferToEdge(task *simTask, bytes float64, rpcName string
 // secondBlock runs block 2 on the device's edge share; tasks surviving the
 // Second exit continue to the cloud. rpc is the enclosing hop's open span.
 // The continuation re-passes admission, exactly as every runtime executor
-// submission does: a capacity refusal finishes the remaining blocks on the
-// device, a deadline refusal sheds.
+// submission does, and a refusal takes the route control.Next gives a
+// refused second block.
 func (s *eventState) secondBlock(task *simTask, rpc *openSpan) {
 	i := task.dev
 	dur := s.cfg.Model.Mu[1] / (s.shares[i] * s.cfg.EdgeFLOPS)
@@ -449,21 +451,15 @@ func (s *eventState) secondBlock(task *simTask, rpc *openSpan) {
 			})
 		})
 	})
-	switch {
-	case v.Infeasible:
+	if v.Infeasible || v.OverBudget {
 		s.close(task, rpc, s.eng.Now())
-		s.shed(task)
-	case v.OverBudget:
-		s.close(task, rpc, s.eng.Now())
-		task.fellBack = true
-		s.runLocalBlocks(task, 2)
+		s.follow(task, control.Next(2, task.exit, false, v, false))
 	}
 }
 
-// runLocalBlocks burns blocks first..task.exit on the device CPU — the
-// degrade-to-local path after an edge capacity refusal, mirroring the
-// runtime device's runLocalBlocks.
-func (s *eventState) runLocalBlocks(task *simTask, first int) {
+// runLocalBlocks burns blocks first..last on the device CPU, mirroring the
+// runtime device's runLocalBlocks, then hands the finish time to then.
+func (s *eventState) runLocalBlocks(task *simTask, first, last int, then func(fin float64)) {
 	i := task.dev
 	var step func(b int)
 	step = func(b int) {
@@ -471,8 +467,8 @@ func (s *eventState) runLocalBlocks(task *simTask, first int) {
 		s.devCPU[i].SubmitObserved(&s.eng, dur, 0, func(enq, start, fin float64) {
 			s.span(task, task.root, "device.queue", "", enq, start)
 			s.span(task, task.root, fmt.Sprintf("device.block%d", b), "", start, fin)
-			if b >= task.exit {
-				s.complete(task, fin)
+			if b >= last {
+				then(fin)
 				return
 			}
 			step(b + 1)
