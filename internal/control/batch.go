@@ -13,10 +13,8 @@ const defaultBatchMarginal = 0.25
 // approach, so a saturated adaptive window converges to the operating point
 // a hand-tuned static one starts at.
 const (
-	// DefaultAdaptiveBatchSize is the batch size cap.
-	DefaultAdaptiveBatchSize = 8
-	// DefaultAdaptiveDelayCapSec is the window ceiling in model seconds.
-	DefaultAdaptiveDelayCapSec = 0.05
+	defaultAdaptiveBatchSize   = 8    // the batch size cap
+	defaultAdaptiveDelayCapSec = 0.05 // the window ceiling in model seconds
 )
 
 // Batch configures a size/delay-bounded batch window, the same on the
@@ -64,14 +62,14 @@ func (b Batch) Amortized(cost float64, n int) float64 {
 
 // adaptiveCeilings returns the configuration an adaptive window runs
 // under: a MaxSize of 1 or less and a non-positive MaxDelaySec are filled
-// with DefaultAdaptiveBatchSize and DefaultAdaptiveDelayCapSec; explicit
+// with defaultAdaptiveBatchSize and defaultAdaptiveDelayCapSec; explicit
 // values and Marginal are kept.
 func (b Batch) adaptiveCeilings() Batch {
 	if b.MaxSize <= 1 {
-		b.MaxSize = DefaultAdaptiveBatchSize
+		b.MaxSize = defaultAdaptiveBatchSize
 	}
 	if b.MaxDelaySec <= 0 {
-		b.MaxDelaySec = DefaultAdaptiveDelayCapSec
+		b.MaxDelaySec = defaultAdaptiveDelayCapSec
 	}
 	return b
 }

@@ -16,11 +16,11 @@ func TestBatch(t *testing.T) {
 		ceilings Batch   // adaptiveCeilings()
 	}{
 		{"zero", Batch{}, false, 1e9, 5, 2e9,
-			Batch{MaxSize: DefaultAdaptiveBatchSize, MaxDelaySec: DefaultAdaptiveDelayCapSec}},
+			Batch{MaxSize: defaultAdaptiveBatchSize, MaxDelaySec: defaultAdaptiveDelayCapSec}},
 		{"size one is unset", Batch{MaxSize: 1, MaxDelaySec: 1}, false, 0.1, 1, 0.1,
-			Batch{MaxSize: DefaultAdaptiveBatchSize, MaxDelaySec: 1}},
+			Batch{MaxSize: defaultAdaptiveBatchSize, MaxDelaySec: 1}},
 		{"no delay", Batch{MaxSize: 8}, false, 0.1, 0, 0.1,
-			Batch{MaxSize: 8, MaxDelaySec: DefaultAdaptiveDelayCapSec}},
+			Batch{MaxSize: 8, MaxDelaySec: defaultAdaptiveDelayCapSec}},
 		{"default marginal", Batch{MaxSize: 8, MaxDelaySec: 0.01}, true, 0.1, 5, 0.2,
 			Batch{MaxSize: 8, MaxDelaySec: 0.01}},
 		{"serial marginal", Batch{MaxSize: 4, MaxDelaySec: 0.2, Marginal: 1}, true, 1e9, 5, 5e9,

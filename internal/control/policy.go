@@ -27,8 +27,8 @@ type Policy struct {
 	EDF bool
 	// Batch configures the batch window. With AdaptiveBatch false it is
 	// applied statically; with AdaptiveBatch true, MaxSize and MaxDelaySec
-	// become the ceilings of the adaptive window (zeros select
-	// DefaultAdaptiveBatchSize and DefaultAdaptiveDelayCapSec).
+	// become the ceilings of the adaptive window (zeros select a size cap
+	// of 8 and a 0.05 s window).
 	Batch Batch
 	// AdaptiveBatch widens and shrinks the batch window from the observed
 	// arrival rate and latency tail (Window): sparse traffic serves

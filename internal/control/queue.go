@@ -82,9 +82,8 @@ type Queue[T any] struct {
 }
 
 // NewQueue returns an idle queue serving speed work units per second
-// under the policy. Adaptive batching fills its zero ceilings with
-// DefaultAdaptiveBatchSize and DefaultAdaptiveDelayCapSec; Degrade is
-// ignored.
+// under the policy. Adaptive batching fills its zero ceilings with a
+// size cap of 8 and a 0.05 s window; Degrade is ignored.
 func NewQueue[T any](p Policy, speed float64) *Queue[T] {
 	if p.AdaptiveBatch {
 		p.Batch = p.Batch.adaptiveCeilings()

@@ -15,8 +15,8 @@ import (
 // TestBatchConfigSemantics pins how a policy's batch window reaches the
 // executor: the zero policy does not batch, a static window is kept as
 // configured, and an adaptive window fills its zero ceilings with
-// control.DefaultAdaptiveBatchSize and DefaultAdaptiveDelayCapSec, keeping
-// the rest.
+// control's ceilings, a size cap of 8 and a 0.05 s window, keeping the
+// rest.
 func TestBatchConfigSemantics(t *testing.T) {
 	cases := []struct {
 		pol  ControlPolicy
@@ -27,9 +27,9 @@ func TestBatchConfigSemantics(t *testing.T) {
 		{ControlPolicy{Batch: control.Batch{MaxSize: 4, MaxDelaySec: 0.01, Marginal: 1}},
 			control.Batch{MaxSize: 4, MaxDelaySec: 0.01, Marginal: 1}},
 		{ControlPolicy{AdaptiveBatch: true},
-			control.Batch{MaxSize: control.DefaultAdaptiveBatchSize, MaxDelaySec: control.DefaultAdaptiveDelayCapSec}},
+			control.Batch{MaxSize: 8, MaxDelaySec: 0.05}},
 		{ControlPolicy{AdaptiveBatch: true, Batch: control.Batch{MaxSize: 4, Marginal: 0.5}},
-			control.Batch{MaxSize: 4, MaxDelaySec: control.DefaultAdaptiveDelayCapSec, Marginal: 0.5}},
+			control.Batch{MaxSize: 4, MaxDelaySec: 0.05, Marginal: 0.5}},
 	}
 	for _, c := range cases {
 		e, err := NewExecutor(1e9, 1, WithPolicy(c.pol))
