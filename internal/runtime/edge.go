@@ -214,17 +214,6 @@ func StartEdge(cfg EdgeConfig) (*Edge, error) {
 		return nil, err
 	}
 	e.pipeExec = pipeExec
-	if cfg.Metrics != nil {
-		cfg.Metrics.GaugeFunc("leime_edge_ready", "Whether the edge's KKT allocation is warm (1 = ready for task traffic).",
-			func() float64 {
-				if e.Ready() {
-					return 1
-				}
-				return 0
-			})
-		cfg.Metrics.GaugeFunc("leime_edge_backlog_seconds", "Edge-wide queued work in seconds across all executors.",
-			func() float64 { return e.backlogSeconds() })
-	}
 	if cfg.CloudAddr != "" {
 		e.cloud = rpc.DialReliable(cfg.CloudAddr, cloudShaper, rpc.ReliableOptions{
 			Retry:   cfg.CloudRetry,
@@ -250,6 +239,20 @@ func StartEdge(cfg EdgeConfig) (*Edge, error) {
 			_ = e.Close()
 			return nil, err
 		}
+	}
+	// The gauges read this edge, and a registry keeps the first function
+	// bound to a name: bind them only once the edge is up, so a failed
+	// start leaves them to the next edge on the same registry.
+	if cfg.Metrics != nil {
+		cfg.Metrics.GaugeFunc("leime_edge_ready", "Whether the edge's KKT allocation is warm (1 = ready for task traffic).",
+			func() float64 {
+				if e.Ready() {
+					return 1
+				}
+				return 0
+			})
+		cfg.Metrics.GaugeFunc("leime_edge_backlog_seconds", "Edge-wide queued work in seconds across all executors.",
+			func() float64 { return e.backlogSeconds() })
 	}
 	return e, nil
 }

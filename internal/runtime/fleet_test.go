@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -200,6 +201,37 @@ func TestStartEdgeRejectsBadLinks(t *testing.T) {
 		if buf.Len() != 0 {
 			t.Errorf("%s: refused edge left metrics:\n%s", c.name, buf.String())
 		}
+	}
+}
+
+// TestFailedStartEdgeFreesItsGauges starts an edge on a port already in
+// use, so its listener fails, then a working edge on the same registry:
+// the registry's leime_edge_ready gauge must read the working edge, which
+// is ready once a tenant registers, not the edge that never started.
+func TestFailedStartEdgeFreesItsGauges(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	defer held.Close()
+	reg := telemetry.NewRegistry()
+	cfg := EdgeConfig{Addr: held.Addr().String(), FLOPS: 6e10, Model: testModel(), TimeScale: testScale, Metrics: reg}
+	if e, err := StartEdge(cfg); err == nil {
+		_ = e.Close()
+		t.Fatalf("StartEdge on held port %s succeeded", cfg.Addr)
+	}
+	cfg.Addr = "127.0.0.1:0"
+	e := startFederatedEdge(t, cfg)
+	registerAt(t, e.Addr(), "dev")
+	if !e.Ready() {
+		t.Fatal("edge not ready after a registration")
+	}
+	var buf strings.Builder
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	if !strings.Contains(buf.String(), "\nleime_edge_ready 1\n") {
+		t.Errorf("scrape does not read the working edge as ready:\n%s", buf.String())
 	}
 }
 
