@@ -480,15 +480,12 @@ func (d *deviceRun) rngCoin() float64 {
 	return d.rng.Float64()
 }
 
-// hopVerdict classifies the outcome of one call that offered work to the
-// next hop, as the verdict of that hop's queue: nil is served;
-// ErrDeadlineInfeasible is Infeasible, tested first since it unwraps to
-// ErrOverloaded; the rest of the ErrOverloaded family and ErrBusy are
-// OverBudget; a peer that cannot be reached is unreachable. Unreachable
-// covers a dead link or an open circuit breaker, a fault the link
-// injected, a restarted peer that lost this caller's tenant or pipeline
-// state, and a peer answering mid-shutdown with its executors draining.
-// ok is false for any other error, which fails the task.
+// hopVerdict maps the error of a call that offered work to the next hop to
+// what control.Next reads: nil is served; ErrDeadlineInfeasible is
+// Infeasible, tested before the ErrOverloaded family it unwraps to, which
+// with ErrBusy is OverBudget; a dead link or open breaker, an injected
+// fault, and a peer that lost this caller's tenant or pipeline state or is
+// shutting down are unreachable. ok is false for any other error.
 func hopVerdict(err error) (v control.Verdict, unreachable, ok bool) {
 	switch {
 	case err == nil:
@@ -662,8 +659,11 @@ func (d *deviceRun) offer(ctx context.Context, parent telemetry.SpanContext, id 
 		return resp.ExitStage, err
 	}
 	payload := zeroPayload(int(d.cfg.Model.D[block-1]))
-	name, req := "rpc.first_block", any(FirstBlockReq{DeviceID: d.cfg.ID, TaskID: id, Payload: payload, ExitStage: exitStage})
-	if block == 2 {
+	var name string
+	var req any
+	if block == 1 {
+		name, req = "rpc.first_block", FirstBlockReq{DeviceID: d.cfg.ID, TaskID: id, Payload: payload, ExitStage: exitStage}
+	} else {
 		name, req = "rpc.second_block", SecondBlockReq{DeviceID: d.cfg.ID, TaskID: id, Payload: payload, ExitStage: exitStage}
 	}
 	span := d.tel.tracer.StartSpan(parent, name).SetDevice(d.cfg.ID).SetTask(id)
