@@ -645,12 +645,12 @@ func localErr(err error) error {
 	return err
 }
 
-// offer hands block of a task to the edge, which runs every later block
-// and answers with the exit the task left through: in pipelined mode the
-// raw input enters the chain's first stage, whose stages relay the reply
-// back (a mid-chain stage that lost its next hop may answer from a
-// shallower exit); otherwise block 1 ships the raw input and block 2 the
-// First-exit activation.
+// offer hands the given block of a task to the edge, which runs every
+// later block and answers with the exit the task left through. In
+// pipelined mode the raw input enters the chain's first stage, whose
+// stages relay the reply back (a mid-chain stage that lost its next hop
+// may answer from a shallower exit); otherwise block 1 ships the raw
+// input and block 2 the First-exit activation.
 func (d *deviceRun) offer(ctx context.Context, parent telemetry.SpanContext, id uint64, block, exitStage int) (int, error) {
 	if d.pipe != nil {
 		span := d.tel.tracer.StartSpan(parent, "rpc.pipeline").SetDevice(d.cfg.ID).SetTask(id)
