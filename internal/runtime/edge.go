@@ -125,8 +125,7 @@ type edgeTelemetry struct {
 	cloudBreaker  *telemetry.Gauge
 	tenants       *telemetry.Gauge
 	queueWait     *telemetry.Histogram
-	block1        *telemetry.Histogram
-	block2        *telemetry.Histogram
+	block         [2]*telemetry.Histogram // blocks 1 and 2
 	stage         *telemetry.Histogram
 	cloudCall     *telemetry.Histogram
 }
@@ -154,10 +153,12 @@ func newEdgeTelemetry(tr *telemetry.Tracer, reg *telemetry.Registry) edgeTelemet
 		cloudBreaker:  reg.Gauge("leime_edge_cloud_breaker_state", "Cloud circuit breaker state (0 closed, 1 half-open, 2 open)."),
 		tenants:       reg.Gauge("leime_edge_tenants", "Registered devices."),
 		queueWait:     reg.Histogram("leime_edge_queue_wait_seconds", "First/second-block wait before service (wall seconds).", nil),
-		block1:        reg.Histogram("leime_edge_block_seconds", "Block service time (wall seconds).", nil, telemetry.Label{Key: "block", Value: "1"}),
-		block2:        reg.Histogram("leime_edge_block_seconds", "Block service time (wall seconds).", nil, telemetry.Label{Key: "block", Value: "2"}),
-		stage:         reg.Histogram("leime_edge_stage_seconds", "Pipeline stage service time (wall seconds).", nil),
-		cloudCall:     reg.Histogram("leime_edge_cloud_call_seconds", "Edge-cloud continuation round trip (wall seconds).", nil),
+		block: [2]*telemetry.Histogram{
+			reg.Histogram("leime_edge_block_seconds", "Block service time (wall seconds).", nil, telemetry.Label{Key: "block", Value: "1"}),
+			reg.Histogram("leime_edge_block_seconds", "Block service time (wall seconds).", nil, telemetry.Label{Key: "block", Value: "2"}),
+		},
+		stage:     reg.Histogram("leime_edge_stage_seconds", "Pipeline stage service time (wall seconds).", nil),
+		cloudCall: reg.Histogram("leime_edge_cloud_call_seconds", "Edge-cloud continuation round trip (wall seconds).", nil),
 	}
 }
 
@@ -520,6 +521,9 @@ func (e *Edge) execErr(err error) error {
 	return err
 }
 
+// edgeBlockSpans names the spans of blocks 1 and 2 served at the edge.
+var edgeBlockSpans = [2]string{"edge.block1", "edge.block2"}
+
 // serveBlock burns one block of flops for a task on x and records it: the
 // queue-wait histogram, the block's service histogram hist, and an
 // edge.queue span plus a span named name under the caller's trace. An
@@ -536,15 +540,17 @@ func (e *Edge) serveBlock(ctx context.Context, meta rpc.Meta, x *Executor, flops
 	return nil
 }
 
-// firstBlock runs block 1 (and onward) for an offloaded raw task, applying
-// admission control on the tenant's backlog.
+// firstBlock runs block 1 of an offloaded raw task on the tenant's
+// executor, applying admission control on its backlog, and continues the
+// task through serveTask. A refused block 1 is offered to a peer before
+// the refusal goes back to the device.
 func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq) (any, error) {
 	t, model, err := e.tenantSnapshot(req.DeviceID)
 	if err != nil {
 		return nil, err
 	}
 	atomic.AddInt32(&t.h1, 1)
-	err = e.serveBlock(ctx, meta, t.exec, model.Mu[0], e.tel.block1, "edge.block1", req.DeviceID, req.TaskID)
+	err = e.serveBlock(ctx, meta, t.exec, model.Mu[0], e.tel.block[0], edgeBlockSpans[0], req.DeviceID, req.TaskID)
 	atomic.AddInt32(&t.h1, -1)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
@@ -558,74 +564,71 @@ func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq)
 		}
 		return nil, e.execErr(err)
 	}
-	// The degradation plan may cap this tenant's exits: a capped task is
-	// answered by the cap's classifier (an accuracy sacrifice, never an
-	// error), a cap of 2 skips the cloud forward, and a cap of 1 skips
-	// block 2 entirely — the edge compute the plan reclaimed.
-	effExit := e.capExit(t, req.ExitStage)
-	if effExit <= 1 {
-		return TaskResp{TaskID: req.TaskID, ExitStage: 1}, nil
-	}
-	return e.continueSecond(ctx, meta, t, model, req.DeviceID, req.TaskID, effExit)
+	return e.serveTask(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, 2, e.capExit(t, req.ExitStage))
 }
 
-// secondBlock runs block 2 for a task whose first block ran on the device.
-// A tenant capped to exit 1 by the degradation plan is answered from the
-// First exit the device already computed, skipping block 2.
+// secondBlock continues a task whose first block ran on the device.
 func (e *Edge) secondBlock(ctx context.Context, meta rpc.Meta, req SecondBlockReq) (any, error) {
 	t, model, err := e.tenantSnapshot(req.DeviceID)
 	if err != nil {
 		return nil, err
 	}
-	effExit := e.capExit(t, req.ExitStage)
-	if effExit <= 1 {
-		return TaskResp{TaskID: req.TaskID, ExitStage: 1}, nil
-	}
-	return e.continueSecond(ctx, meta, t, model, req.DeviceID, req.TaskID, effExit)
+	return e.serveTask(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, 2, e.capExit(t, req.ExitStage))
 }
 
-// continueSecond runs block 2 and, for exit-3 tasks, forwards to the cloud.
-// When the cloud is unreachable (transport failure or open breaker), the
-// task degrades to the Second exit instead of failing: an accuracy hit, not
-// an availability hit — the multi-exit architecture's graceful-degradation
-// dividend.
-func (e *Edge) continueSecond(ctx context.Context, meta rpc.Meta, t *tenant, model offload.ModelParams, deviceID string, taskID uint64, exitStage int) (any, error) {
-	if err := e.serveBlock(ctx, meta, t.exec, model.Mu[1], e.tel.block2, "edge.block2", deviceID, taskID); err != nil {
-		return nil, e.execErr(err)
+// serveTask runs blocks from..min(exit, 2) of a task on x and hands an
+// exit-3 task on to the cloud; it answers with the exit the task left
+// through. A task whose exit comes before block from is answered from the
+// exit the caller already computed: a tenant the degradation plan caps at
+// exit 1 skips block 2, the edge compute the plan reclaimed. When the
+// cloud is absent or unreachable (transport failure or open breaker), an
+// exit-3 task degrades to the Second exit instead of failing: an accuracy
+// hit, not an availability hit — the multi-exit architecture's
+// graceful-degradation dividend.
+func (e *Edge) serveTask(ctx context.Context, meta rpc.Meta, x *Executor, model offload.ModelParams, dev string, task uint64, from, exit int) (any, error) {
+	last := min(max(exit, 1), 2)
+	for b := from; b <= last; b++ {
+		if err := e.serveBlock(ctx, meta, x, model.Mu[b-1], e.tel.block[b-1], edgeBlockSpans[b-1], dev, task); err != nil {
+			return nil, e.execErr(err)
+		}
 	}
-	if exitStage <= 2 || e.cloud == nil {
-		return TaskResp{TaskID: taskID, ExitStage: 2}, nil
+	if exit <= 2 || e.cloud == nil {
+		return TaskResp{TaskID: task, ExitStage: last}, nil
 	}
-	return e.forwardCloud(ctx, meta, model, deviceID, taskID)
-}
-
-// forwardCloud ships a post-Second-exit task to the cloud tier, degrading
-// to the Second exit when the cloud is unreachable. Shared by the tenant
-// path (continueSecond) and the steal path.
-func (e *Edge) forwardCloud(ctx context.Context, meta rpc.Meta, model offload.ModelParams, deviceID string, taskID uint64) (any, error) {
-	payload := zeroPayload(int(model.D[2]))
-	var cloudSpan *telemetry.Active
-	if tctx := metaContext(meta); tctx.Valid() {
-		cloudSpan = e.tel.tracer.StartSpan(tctx, "rpc.cloud").SetDevice(deviceID).SetTask(taskID)
-	}
-	ctx, cancel := forwardCtx(ctx)
-	defer cancel()
 	start := time.Now()
-	got, err := e.cloud.CallMeta(ctx, spanMeta(cloudSpan), ThirdBlockReq{TaskID: taskID, Payload: payload, FLOPs: model.Mu[2]})
+	resp, err := e.forward(ctx, meta, e.cloud, "rpc.cloud", dev, task, ThirdBlockReq{TaskID: task, Payload: zeroPayload(int(model.D[2])), FLOPs: model.Mu[2]})
 	e.tel.cloudCall.Observe(time.Since(start).Seconds())
 	if err != nil {
 		if _, unreachable, _ := hopVerdict(err); unreachable {
-			cloudSpan.SetNote("degraded: " + err.Error()).End()
 			e.tel.cloudDegraded.Inc()
-			return TaskResp{TaskID: taskID, ExitStage: 2}, nil
+			return TaskResp{TaskID: task, ExitStage: 2}, nil
 		}
-		cloudSpan.End()
-		return nil, fmt.Errorf("edge: cloud continuation: %w", err)
+		return nil, err
 	}
-	cloudSpan.End()
+	return resp, nil
+}
+
+// forward sends one task's request to the next tier over c — the cloud, a
+// steal peer or the next pipeline stage — under a span named name, bounds
+// the call by the handler's deadline, and checks that the reply is a
+// TaskResp. A failure is noted on the span; the caller decides whether
+// the task degrades.
+func (e *Edge) forward(ctx context.Context, meta rpc.Meta, c *rpc.ReliableClient, name, dev string, task uint64, req any) (TaskResp, error) {
+	var span *telemetry.Active
+	if tctx := metaContext(meta); tctx.Valid() {
+		span = e.tel.tracer.StartSpan(tctx, name).SetDevice(dev).SetTask(task)
+	}
+	ctx, cancel := forwardCtx(ctx)
+	defer cancel()
+	got, err := c.CallMeta(ctx, spanMeta(span), req)
+	if err != nil {
+		span.SetNote(err.Error()).End()
+		return TaskResp{}, fmt.Errorf("edge: %s: %w", name, err)
+	}
+	span.End()
 	resp, ok := got.(TaskResp)
 	if !ok {
-		return nil, fmt.Errorf("edge: unexpected cloud reply %T", got)
+		return TaskResp{}, fmt.Errorf("edge: unexpected %s reply %T", name, got)
 	}
 	return resp, nil
 }

@@ -7,7 +7,6 @@ import (
 	"leime/internal/netem"
 	"leime/internal/partition"
 	"leime/internal/rpc"
-	"leime/internal/telemetry"
 )
 
 // Pipelined inference: a chain of edge workers each executes one layer
@@ -135,13 +134,7 @@ func (e *Edge) activation(ctx context.Context, meta rpc.Meta, req ActivationReq)
 		return nil, fmt.Errorf("edge: pipeline %q stage %d hosts no exit for class %d and has no next hop",
 			req.PipelineID, req.Stage, req.ExitStage)
 	}
-	var hopSpan *telemetry.Active
-	if tctx := metaContext(meta); tctx.Valid() {
-		hopSpan = e.tel.tracer.StartSpan(tctx, "rpc.stage").SetDevice(req.DeviceID).SetTask(req.TaskID)
-	}
-	ctx, cancel := forwardCtx(ctx)
-	defer cancel()
-	got, err := st.next.CallMeta(ctx, spanMeta(hopSpan), ActivationReq{
+	resp, err := e.forward(ctx, meta, st.next, "rpc.stage", req.DeviceID, req.TaskID, ActivationReq{
 		PipelineID: req.PipelineID,
 		DeviceID:   req.DeviceID,
 		TaskID:     req.TaskID,
@@ -155,17 +148,10 @@ func (e *Edge) activation(ctx context.Context, meta rpc.Meta, req ActivationReq)
 		// Deadline-infeasible is not degradable: the budget is blown either
 		// way, so the typed reason propagates to the source.
 		if v, _, ok := hopVerdict(err); ok && !v.Infeasible && st.spec.Deepest > 0 {
-			hopSpan.SetNote("degraded: " + err.Error()).End()
 			e.tel.pipeDegraded.Inc()
 			return TaskResp{TaskID: req.TaskID, ExitStage: st.spec.Deepest}, nil
 		}
-		hopSpan.End()
-		return nil, fmt.Errorf("edge: pipeline forward: %w", err)
-	}
-	hopSpan.End()
-	resp, ok := got.(TaskResp)
-	if !ok {
-		return nil, fmt.Errorf("edge: unexpected stage reply %T", got)
+		return nil, err
 	}
 	return resp, nil
 }

@@ -479,7 +479,7 @@ func TestEdgeShedsQueuedWorkAtEnvelopeDeadline(t *testing.T) {
 	// The abandoned job leaves the queue as soon as the server is free; a
 	// burn would hold it there for another 2 s.
 	waitUntil(t, "abandoned job drained", func() bool { return tenant.exec.Pending() == 0 })
-	if got := edge.tel.block1.Count(); got != 1 {
+	if got := edge.tel.block[0].Count(); got != 1 {
 		t.Errorf("block-1 services = %d, want 1: the shed job was burned", got)
 	}
 }

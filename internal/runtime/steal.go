@@ -9,7 +9,6 @@ import (
 
 	"leime/internal/offload"
 	"leime/internal/rpc"
-	"leime/internal/telemetry"
 )
 
 // Edge federation: heartbeat serving, the peer heartbeat round, and the
@@ -163,15 +162,8 @@ func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, m
 	if best < 0 {
 		return nil, false
 	}
-	peer := e.peerClients[best]
 	e.tel.stealsOut.Inc()
-	var span *telemetry.Active
-	if tctx := metaContext(meta); tctx.Valid() {
-		span = e.tel.tracer.StartSpan(tctx, "rpc.steal").SetDevice(req.DeviceID).SetTask(req.TaskID)
-	}
-	ctx, cancel := forwardCtx(ctx)
-	defer cancel()
-	got, err := peer.CallMeta(ctx, spanMeta(span), StealReq{
+	resp, err := e.forward(ctx, meta, e.peerClients[best], "rpc.steal", req.DeviceID, req.TaskID, StealReq{
 		DeviceID:  req.DeviceID,
 		TaskID:    req.TaskID,
 		Payload:   req.Payload,
@@ -180,21 +172,15 @@ func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, m
 		Model:     model,
 	})
 	if err != nil {
-		span.SetNote("steal failed: " + err.Error()).End()
-		e.tel.stealFailed.Inc()
-		return nil, false
-	}
-	span.End()
-	resp, ok := got.(TaskResp)
-	if !ok {
 		e.tel.stealFailed.Inc()
 		return nil, false
 	}
 	return resp, true
 }
 
-// handleSteal executes a task forwarded by a saturated peer: block 1 on,
-// on the steal executor, never forwarding again (the one-hop bound).
+// handleSteal serves a task forwarded by a saturated peer from block 1 on,
+// on the steal executor, never forwarding it to another peer (the one-hop
+// bound).
 func (e *Edge) handleSteal(ctx context.Context, meta rpc.Meta, req StealReq) (any, error) {
 	if req.Hop != 1 {
 		return nil, fmt.Errorf("edge: steal hop %d violates the one-hop bound", req.Hop)
@@ -204,17 +190,5 @@ func (e *Edge) handleSteal(ctx context.Context, meta rpc.Meta, req StealReq) (an
 	if model.Validate() != nil {
 		model = e.cfg.Model
 	}
-	if err := e.serveBlock(ctx, meta, e.stealExec, model.Mu[0], e.tel.block1, "edge.block1", req.DeviceID, req.TaskID); err != nil {
-		return nil, e.execErr(err)
-	}
-	if req.ExitStage <= 1 {
-		return TaskResp{TaskID: req.TaskID, ExitStage: 1}, nil
-	}
-	if err := e.serveBlock(ctx, meta, e.stealExec, model.Mu[1], e.tel.block2, "edge.block2", req.DeviceID, req.TaskID); err != nil {
-		return nil, e.execErr(err)
-	}
-	if req.ExitStage <= 2 || e.cloud == nil {
-		return TaskResp{TaskID: req.TaskID, ExitStage: 2}, nil
-	}
-	return e.forwardCloud(ctx, meta, model, req.DeviceID, req.TaskID)
+	return e.serveTask(ctx, meta, e.stealExec, model, req.DeviceID, req.TaskID, 1, req.ExitStage)
 }
