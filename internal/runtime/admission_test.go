@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"leime/internal/offload"
+	"leime/internal/telemetry"
 )
 
 // TestExecutorAdmissionRejectsOverBudget floods a budgeted executor from
@@ -76,12 +77,11 @@ func TestExecutorAdmissionUnboundedByDefault(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEdgeBacklogBudgetTriggersLocalFallback drives an insistently
-// offloading device against an edge whose tenant queues are bounded by the
-// backlog budget. The rejections must surface device-side as fallbacks, not
-// errors, and every task must still complete — the degrade-to-local
-// contract of ErrOverloaded.
-func TestEdgeBacklogBudgetTriggersLocalFallback(t *testing.T) {
+// runBudgetedDevice drives an insistently offloading device against a slow
+// edge whose tenant queues are bounded by a backlog budget of about one
+// first-block task, both tiers recording into tr (nil disables tracing).
+func runBudgetedDevice(t *testing.T, tr *telemetry.Tracer) *DeviceStats {
+	t.Helper()
 	edge, err := StartEdge(EdgeConfig{
 		Addr:  "127.0.0.1:0",
 		FLOPS: 2e9, // slow edge: backlog actually builds
@@ -89,6 +89,7 @@ func TestEdgeBacklogBudgetTriggersLocalFallback(t *testing.T) {
 		// ~1 first-block task of budget at full share.
 		Policy:    ControlPolicy{MaxBacklogSec: 0.15},
 		TimeScale: testScale,
+		Tracer:    tr,
 	})
 	if err != nil {
 		t.Fatalf("StartEdge: %v", err)
@@ -100,10 +101,21 @@ func TestEdgeBacklogBudgetTriggersLocalFallback(t *testing.T) {
 	cfg.Policy = &eOnly // insist on offloading so the budget must trip
 	cfg.ArrivalMean = 8
 	cfg.Slots = 25
+	cfg.Tracer = tr
 	stats, err := RunDevice(cfg)
 	if err != nil {
 		t.Fatalf("RunDevice: %v", err)
 	}
+	return stats
+}
+
+// TestEdgeBacklogBudgetTriggersLocalFallback drives an insistently
+// offloading device against an edge whose tenant queues are bounded by the
+// backlog budget. The rejections must surface device-side as fallbacks, not
+// errors, and every task must still complete — the degrade-to-local
+// contract of ErrOverloaded.
+func TestEdgeBacklogBudgetTriggersLocalFallback(t *testing.T) {
+	stats := runBudgetedDevice(t, nil)
 	if stats.Errors != 0 {
 		t.Errorf("%d task errors despite degrade-to-local fallback", stats.Errors)
 	}
@@ -115,5 +127,56 @@ func TestEdgeBacklogBudgetTriggersLocalFallback(t *testing.T) {
 	}
 	if stats.Degraded != 0 {
 		t.Errorf("overload misclassified as unreachability: %d degraded", stats.Degraded)
+	}
+}
+
+// TestEdgeRefusedSecondBlockRunsBlockOnce drives the backlog-budget set-up
+// above with one tracer for both tiers. The budget refuses many a block 2
+// after the edge served block 1; the device must then run the remaining
+// blocks from block 2, so no trace holds block 1 on both tiers, and some
+// trace holds block 1 at the edge followed by block 2 on the device.
+func TestEdgeRefusedSecondBlockRunsBlockOnce(t *testing.T) {
+	tr := telemetry.NewTracer(1 << 14)
+	stats := runBudgetedDevice(t, tr)
+	if stats.Errors != 0 || stats.Completed != stats.Generated {
+		t.Fatalf("completed %d of %d with %d errors", stats.Completed, stats.Generated, stats.Errors)
+	}
+	if tr.Dropped() != 0 {
+		t.Fatalf("tracer dropped %d spans", tr.Dropped())
+	}
+	type blocks struct {
+		edge1End, dev1, dev2Start float64
+	}
+	traces := map[uint64]*blocks{}
+	for _, s := range tr.Spans() {
+		b := traces[s.Trace]
+		if b == nil {
+			b = &blocks{edge1End: -1, dev1: -1, dev2Start: -1}
+			traces[s.Trace] = b
+		}
+		switch s.Name {
+		case "edge.block1":
+			b.edge1End = s.End
+		case "device.block1":
+			b.dev1 = s.Start
+		case "device.block2":
+			b.dev2Start = s.Start
+		}
+	}
+	twice, handedOn := 0, 0
+	for _, b := range traces {
+		if b.edge1End >= 0 && b.dev1 >= 0 {
+			twice++
+		}
+		if b.edge1End >= 0 && b.dev2Start >= b.edge1End {
+			handedOn++
+		}
+	}
+	t.Logf("%d of %d tasks ran block 2 on the device after block 1 at the edge", handedOn, len(traces))
+	if twice != 0 {
+		t.Errorf("%d of %d tasks ran block 1 on both the edge and the device", twice, len(traces))
+	}
+	if handedOn == 0 {
+		t.Error("no task ran block 2 on the device after the edge ran block 1; budget too lenient")
 	}
 }

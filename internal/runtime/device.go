@@ -550,7 +550,13 @@ func (d *deviceRun) runTask(id uint64, slot, exitStage int, offloaded bool) {
 		if err == nil || !ok {
 			break
 		}
-		route = control.Next(route.Offer, exitStage, d.pipe != nil, v, unreachable)
+		offered := route.Offer
+		if errors.Is(err, errBlock2Refused) {
+			// The edge (or its steal peer) ran block 1 before it refused
+			// block 2.
+			offered = 2
+		}
+		route = control.Next(offered, exitStage, d.pipe != nil, v, unreachable)
 		fellBack = fellBack || route.FellBack
 		degraded = degraded || route.Degraded
 		if route.Shed {

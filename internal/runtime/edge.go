@@ -558,9 +558,7 @@ func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq)
 			// back to the device, try to place it on the least-loaded
 			// ready peer (the work never started here, so forwarding is
 			// safe).
-			if resp, ok := e.trySteal(ctx, meta, req, model); ok {
-				return resp, nil
-			}
+			return e.trySteal(ctx, meta, req, model, err)
 		}
 		return nil, e.execErr(err)
 	}
@@ -580,7 +578,8 @@ func (e *Edge) secondBlock(ctx context.Context, meta rpc.Meta, req SecondBlockRe
 // exit-3 task on to the cloud; it answers with the exit the task left
 // through. A task whose exit comes before block from is answered from the
 // exit the caller already computed: a tenant the degradation plan caps at
-// exit 1 skips block 2, the edge compute the plan reclaimed. When the
+// exit 1 skips block 2, the edge compute the plan reclaimed. A capacity
+// refusal of block 2 names its block (errBlock2Refused). When the
 // cloud is absent or unreachable (transport failure or open breaker), an
 // exit-3 task degrades to the Second exit instead of failing: an accuracy
 // hit, not an availability hit — the multi-exit architecture's
@@ -589,6 +588,9 @@ func (e *Edge) serveTask(ctx context.Context, meta rpc.Meta, x *Executor, model 
 	last := min(max(exit, 1), 2)
 	for b := from; b <= last; b++ {
 		if err := e.serveBlock(ctx, meta, x, model.Mu[b-1], e.tel.block[b-1], edgeBlockSpans[b-1], dev, task); err != nil {
+			if b == 2 && errors.Is(err, ErrOverloadCapacity) {
+				err = fmt.Errorf("%w: %w", errBlock2Refused, err)
+			}
 			return nil, e.execErr(err)
 		}
 	}

@@ -34,6 +34,11 @@ var (
 	// the blocks on its own CPU instead of retrying against a saturated
 	// server.
 	ErrOverloadCapacity = fmt.Errorf("%w: backlog budget exhausted", ErrOverloaded)
+	// errBlock2Refused is the capacity reason given for block 2: the edge
+	// (or the peer it stole the task to) may already have served block 1,
+	// so the device runs the remaining blocks from block 2 on and never
+	// runs block 1 twice.
+	errBlock2Refused = fmt.Errorf("%w at block 2", ErrOverloadCapacity)
 	// ErrDeadlineInfeasible is the deadline reason: deadline admission
 	// (ControlPolicy.DeadlineAdmission) predicted that queueing wait plus
 	// service cannot fit the deadline the task carries in rpc.Meta. The
@@ -56,7 +61,9 @@ func init() {
 	// The reason refinements must sort lexicographically before
 	// "runtime/overloaded": codeFor resolves an error matching several
 	// sentinels to the smallest code, and each refinement matches its own
-	// code plus the generic one ('-' < 'e', so "overload-..." wins).
+	// code plus the generic one ('-' < 'e', so "overload-..." wins), and
+	// the block-2 refinement sorts before the capacity reason it refines.
+	rpc.RegisterError("runtime/overload-block2", errBlock2Refused)
 	rpc.RegisterError("runtime/overload-capacity", ErrOverloadCapacity)
 	rpc.RegisterError("runtime/overload-deadline", ErrDeadlineInfeasible)
 	// A shutdown race can surface the executor's closed state from a

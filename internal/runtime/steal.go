@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -153,14 +154,16 @@ func (e *Edge) healthResp(deviceID string) HeartbeatResp {
 	return resp
 }
 
-// trySteal forwards an admission-rejected first-block task to the best
-// peer. It reports false when no peer qualifies or the forward fails — the
-// caller then returns the original rejection and the device falls back
-// locally, exactly as without federation.
-func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, model offload.ModelParams) (any, bool) {
+// trySteal forwards an admission-refused first-block task to the best
+// peer and returns its answer. When no peer qualifies or the forward fails,
+// it returns the edge's own refusal, and the device falls back locally
+// exactly as without federation. A peer that served block 1 and then
+// refused block 2 is the exception: its refusal goes back instead, so the
+// device does not run block 1 again.
+func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, model offload.ModelParams, refused error) (any, error) {
 	best := stealTarget(e.lastPeerRound())
 	if best < 0 {
-		return nil, false
+		return nil, e.execErr(refused)
 	}
 	e.tel.stealsOut.Inc()
 	resp, err := e.forward(ctx, meta, e.peerClients[best], "rpc.steal", req.DeviceID, req.TaskID, StealReq{
@@ -171,11 +174,14 @@ func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, m
 		Hop:       1,
 		Model:     model,
 	})
-	if err != nil {
-		e.tel.stealFailed.Inc()
-		return nil, false
+	if err == nil {
+		return resp, nil
 	}
-	return resp, true
+	e.tel.stealFailed.Inc()
+	if errors.Is(err, errBlock2Refused) {
+		refused = err
+	}
+	return nil, e.execErr(refused)
 }
 
 // handleSteal serves a task forwarded by a saturated peer from block 1 on,
