@@ -480,15 +480,15 @@ func (e *Edge) recomputeCaps() {
 	}
 }
 
-// capExit applies the tenant's degradation cap to a requested exit stage,
-// counting the degradation when it bites.
-func (e *Edge) capExit(t *tenant, exitStage int) int {
+// capExit applies the tenant's degradation cap to a requested exit stage
+// and reports whether it bit. The caller counts a capped task in
+// leime_edge_exit_degraded_total once the edge answers it.
+func capExit(t *tenant, exitStage int) (int, bool) {
 	ceiling := int(atomic.LoadInt32(&t.exitCap))
 	if ceiling > 0 && ceiling < exitStage {
-		e.tel.degradedExit.Inc()
-		return ceiling
+		return ceiling, true
 	}
-	return exitStage
+	return exitStage, false
 }
 
 // tenantSnapshot returns the tenant plus a copy of its deployed model taken
@@ -543,26 +543,33 @@ func (e *Edge) serveBlock(ctx context.Context, meta rpc.Meta, x *Executor, flops
 // firstBlock runs block 1 of an offloaded raw task on the tenant's
 // executor, applying admission control on its backlog, and continues the
 // task through serveTask. A refused block 1 is offered to a peer before
-// the refusal goes back to the device.
+// the refusal goes back to the device; the peer serves the task at the
+// tenant's capped exit.
 func (e *Edge) firstBlock(ctx context.Context, meta rpc.Meta, req FirstBlockReq) (any, error) {
 	t, model, err := e.tenantSnapshot(req.DeviceID)
 	if err != nil {
 		return nil, err
 	}
+	exit, capped := capExit(t, req.ExitStage)
 	atomic.AddInt32(&t.h1, 1)
 	err = e.serveBlock(ctx, meta, t.exec, model.Mu[0], e.tel.block[0], edgeBlockSpans[0], req.DeviceID, req.TaskID)
 	atomic.AddInt32(&t.h1, -1)
-	if err != nil {
-		if errors.Is(err, ErrOverloaded) {
-			// The admission budget is exhausted: before bouncing the task
-			// back to the device, try to place it on the least-loaded
-			// ready peer (the work never started here, so forwarding is
-			// safe).
-			return e.trySteal(ctx, meta, req, model, err)
-		}
+	var resp any
+	switch {
+	case err == nil:
+		resp, err = e.serveTask(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, 2, exit)
+	case errors.Is(err, ErrOverloaded):
+		// The admission budget is exhausted: before bouncing the task back
+		// to the device, try to place it on the least-loaded ready peer
+		// (the work never started here, so forwarding is safe).
+		resp, err = e.trySteal(ctx, meta, req, model, exit, err)
+	default:
 		return nil, e.execErr(err)
 	}
-	return e.serveTask(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, 2, e.capExit(t, req.ExitStage))
+	if err == nil && capped {
+		e.tel.degradedExit.Inc()
+	}
+	return resp, err
 }
 
 // secondBlock continues a task whose first block ran on the device.
@@ -571,7 +578,12 @@ func (e *Edge) secondBlock(ctx context.Context, meta rpc.Meta, req SecondBlockRe
 	if err != nil {
 		return nil, err
 	}
-	return e.serveTask(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, 2, e.capExit(t, req.ExitStage))
+	exit, capped := capExit(t, req.ExitStage)
+	resp, err := e.serveTask(ctx, meta, t.exec, model, req.DeviceID, req.TaskID, 2, exit)
+	if err == nil && capped {
+		e.tel.degradedExit.Inc()
+	}
+	return resp, err
 }
 
 // serveTask runs blocks from..min(exit, 2) of a task on x and hands an

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -269,6 +270,71 @@ func TestStealRidesPeerLink(t *testing.T) {
 	}
 	if got := steals(regA, "out"); got != 3 {
 		t.Errorf("edge stole %d tasks, want 3", got)
+	}
+}
+
+// TestStolenTaskKeepsExitCap saturates an edge whose degradation plan caps
+// its one tenant at exit 1 with a burst of exit-3 first blocks. Whether the
+// edge serves a task itself or its peer steals it, the answer is no deeper
+// than the cap, and leime_edge_exit_degraded_total counts every answered
+// task, since each one was capped.
+func TestStolenTaskKeepsExitCap(t *testing.T) {
+	peer := startFederatedEdge(t, EdgeConfig{
+		Addr: "127.0.0.1:0", FLOPS: 6e10, Model: testModel(), TimeScale: testScale,
+	})
+	reg := telemetry.NewRegistry()
+	edge := startFederatedEdge(t, EdgeConfig{
+		Addr: "127.0.0.1:0", FLOPS: 2e9, Model: testModel(), TimeScale: testScale,
+		Policy: ControlPolicy{MaxBacklogSec: 0.15, Degrade: DegradePolicy{Enabled: true}},
+		Peers:  []string{peer.Addr()}, Metrics: reg,
+	})
+	registerAt(t, peer.Addr(), "res")
+	src, err := rpc.Dial(edge.Addr(), nil)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	defer src.Close()
+	// The declared rate far exceeds the edge's budget, so Plan caps the
+	// tenant at exit 1.
+	if _, err := src.Call(context.Background(), RegisterReq{DeviceID: "src", FLOPS: 1e9, ArrivalMean: 1e4}); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	if tn, _, _ := edge.tenantSnapshot("src"); atomic.LoadInt32(&tn.exitCap) != 1 {
+		t.Fatalf("exit cap %d, want 1", atomic.LoadInt32(&tn.exitCap))
+	}
+	waitReadyPeers(t, edge, 1)
+
+	const burst = 24
+	exits := make(chan int, burst)
+	var wg sync.WaitGroup
+	for i := 0; i < burst; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			if got, err := src.Call(ctx, FirstBlockReq{DeviceID: "src", TaskID: uint64(i + 1), Payload: []byte{1}, ExitStage: 3}); err == nil {
+				exits <- got.(TaskResp).ExitStage
+			}
+		}(i)
+	}
+	wg.Wait()
+	close(exits)
+	answered, deeper := 0, 0
+	for exit := range exits {
+		answered++
+		if exit > 1 {
+			deeper++
+		}
+	}
+	if steals(reg, "out") == 0 {
+		t.Fatal("saturated edge never stole; burst too lenient")
+	}
+	if deeper != 0 {
+		t.Errorf("%d of %d answered tasks left deeper than the exit-1 cap", deeper, answered)
+	}
+	if got := reg.Counter("leime_edge_exit_degraded_total", "").Value(); got != uint64(answered) {
+		t.Errorf("leime_edge_exit_degraded_total = %d, want %d: one per answered capped task", got, answered)
 	}
 }
 

@@ -154,13 +154,14 @@ func (e *Edge) healthResp(deviceID string) HeartbeatResp {
 	return resp
 }
 
-// trySteal forwards an admission-refused first-block task to the best
-// peer and returns its answer. When no peer qualifies or the forward fails,
-// it returns the edge's own refusal, and the device falls back locally
-// exactly as without federation. A peer that served block 1 and then
-// refused block 2 is the exception: its refusal goes back instead, so the
-// device does not run block 1 again.
-func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, model offload.ModelParams, refused error) (any, error) {
+// trySteal forwards an admission-refused first-block task, at the exit
+// its tenant's cap allows, to the best peer and returns the peer's answer.
+// When no peer qualifies or the forward fails, it returns the edge's own
+// refusal, and the device falls back locally exactly as without
+// federation. A peer that served block 1 and then refused block 2 is the
+// exception: its refusal goes back instead, so the device does not run
+// block 1 again.
+func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, model offload.ModelParams, exit int, refused error) (any, error) {
 	best := stealTarget(e.lastPeerRound())
 	if best < 0 {
 		return nil, e.execErr(refused)
@@ -170,7 +171,7 @@ func (e *Edge) trySteal(ctx context.Context, meta rpc.Meta, req FirstBlockReq, m
 		DeviceID:  req.DeviceID,
 		TaskID:    req.TaskID,
 		Payload:   req.Payload,
-		ExitStage: req.ExitStage,
+		ExitStage: exit,
 		Hop:       1,
 		Model:     model,
 	})
