@@ -173,7 +173,8 @@ type StealReq struct {
 	// Payload is the raw input (d_0 bytes), carried so netem shaping sees
 	// the true transfer size on the edge-peer path.
 	Payload []byte
-	// ExitStage is the task's predetermined exit (1, 2 or 3).
+	// ExitStage is the task's predetermined exit (1, 2 or 3), capped by
+	// the origin edge's degradation plan for the tenant.
 	ExitStage int
 	// Hop counts forwarding hops; the origin edge sends 1 and peers
 	// reject anything greater, making the one-hop bound structural.
